@@ -1,9 +1,9 @@
-"""Timing comparison between the two coloring-search kernels.
+"""Node throughput of the oracle's coloring-search kernel.
 
-Runs the same canonical-order backtracking search on a few fixed
-instances, once per available backend, and prints nodes visited plus the
-best wall time over a few repeats.  Both kernels walk the identical tree
-so the node counts must agree; only the clock differs.
+Runs the canonical-order backtracking search (the oracle's exhaustive
+phase with connectivity demanded) on a few fixed instances and prints,
+per instance, the nodes visited, the best wall time over a few repeats
+and the nodes per second.
 
 Usage: python3 benchmarks/bench_search.py [--repeat N] [--max-nodes N]
 """
@@ -13,17 +13,12 @@ import time
 from itertools import combinations
 
 from hypfactor import Params
-from hypfactor import _search_py
-
-try:
-    from hypfactor import _search
-except ImportError:
-    _search = None
-
+from hypfactor._search_py import solve
+from hypfactor.oracle import kernel_inputs
 
 # a small-overhead row, two connectivity-heavy rows, one high-multiplicity
 # row, one substantial full search, and one instance that always hits the
-# node budget so the last row compares raw node throughput
+# node budget so the last row measures raw node throughput
 INSTANCES = [
     Params(6, 3, 1, (2, 2, 2, 2, 2)),
     Params(6, 3, 2, (2,) * 10),
@@ -33,84 +28,36 @@ INSTANCES = [
 ]
 
 
-def kernel_inputs(p: Params, require_connected: bool = True) -> tuple:
-    """Canonical-order solver arguments for one instance.
+def time_solve(inputs: tuple, repeat: int, max_nodes: int) -> tuple:
+    """Best wall time over `repeat` runs, with the node count.
 
-    Mirrors the oracle's first attempt: distinct edges in lexicographic
-    order with duplicate copies adjacent, copies forced into
-    non-decreasing colors, the first edge restricted to one color per
-    distinct degree value, and connectivity demanded of every class that
-    can support it.
+    The kernel is deterministic, so every repeat visits the same nodes.
     """
-    n, h, k = p.n, p.h, p.k
-    sizes = [0] + [ri * n // h for ri in p.r]
-    edges = [e for e in combinations(range(1, n + 1), h) for _ in range(p.lam)]
-    ev = [v for e in edges for v in e]
-    dup_prev = [
-        1 if i and edges[i] == edges[i - 1] else 0 for i in range(len(edges))
-    ]
-    first_ok = [False] * (k + 1)
-    seen = set()
-    for i in range(1, k + 1):
-        if p.r[i - 1] not in seen:
-            seen.add(p.r[i - 1])
-            first_ok[i] = True
-    conn = [False] * (k + 1)
-    if require_connected and h >= 2:
-        for i in range(1, k + 1):
-            conn[i] = p.r[i - 1] >= 2
-    return n, h, ev, dup_prev, first_ok, k, [0] + list(p.r), sizes, conn
-
-
-def time_solve(mod, inputs: tuple, repeat: int, max_nodes: int) -> tuple:
-    """Best wall time over `repeat` runs, with the last status and nodes."""
     best = float("inf")
-    status = nodes = None
+    nodes = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        status, _, nodes = mod.solve(*inputs, max_nodes, 300.0)
+        _, _, nodes = solve(*inputs, max_nodes, 300.0)
         best = min(best, time.perf_counter() - t0)
-    return best, status, nodes
+    return best, nodes
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        description="compare the compiled and pure-python search kernels"
-    )
+    ap = argparse.ArgumentParser(description="time the oracle's search kernel")
     ap.add_argument("--repeat", type=int, default=3,
-                    help="timed repeats per backend, best kept (default 3)")
+                    help="timed repeats per instance, best kept (default 3)")
     ap.add_argument("--max-nodes", type=int, default=10 ** 6,
                     help="node budget per solve (default 1e6)")
     args = ap.parse_args(argv)
 
-    backends = [("pure-python", _search_py)]
-    if _search is not None:
-        backends.append(("compiled", _search))
-    else:
-        print("compiled kernel not built; timing the fallback only")
-
     width = max(len(str(p)) for p in INSTANCES)
-    print(f"{'instance':<{width}}  {'nodes':>9}  "
-          + "".join(f"{name:>13}" for name, _ in backends)
-          + ("  speedup" if len(backends) == 2 else ""))
+    print(f"{'instance':<{width}}  {'nodes':>9}  {'best':>11}  {'nodes/s':>10}")
     for p in INSTANCES:
-        inputs = kernel_inputs(p)
-        times = []
-        counts = set()
-        for _, mod in backends:
-            best, status, nodes = time_solve(mod, inputs, args.repeat,
-                                             args.max_nodes)
-            times.append(best)
-            counts.add((status, nodes))
-        if len(counts) != 1:
-            print(f"{p}: backends disagree: {sorted(counts)}")
-            return 1
-        (_, nodes), = counts
-        line = (f"{str(p):<{width}}  {nodes:>9}  "
-                + "".join(f"{t * 1000:>11.2f}ms" for t in times))
-        if len(backends) == 2:
-            line += f"  {times[0] / times[1]:>6.1f}x"
-        print(line)
+        edges = [e for e in combinations(range(1, p.n + 1), p.h) for _ in range(p.lam)]
+        best, nodes = time_solve(kernel_inputs(p, edges, connected=True),
+                                 args.repeat, args.max_nodes)
+        print(f"{str(p):<{width}}  {nodes:>9}  {best * 1000:>9.2f}ms  "
+              f"{nodes / best:>10.0f}")
     return 0
 
 

@@ -1,8 +1,8 @@
-"""Reference backtracking kernel for the brute-force oracle.
+"""Backtracking kernel for the brute-force oracle.
 
-Mirrors `_search.pyx` line for line where it matters: both walk edges in
-the same fixed order and try colors in ascending order, so they return
-identical colorings and identical node counts.  Keep the two in sync.
+The search walks edges in the fixed order it is given and tries colors in
+ascending order, so equal inputs always give the same coloring and the
+same node count.
 
 Pruning is exact counting plus one canonical ordering.  A color is tried
 on an edge when its class still has room (class sizes are forced by

@@ -57,7 +57,8 @@ def doc_to_factorization(doc) -> Factorization:
     """Validate a parsed document and rebuild the factorization.
 
     Raises ParameterError naming the offending field on any structural
-    problem; the caller maps that to the parse-failure exit code.
+    problem, or on declared parameters `Params` rejects; the caller maps
+    that to the parse-failure exit code.
     """
     if not isinstance(doc, dict):
         raise ParameterError("document root must be a JSON object")
@@ -84,6 +85,7 @@ def doc_to_factorization(doc) -> Factorization:
                 isinstance(v, int) and not isinstance(v, bool) for v in e
             ):
                 raise ParameterError(f"factor {i + 1} contains a malformed edge: {e!r}")
+    Params(n, h, lam, r)  # the same value checks `generate` applies
     return Factorization.canonical(n, h, lam, r, factors)
 
 

@@ -49,7 +49,7 @@ class LaminarFamily:
     kept in a canonical order: decreasing size, then lexicographic on the
     sorted elements.  Laminarity is checked at construction unless the
     caller explicitly opts out, which only the tests exercising malformed
-    input do.
+    input do; the checked forest is kept for `equalized_select`.
     """
 
     def __init__(self, ground: Iterable, members: Sequence[Member], validate: bool = True):
@@ -64,8 +64,7 @@ class LaminarFamily:
             merged[key].extend(m.tags)
         order.sort(key=lambda s: (-len(s), sorted(s)))
         self.members = tuple(Member(s, tuple(merged[s])) for s in order)
-        if validate:
-            self.forest()
+        self._forest = self.forest() if validate else None
 
     @classmethod
     def from_sets(cls, ground, sets, tags=None, validate=True):
@@ -306,8 +305,8 @@ def equalized_select(
     if famA.ground != g or famB.ground != g:
         raise ParameterError("families must share the selection ground set")
 
-    parentA, innerA = famA.forest()
-    parentB, innerB = famB.forest()
+    parentA, innerA = famA._forest or famA.forest()
+    parentB, innerB = famB._forest or famB.forest()
 
     # Node map: 0 source, 1 sink, 2 wing-side root, 3 cell-side root,
     # then one node per family member.

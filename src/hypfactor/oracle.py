@@ -9,39 +9,29 @@ every selection satisfying the floor/ceiling bounds of two hinge
 families, used to check that the flow-based selector only ever returns
 members of that space.
 
-The backtracking inner loop is the one hot spot in the package, so it is
-compiled (see `_search.pyx`) with a pure-Python twin selected at import
-when the extension is unavailable; HYPFACTOR_PURE_PYTHON=1 forces the
-fallback.  Both backends walk the identical search tree.
+The backtracking inner loop is the kernel in `_search_py`; `kernel_inputs`
+turns an edge order into its arguments.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from ._search_py import FOUND, NONE, UNKNOWN, solve
 from .detach import Factorization, Params
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import binom
 from .laminar import LaminarFamily, Selection, bounds_for
-from .verify import verify_factorization
-
-if os.environ.get("HYPFACTOR_PURE_PYTHON") == "1":
-    from . import _search_py as _kernel
-else:
-    try:
-        from . import _search as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _search_py as _kernel
+from .verify import VerificationReport, verify_factorization
 
 
 def search_backend() -> str:
-    """Name of the active kernel: 'compiled' or 'pure-python'."""
-    return "compiled" if _kernel.__name__.endswith("._search") else "pure-python"
+    """Name of the search kernel, as reported by `hypfactor oracle`."""
+    return "pure-python"
 
 
 MAX_ORACLE_EDGES = 40
@@ -73,15 +63,17 @@ class OracleResult:
     reason: Optional[str] = None
 
 
-def _attempt(n, h, k, r, sizes, edges, conn, max_nodes, time_limit):
-    """One kernel call on a given edge order.
+def kernel_inputs(p: Params, edges: list, connected: bool) -> tuple:
+    """Kernel arguments, short of the budget, for one edge order.
 
     Duplicate copies (adjacent in `edges`) are forced into non-decreasing
     colors and the first edge may only take the lowest color index of each
     distinct degree value.  Both rules discard only color-permuted replays
     of assignments the search sees anyway, so they are sound under any
-    edge order.
+    edge order.  `connected` demands connectivity of every class with
+    r_i >= 2 when h >= 2.
     """
+    n, h, k, r = p.n, p.h, p.k, p.r
     ev = [v for e in edges for v in e]
     dup_prev = [1 if i > 0 and edges[i] == edges[i - 1] else 0 for i in range(len(edges))]
     first_ok = [False] * (k + 1)
@@ -90,10 +82,18 @@ def _attempt(n, h, k, r, sizes, edges, conn, max_nodes, time_limit):
         if r[i - 1] not in seen_degrees:
             seen_degrees.add(r[i - 1])
             first_ok[i] = True
-    return _kernel.solve(
-        n, h, ev, dup_prev, first_ok, k, [0] + list(r), sizes, conn,
-        max_nodes, time_limit,
-    )
+    sizes = [0] + [ri * n // h for ri in r]
+    conn = [False] + [connected and h >= 2 and ri >= 2 for ri in r]
+    return n, h, ev, dup_prev, first_ok, k, [0] + list(r), sizes, conn
+
+
+def _witness(p: Params, edges: list, colors: list) -> tuple[Factorization, VerificationReport]:
+    """The factorization a kernel coloring describes, with its full verification."""
+    factors = [[] for _ in range(p.k)]
+    for e, c in zip(edges, colors):
+        factors[c - 1].append(e)
+    f = Factorization.canonical(p.n, p.h, p.lam, p.r, factors)
+    return f, verify_factorization(f)
 
 
 def brute_force_factorize(
@@ -122,7 +122,6 @@ def brute_force_factorize(
     if budget is None:
         budget = SearchBudget()
     n, h, lam, r = p.n, p.h, p.lam, p.r
-    k = p.k
     total = lam * binom(n, h)
     if total > MAX_ORACLE_EDGES:
         return OracleResult(
@@ -130,17 +129,16 @@ def brute_force_factorize(
         )
 
     # root refutations by degree counting
-    sizes = [0] * (k + 1)
-    for i in range(1, k + 1):
-        if (r[i - 1] * n) % h != 0:
+    for i, ri in enumerate(r, start=1):
+        if (ri * n) % h != 0:
             return OracleResult(
-                "none", reason=f"class size r_{i}*n/h = {r[i - 1] * n}/{h} not integral"
+                "none", reason=f"class size r_{i}*n/h = {ri * n}/{h} not integral"
             )
-        sizes[i] = r[i - 1] * n // h
-    if sum(sizes) != total:
+    size_sum = sum(ri * n // h for ri in r)
+    if size_sum != total:
         return OracleResult(
             "none",
-            reason=f"class sizes sum to {sum(sizes)}, instance has {total} edges",
+            reason=f"class sizes sum to {size_sum}, instance has {total} edges",
         )
 
     distinct = list(combinations(range(1, n + 1), h))
@@ -150,11 +148,6 @@ def brute_force_factorize(
 
     # finder phase: always ask for the strong (connected) witness, which
     # exists whenever any factorization does
-    conn_strong = [False] * (k + 1)
-    if h >= 2:
-        for i in range(1, k + 1):
-            conn_strong[i] = r[i - 1] >= 2
-
     for attempt in range(FINDER_RESTARTS):
         time_left = deadline - time.monotonic()
         if nodes_left <= 0 or time_left <= 0:
@@ -164,18 +157,14 @@ def brute_force_factorize(
             order = distinct[:]
             random.Random(attempt).shuffle(order)
         edges = [e for e in order for _ in range(lam)]
-        status, colors, nodes = _attempt(
-            n, h, k, r, sizes, edges, conn_strong,
+        status, colors, nodes = solve(
+            *kernel_inputs(p, edges, connected=True),
             min(FINDER_NODE_CAP, nodes_left), time_left,
         )
         nodes_used += nodes
         nodes_left -= nodes
-        if status == _kernel.FOUND:
-            factors = [[] for _ in range(k)]
-            for e, c in zip(edges, colors):
-                factors[c - 1].append(e)
-            f = Factorization.canonical(n, h, lam, r, factors)
-            report = verify_factorization(f)
+        if status == FOUND:
+            f, report = _witness(p, edges, colors)
             if not report.overall:
                 raise InternalInvariantError(
                     "search witness failed verification",
@@ -184,26 +173,21 @@ def brute_force_factorize(
             return OracleResult("found", f, nodes_used)
 
     # exhaustive phase in canonical order
-    conn = conn_strong if require_connected else [False] * (k + 1)
     time_left = deadline - time.monotonic()
     if nodes_left <= 0 or time_left <= 0:
         return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")
     edges = [e for e in distinct for _ in range(lam)]
-    status, colors, nodes = _attempt(
-        n, h, k, r, sizes, edges, conn, nodes_left, time_left,
+    status, colors, nodes = solve(
+        *kernel_inputs(p, edges, connected=require_connected), nodes_left, time_left,
     )
     nodes_used += nodes
-    if status == _kernel.UNKNOWN:
+    if status == UNKNOWN:
         return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")
-    if status == _kernel.NONE:
+    if status == NONE:
         return OracleResult("none", nodes=nodes_used, reason="search exhausted")
     # a witness the finder missed; keep only a certificate that survives
     # the same verification 'found' always promises
-    factors = [[] for _ in range(k)]
-    for e, c in zip(edges, colors):
-        factors[c - 1].append(e)
-    f = Factorization.canonical(n, h, lam, r, factors)
-    report = verify_factorization(f)
+    f, report = _witness(p, edges, colors)
     if not report.overall:
         return OracleResult(
             "unknown", nodes=nodes_used,

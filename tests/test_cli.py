@@ -156,12 +156,26 @@ def test_verify_reports_json_parse_position(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
-def test_verify_rejects_wrongly_typed_fields(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 5, "h": 2, "lambda": 1, "r": "2,2", "factors": []},
+         "field 'r' must be a list of integers"),
+        ({"n": 4, "h": 2, "lambda": 0, "r": [], "factors": []},
+         "cover multiplicity lam must be >= 1"),
+        ({"n": 4, "h": 0, "lambda": 1, "r": [1], "factors": [[]]},
+         "edge size h must be >= 1"),
+        ({"n": -3, "h": 2, "lambda": 1, "r": [1], "factors": [[]]},
+         "need more vertices than the edge size"),
+    ],
+    ids=["r-not-a-list", "lambda-zero", "h-zero", "n-negative"],
+)
+def test_verify_rejects_wrongly_typed_fields(capsys, tmp_path, doc, message):
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps({"n": 5, "h": 2, "lambda": 1, "r": "2,2", "factors": []}))
+    path.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "verify", str(path))
     assert rc == 4
-    assert "'r' must be a list of integers" in err
+    assert f"parse failure: {message}" in err
 
 
 def test_verify_missing_file_is_io_failure(capsys, tmp_path):

@@ -74,6 +74,13 @@ def test_element_outside_ground_rejected():
         _fam({1, 2}, {1, 3})
 
 
+def test_unvalidated_family_is_checked_on_selection():
+    ground = frozenset(range(1, 5))
+    fam = LaminarFamily.from_sets(ground, [{1, 2}, {2, 3}], validate=False)
+    with pytest.raises(InternalInvariantError, match="not laminar"):
+        equalized_select(ground, fam, _empty_over(ground), m=2)
+
+
 def test_disjoint_sets_are_laminar():
     fam = _fam(range(6), {0, 1}, {2, 3}, {4})
     parent, _ = fam.forest()

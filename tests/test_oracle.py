@@ -1,12 +1,12 @@
-"""Tests for the brute-force search oracle and its two backends."""
+"""Tests for the brute-force search oracle and its kernel benchmark."""
 
 import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from pathlib import Path
 
-import pytest
+import hypfactor
 from hypfactor import (
     Params,
     SearchBudget,
@@ -15,7 +15,6 @@ from hypfactor import (
     search_backend,
     verify_factorization,
 )
-from hypfactor import _search_py
 from hypfactor.oracle import MAX_ORACLE_EDGES
 
 
@@ -129,53 +128,17 @@ def test_found_factors_are_canonically_ordered():
 
 
 def test_backend_name_is_reported():
-    assert search_backend() in ("compiled", "pure-python")
+    assert search_backend() == "pure-python"
 
 
-def test_pure_python_env_forces_fallback():
-    code = "import hypfactor; print(hypfactor.search_backend())"
-    env = dict(os.environ, HYPFACTOR_PURE_PYTHON="1")
+def test_kernel_bench_runs():
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(hypfactor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, str(root / "benchmarks" / "bench_search.py"),
+         "--repeat", "1", "--max-nodes", "2000"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure-python"
-
-
-def _kernel_inputs(n, h, lam, r):
-    k = len(r)
-    sizes = [0] + [ri * n // h for ri in r]
-    edges = [e for e in combinations(range(1, n + 1), h) for _ in range(lam)]
-    ev = [v for e in edges for v in e]
-    dup = [1 if i > 0 and edges[i] == edges[i - 1] else 0 for i in range(len(edges))]
-    first = [False] * (k + 1)
-    seen = set()
-    for i in range(1, k + 1):
-        if r[i - 1] not in seen:
-            seen.add(r[i - 1])
-            first[i] = True
-    return k, sizes, ev, dup, first
-
-
-def test_backends_walk_identical_trees():
-    try:
-        from hypfactor import _search
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    grid = [
-        (4, 2, 1, (2, 1)),
-        (5, 2, 1, (2, 2)),
-        (5, 3, 1, (3, 3)),
-        (4, 2, 3, (3, 2, 1, 2, 1)),
-        (3, 2, 5, (2, 2, 2, 2, 1, 1)),
-        (5, 4, 4, (4, 4, 4, 4)),
-    ]
-    for n, h, lam, r in grid:
-        k, sizes, ev, dup, first = _kernel_inputs(n, h, lam, r)
-        for want_conn in (False, True):
-            conn = [False] * (k + 1)
-            if want_conn and h >= 2:
-                for i in range(1, k + 1):
-                    conn[i] = r[i - 1] >= 2
-            args = (n, h, ev, dup, first, k, [0] + list(r), sizes, conn, 10**6, 60.0)
-            assert _search.solve(*args) == _search_py.solve(*args), (n, h, lam, r)
