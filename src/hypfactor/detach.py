@@ -5,13 +5,15 @@ if h divides r_i * n, and the per-vertex degree budget forces the r_i to
 sum to lam * C(n-1, h-1).  Those two conditions are also sufficient, and
 the construction below realizes them: start from a single amalgam vertex
 carrying every edge as an all-amalgam loop, then split off one new vertex
-per stage.  Each stage computes the wing and cell families over the
-amalgam's hinges, asks the equalized selector for a balanced hinge set,
-and retargets exactly those hinges to the new vertex.  Rounding exactness
-does the rest: hinge groups whose sizes are divisible by the stage
-divisor come out exact, which pins split-vertex degrees to r_i, keeps
-shape multiplicities on their binomial schedule, and leaves every class
-with r_i >= 2 connected (for h >= 2).
+per stage.  Edges of one type (color, vertex multiset) are
+interchangeable, so each stage works on the amalgam-incident types with
+their counts, at O(edge types) cost: it builds the wing and cell
+families over them, asks the equalized selector how many edges of each
+type give up a hinge, and moves those hinges to the new vertex.
+Rounding exactness does the rest: hinge groups whose sizes are divisible
+by the stage divisor come out exact, which pins split-vertex degrees to
+r_i, keeps shape multiplicities on their binomial schedule, and leaves
+every class with r_i >= 2 connected (for h >= 2).
 
 Vertex naming: split vertices take ids 1..n-1 in creation order and the
 amalgam carries its final label n throughout, so the finished object
@@ -135,10 +137,11 @@ def initial_amalgam(p: Params) -> ColoredMultiHypergraph:
 def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) -> ColoredMultiHypergraph:
     """Split one new vertex off the amalgam (stage ell -> ell + 1).
 
-    Builds the wing and cell families over the amalgam's current hinges,
-    selects a hinge set balanced for divisor m = n - ell + 1, and moves
-    the chosen hinges onto the freshly created vertex `ell`.  Mutates `G`
-    in place and returns it.
+    Lists the amalgam-incident edge types once, builds both families over
+    them, selects per type how many edges give up a hinge (divisor
+    m = n - ell + 1; one hinge per edge suffices as no edge holds more
+    than m), and moves those hinges onto the new vertex `ell`.  Mutates
+    `G` in place and returns it.
     """
     if G.n_current != ell:
         raise ParameterError(
@@ -146,15 +149,14 @@ def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) ->
         )
     if not 1 <= ell <= p.n - 1:
         raise ParameterError(f"stage {ell} outside 1..{p.n - 1}")
-    decomps = wing_decompositions(G)
-    famA = build_wing_family(G, decomps)
-    famB = build_cell_family(G)
-    ground = frozenset(G.hinges_at(G.alpha))
+    ground = G.hinges_at(G.alpha)
+    decomps = wing_decompositions(G, ground)
+    famA = build_wing_family(G, ground, decomps)
+    famB = build_cell_family(G, ground)
     m = p.n - ell + 1
     sel = equalized_select(ground, famA, famB, m, seed)
-    beta = ell
-    G.add_vertex(beta)
-    G.move_hinges(sel.chosen, beta)
+    G.add_vertex(ell)
+    G.move_hinges(sel.amounts, ell)
     return G
 
 

@@ -6,7 +6,7 @@ class ParameterError(ValueError):
 
 
 class InvalidHingeError(ValueError):
-    """A hinge reference does not address a current occurrence of the amalgam."""
+    """A hinge move asks for more amalgam occurrences than the graph holds."""
 
 
 class InternalInvariantError(RuntimeError):

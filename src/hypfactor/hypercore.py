@@ -1,23 +1,22 @@
-"""Multiset hypergraph core with addressable amalgam hinges.
+"""Multiset hypergraph core, stored as counts of interchangeable edges.
 
-Edges are vertex multisets stored as individual instances with stable
-integer ids, so that a single occurrence of a vertex inside a single edge
-can be addressed and moved.  One designated vertex, the amalgam, may occur
-several times within an edge; each occurrence is a "hinge".  Splitting the
-amalgam means retargeting a chosen set of hinges to a freshly created
-vertex, one occurrence at a time, which is what `move_hinge` implements.
-
-Degrees and shape multiplicities are recomputed from the edge store on
-demand, behind a version-keyed cache.  At the edge counts this package
-works with (a few thousand at most), linear scans are cheap and leave no
-room for stale bookkeeping after a mutation.
+Edges with the same color and vertex multiset cannot be told apart by
+any family bound, by the verifier or by the output, so the graph keeps
+one count per edge type `(color, sorted verts)`.  One designated vertex,
+the amalgam, may occur several times within an edge; each occurrence is
+a "hinge".  Per color, a union-find over ordinary (non-amalgam) vertices
+tracks the components that wings hang off; edges only ever gain
+ordinary vertices, so components only merge and the union-find stays
+exact.  `edges()` and `color_class()` expand the counts into explicit
+`Edge` records for the verifier and the output.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import count
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidHingeError, ParameterError
 
@@ -32,12 +31,10 @@ def binom(n: int, k: int) -> int:
 
 
 class HingeRef(NamedTuple):
-    """One occurrence of the amalgam inside one edge instance.
+    """One occurrence of the amalgam in one explicit edge (`slot` is 1-based).
 
-    `slot` is 1-based and positional within the edge's current amalgam
-    multiplicity.  Slots are re-canonicalized after every move: once an
-    edge is mutated, refs held from before the mutation may be stale, and
-    `move_hinge` rejects any slot beyond the current multiplicity.
+    The hinge-level view used to state and check the split-connectivity
+    rule; the construction itself works on counts.
     """
 
     edge_id: int
@@ -45,7 +42,7 @@ class HingeRef(NamedTuple):
 
 
 class Edge:
-    """A single colored edge instance; `verts` is a sorted vertex multiset."""
+    """A single colored edge record; `verts` is a sorted vertex multiset."""
 
     __slots__ = ("id", "verts", "color")
 
@@ -54,11 +51,24 @@ class Edge:
         self.verts = verts
         self.color = color
 
-    def multiplicity_of(self, v: int) -> int:
-        return self.verts.count(v)
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Edge({self.id}, {self.verts}, c{self.color})"
+class UnionFind:
+    """Union-find over arbitrary hashable items, with path halving."""
+
+    def __init__(self, parent: Optional[dict] = None):
+        self.parent = dict(parent or {})
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != x:
+            self.parent[x] = p = self.parent[p]
+            x, p = p, self.parent[p]
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
 
 
 class ColoredMultiHypergraph:
@@ -86,10 +96,8 @@ class ColoredMultiHypergraph:
         self.h = h
         self.k = k
         self.r = tuple(r) if r is not None else None
-        self._edges: dict[int, Edge] = {}
-        self._next_edge_id = 0
-        self._version = 0
-        self._shape_cache: tuple[int, Counter] | None = None
+        self._types: Counter = Counter()  # (color, sorted verts) -> count
+        self._uf = {i: UnionFind() for i in range(1, k + 1)}
 
     # -- basic accessors -------------------------------------------------
 
@@ -98,20 +106,22 @@ class ColoredMultiHypergraph:
         return len(self.vertices)
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
+        """Explicit edges, `count` records per type, ids fresh in iteration order."""
+        ids = count()
+        for (color, verts), c in self._types.items():
+            for _ in range(c):
+                yield Edge(next(ids), verts, color)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
-
-    def edge(self, edge_id: int) -> Edge:
-        try:
-            return self._edges[edge_id]
-        except KeyError:
-            raise InvalidHingeError(f"no edge with id {edge_id}") from None
+        return sum(self._types.values())
 
     def color_class(self, color: int) -> list[Edge]:
-        return [e for e in self._edges.values() if e.color == color]
+        return [e for e in self.edges() if e.color == color]
+
+    def find(self, color: int, v: int) -> int:
+        """Root of `v`'s component among the ordinary vertices of one color."""
+        return self._uf[color].find(v)
 
     # -- mutation --------------------------------------------------------
 
@@ -119,9 +129,9 @@ class ColoredMultiHypergraph:
         if v in self.vertices:
             raise ParameterError(f"vertex {v} already present")
         self.vertices.add(v)
-        self._version += 1
 
-    def add_edge(self, verts: Iterable[int], color: int) -> int:
+    def add_edge(self, verts: Iterable[int], color: int) -> tuple:
+        """Add one edge and return its type `(color, sorted verts)`."""
         vt = tuple(sorted(verts))
         if len(vt) != self.h:
             raise ParameterError(
@@ -132,43 +142,38 @@ class ColoredMultiHypergraph:
         missing = set(vt) - self.vertices
         if missing:
             raise ParameterError(f"edge {vt} uses undeclared vertices {sorted(missing)}")
-        eid = self._next_edge_id
-        self._next_edge_id += 1
-        self._edges[eid] = Edge(eid, vt, color)
-        self._version += 1
-        return eid
+        key = (color, vt)
+        self._types[key] += 1
+        rest = [v for v in vt if v != self.alpha]
+        for v in rest:
+            self._uf[color].union(v, rest[0])
+        return key
 
-    def move_hinge(self, href: HingeRef, to: int) -> None:
-        """Replace one occurrence of the amalgam in `href`'s edge by `to`.
+    def move_hinges(self, amounts: Mapping[tuple, int], to: int) -> None:
+        """Move one amalgam occurrence onto `to` in t edges of each type.
 
-        Hinge slots within an edge are interchangeable (they address
-        identical amalgam occurrences), so only the slot *range* is
-        validated: 1 <= slot <= current amalgam multiplicity.  A stale ref
-        whose slot exceeds the current multiplicity is rejected.
+        `amounts` maps types to t; each type must hold the amalgam and at
+        least t edges, or nothing moves.  `to` joins the color's component
+        of every moved edge.
         """
-        e = self.edge(href.edge_id)
-        p = e.verts.count(self.alpha)
-        if not 1 <= href.slot <= p:
-            raise InvalidHingeError(
-                f"hinge {href} is stale: edge {e.id} has amalgam multiplicity {p}"
-            )
-        if to not in self.vertices:
-            raise ParameterError(f"move target {to} is not a declared vertex")
-        vs = list(e.verts)
-        vs.remove(self.alpha)
-        vs.append(to)
-        e.verts = tuple(sorted(vs))
-        self._version += 1
-
-    def move_hinges(self, hrefs: Iterable[HingeRef], to: int) -> None:
-        """Apply a batch of hinge moves to the same target vertex.
-
-        Within each edge, higher slots are moved first so that the
-        re-canonicalization of lower slots never invalidates a pending
-        ref from the same batch.
-        """
-        for href in sorted(hrefs, key=lambda x: (x.edge_id, -x.slot)):
-            self.move_hinge(href, to)
+        if to not in self.vertices or to == self.alpha:
+            raise ParameterError(f"move target {to} is not a declared ordinary vertex")
+        for key, t in amounts.items():
+            if self.alpha not in key[1] or not 0 <= t <= self._types.get(key, 0):
+                raise InvalidHingeError(
+                    f"cannot move {t} hinges of type {key} ({self._types.get(key, 0)} edges)"
+                )
+        for (color, verts), t in amounts.items():
+            if not t:
+                continue
+            self._types[(color, verts)] -= t
+            if not self._types[(color, verts)]:
+                del self._types[(color, verts)]
+            vs = list(verts)
+            vs.remove(self.alpha)
+            self._types[(color, tuple(sorted(vs + [to])))] += t
+            rest = [v for v in vs if v != self.alpha]
+            self._uf[color].union(rest[0] if rest else to, to)
 
     # -- derived quantities ----------------------------------------------
 
@@ -176,17 +181,8 @@ class ColoredMultiHypergraph:
         """Occurrences of `u` over all edges, or over one color class."""
         if u not in self.vertices:
             raise ParameterError(f"vertex {u} not declared")
-        if color is None:
-            return sum(e.verts.count(u) for e in self._edges.values())
-        return sum(e.verts.count(u) for e in self._edges.values() if e.color == color)
-
-    def shape_counts(self) -> Counter:
-        """Counter keyed by sorted vertex tuple over all edges (cached)."""
-        if self._shape_cache is not None and self._shape_cache[0] == self._version:
-            return self._shape_cache[1]
-        cnt = Counter(e.verts for e in self._edges.values())
-        self._shape_cache = (self._version, cnt)
-        return cnt
+        types = self._types.items()
+        return sum(c * vs.count(u) for (i, vs), c in types if color in (None, i))
 
     def multiplicity(self, alpha: int, p: int, U: Iterable[int]) -> int:
         """Number of edges whose multiset is exactly {alpha^p} + U.
@@ -202,24 +198,20 @@ class ColoredMultiHypergraph:
                 f"need p >= 0 and p + |U| = h, got p={p}, |U|={len(Ut)}, h={self.h}"
             )
         key = tuple(sorted((alpha,) * p + Ut))
-        return self.shape_counts().get(key, 0)
+        return sum(self._types.get((i, key), 0) for i in range(1, self.k + 1))
 
-    def hinges_at(self, u: int) -> tuple[HingeRef, ...]:
-        """One HingeRef per occurrence of `u`, sorted by (edge id, slot)."""
+    def hinges_at(self, u: int) -> dict[tuple, tuple[int, int]]:
+        """Each edge type holding `u`, mapped to (count c, multiplicity p of `u`)."""
         if u not in self.vertices:
             raise ParameterError(f"vertex {u} not declared")
-        refs = []
-        for e in self._edges.values():
-            for slot in range(1, e.verts.count(u) + 1):
-                refs.append(HingeRef(e.id, slot))
-        refs.sort()
-        return tuple(refs)
+        return {
+            key: (c, key[1].count(u)) for key, c in self._types.items() if u in key[1]
+        }
 
     # -- copying ---------------------------------------------------------
 
     def copy(self) -> "ColoredMultiHypergraph":
         g = ColoredMultiHypergraph(self.vertices, self.alpha, self.h, self.k, self.r)
-        for e in self._edges.values():
-            g._edges[e.id] = Edge(e.id, e.verts, e.color)
-        g._next_edge_id = self._next_edge_id
+        g._types = Counter(self._types)
+        g._uf = {i: UnionFind(uf.parent) for i, uf in self._uf.items()}
         return g

@@ -1,25 +1,23 @@
-"""Laminar hinge families and equalized selection by feasible flow.
+"""Laminar families over edge types and equalized selection by feasible flow.
 
-The splitting pipeline must pick, at each stage, a hinge set that meets
-every structurally relevant hinge group in proportion 1/m (rounded either
-way), where m is the number of splits still to come plus one.  Two
-laminar families over the amalgam's hinges encode those groups:
+At each stage the splitting pipeline must take, from every structurally
+relevant group of the amalgam's hinges, a 1/m share rounded either way,
+where m is the number of splits still to come plus one.  Edges of one
+type are interchangeable, so the ground set is the amalgam-incident
+types: a type of c edges with amalgam multiplicity p weighs c * p, and
+the selector picks how many of its edges give up a hinge, within
+[c*floor(p/m), c*ceil(p/m)].  The wing family (color class, multi-hinge
+wing union, wing) and the cell family (amalgam multiplicity plus
+ordinary vertex set) group the types; each member gets the floor/ceiling
+of its weight over m.  A plain iterable ground means unit elements.
 
-* the wing family groups hinges by color class, by multi-hinge wing
-  union, by individual wing, and by edge;
-* the cell family groups hinges of edges sharing the same shape, meaning
-  the same amalgam multiplicity and the same set of ordinary vertices.
-
-A selection meeting floor/ceiling bounds on every group simultaneously
-always exists for laminar inputs: the bounds form a flow problem on the
-two forests (source, down one forest, across one unit arc per hinge, up
-the other forest, sink) whose constraint matrix is totally unimodular,
-and selecting every hinge with weight 1/m is fractionally feasible.  The
-solver below materializes that argument: a feasible-flow instance with
-lower bounds, reduced to plain max-flow by the usual excess-node
-transformation and solved with a small Dinic implementation.  The seed
-only permutes the order in which hinge arcs are wired, so it picks among
-valid selections without ever affecting validity.
+For laminar inputs such a selection always exists: the bounds form a
+flow problem on the two forests (source, down one forest, across one arc
+per element, up the other, sink) with a totally unimodular constraint
+matrix, and weight/m everywhere is fractionally feasible.  The solver
+runs that feasible flow through the usual excess-node reduction to a
+small Dinic max-flow.  The seed only permutes the order in which element
+arcs are wired, so it never affects validity.
 """
 
 from __future__ import annotations
@@ -27,11 +25,16 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import ColoredMultiHypergraph, HingeRef
-from .wings import WingDecomposition, wing_decompositions
+from .hypercore import ColoredMultiHypergraph
+from .wings import ClassWings, wing_decompositions
+
+
+def weighted(ground) -> dict:
+    """`ground` as {element: (c, p)}, c items of size p; unit items for a plain iterable."""
+    return dict(ground) if isinstance(ground, Mapping) else dict.fromkeys(ground, (1, 1))
 
 
 @dataclass(frozen=True)
@@ -45,15 +48,17 @@ class Member:
 class LaminarFamily:
     """A laminar family of subsets of a common ground set.
 
-    Members are deduplicated (equal sets merge their provenance tags) and
-    kept in a canonical order: decreasing size, then lexicographic on the
+    `ground` maps elements to (c, p) or is a plain iterable of unit
+    elements; `sizes[i]` is member i's total weight.  Members are
+    deduplicated (equal sets merge their provenance tags) and kept in a
+    canonical order: decreasing element count, then lexicographic on the
     sorted elements.  Laminarity is checked at construction unless the
-    caller explicitly opts out, which only the tests exercising malformed
-    input do; the checked forest is kept for `equalized_select`.
+    caller opts out (only tests of malformed input do); the checked
+    forest is kept for selection.
     """
 
     def __init__(self, ground: Iterable, members: Sequence[Member], validate: bool = True):
-        self.ground = frozenset(ground)
+        self.ground = weighted(ground)
         merged: dict[frozenset, list] = {}
         order: list[frozenset] = []
         for m in members:
@@ -64,6 +69,8 @@ class LaminarFamily:
             merged[key].extend(m.tags)
         order.sort(key=lambda s: (-len(s), sorted(s)))
         self.members = tuple(Member(s, tuple(merged[s])) for s in order)
+        weight = {x: c * p for x, (c, p) in self.ground.items()}
+        self.sizes = tuple(sum(weight.get(x, 0) for x in s) for s in order)
         self._forest = self.forest() if validate else None
 
     @classmethod
@@ -106,10 +113,14 @@ class LaminarFamily:
 
 @dataclass(frozen=True)
 class Selection:
-    """A chosen hinge subset together with the divisor it was balanced for."""
+    """The amount chosen of each element (only nonzero ones) and the divisor."""
 
-    chosen: frozenset
+    amounts: dict
     m: int
+
+    @property
+    def chosen(self) -> frozenset:
+        return frozenset(self.amounts)
 
 
 def bounds_for(size: int, m: int) -> tuple[int, int]:
@@ -120,16 +131,39 @@ def bounds_for(size: int, m: int) -> tuple[int, int]:
 def selection_respects_bounds(
     chosen: Iterable, ground, famA: LaminarFamily, famB: LaminarFamily, m: int
 ) -> Optional[tuple]:
-    """First violated bound as a witness tuple, or None when all hold."""
-    ch = set(chosen)
-    g = frozenset(ground)
-    lo, hi = bounds_for(len(g), m)
-    if not lo <= len(ch & g) <= hi:
-        return ("ground", len(ch & g), lo, hi)
+    """First violated bound as a witness tuple, or None when all hold.
+
+    `chosen` maps elements to amounts, or is a plain iterable taking each
+    element once.  Checked in order: strays outside the ground, the ground
+    total, each element, then every member, whose totals are gathered in
+    one pass over the amounts.
+    """
+    amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
+    g = weighted(ground)
+    for x in amounts:
+        if x not in g:
+            return ("stray", x)
+    lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
+    got = sum(amounts.values())
+    if not lo <= got <= hi:
+        return ("ground", got, lo, hi)
+    for x, (c, p) in g.items():
+        lo, hi = bounds_for(p, m)
+        got = amounts.get(x, 0)
+        if not c * lo <= got <= c * hi:
+            return ("element", x, got, c * lo, c * hi)
     for fam in (famA, famB):
-        for mb in fam.members:
-            lo, hi = bounds_for(len(mb.elements), m)
-            got = len(ch & mb.elements)
+        parent, innermost = fam._forest or fam.forest()
+        total = [0] * len(fam.members)
+        for x, t in amounts.items():
+            if innermost.get(x, -1) >= 0:
+                total[innermost[x]] += t
+        # parents precede their children in the canonical member order
+        for i in range(len(total) - 1, -1, -1):
+            if parent[i] >= 0:
+                total[parent[i]] += total[i]
+        for mb, size, got in zip(fam.members, fam.sizes, total):
+            lo, hi = bounds_for(size, m)
             if not lo <= got <= hi:
                 return (mb.tags, got, lo, hi)
     return None
@@ -140,60 +174,42 @@ def selection_respects_bounds(
 
 def build_wing_family(
     G: ColoredMultiHypergraph,
-    decomps: Optional[dict[int, WingDecomposition]] = None,
+    ground: Optional[dict] = None,
+    decomps: Optional[dict[int, ClassWings]] = None,
 ) -> LaminarFamily:
-    """Wing-side family: color classes, multi-hinge unions, wings, edges.
+    """Wing-side family over `ground = G.hinges_at(G.alpha)`.
 
-    Per color i the family holds the class's full hinge set and the union
-    of hinges over wings with 2+ hinges; per wing its hinge set; per
-    amalgam-incident edge the hinges inside that edge.  Nesting is by
-    construction: edge within wing within class, and the multi-hinge
-    union is a union of whole wings.
+    Per color: the class's types, the types of its wings with 2+ hinges,
+    and each non-loop wing's types; wing lies within class and the union
+    is one of whole wings.  Single edges need no member: each element's
+    own bounds hold every edge of it.
     """
-    if decomps is None:
-        decomps = wing_decompositions(G)
-    alpha = G.alpha
+    ground = G.hinges_at(G.alpha) if ground is None else ground
+    decomps = wing_decompositions(G, ground) if decomps is None else decomps
     members: list[Member] = []
     for i in range(1, G.k + 1):
-        class_hinges = set()
-        for e in G.color_class(i):
-            p = e.verts.count(alpha)
-            class_hinges.update(HingeRef(e.id, s) for s in range(1, p + 1))
-        members.append(Member(frozenset(class_hinges), (("color", i),)))
-        members.append(Member(decomps[i].big_hinges, (("multiwing", i),)))
-        for j, w in enumerate(decomps[i].wings):
-            members.append(Member(w.hinges, (("wing", i, j),)))
-    for e in G.edges():
-        p = e.verts.count(alpha)
-        if p:
-            members.append(
-                Member(
-                    frozenset(HingeRef(e.id, s) for s in range(1, p + 1)),
-                    (("edge", e.id),),
-                )
-            )
-    return LaminarFamily(G.hinges_at(alpha), members)
+        d = decomps[i]
+        members.append(Member(d.types, (("color", i),)))
+        members.append(Member(d.big, (("multiwing", i),)))
+        members.extend(Member(w, (("wing", i, j),)) for j, w in enumerate(d.wings))
+    return LaminarFamily(ground, members)
 
 
-def build_cell_family(G: ColoredMultiHypergraph) -> LaminarFamily:
-    """Cell-side family: hinges grouped by edge shape (amalgam count, rest).
+def build_cell_family(G: ColoredMultiHypergraph, ground: Optional[dict] = None) -> LaminarFamily:
+    """Cell-side family: types of every color grouped by shape (amalgam count, rest).
 
     Cells are pairwise disjoint, so the family is trivially laminar; its
-    bounds are what keep shape multiplicities on schedule across splits.
+    bounds keep shape multiplicities on schedule across splits.
     """
-    alpha = G.alpha
-    cells: dict[tuple, set] = {}
-    for e in G.edges():
-        p = e.verts.count(alpha)
-        if p == 0:
-            continue
-        rest = tuple(v for v in e.verts if v != alpha)
-        cell = cells.setdefault((p, rest), set())
-        cell.update(HingeRef(e.id, s) for s in range(1, p + 1))
+    ground = G.hinges_at(G.alpha) if ground is None else ground
+    cells: dict[tuple, list] = {}
+    for key, (c, p) in ground.items():
+        rest = tuple(v for v in key[1] if v != G.alpha)
+        cells.setdefault((p, rest), []).append(key)
     members = [
-        Member(frozenset(hs), (("cell",) + key,)) for key, hs in sorted(cells.items())
+        Member(frozenset(ts), (("cell",) + key,)) for key, ts in sorted(cells.items())
     ]
-    return LaminarFamily(G.hinges_at(alpha), members)
+    return LaminarFamily(ground, members)
 
 
 # -- max-flow machinery --------------------------------------------------
@@ -292,16 +308,16 @@ def equalized_select(
     m: int,
     seed: int = 0,
 ) -> Selection:
-    """Pick a hinge subset meeting every floor/ceiling bound of both families.
+    """Choose an amount of every element meeting all floor/ceiling bounds.
 
-    Bounds apply to every member of both families and to the ground set
-    itself.  For valid laminar inputs a solution always exists, so an
-    infeasible flow here signals malformed families and raises an
-    internal invariant error rather than returning a partial answer.
+    Bounds apply to every element, to every member of both families and
+    to the ground total.  For valid laminar inputs a solution always
+    exists, so an infeasible flow signals malformed families and raises
+    an internal invariant error rather than returning a partial answer.
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
-    g = frozenset(ground)
+    g = weighted(ground)
     if famA.ground != g or famB.ground != g:
         raise ParameterError("families must share the selection ground set")
 
@@ -320,22 +336,22 @@ def equalized_select(
     def node_b(i):
         return offB + i if i >= 0 else 3
 
-    arcs: list[tuple[int, int, int, int]] = []
-    lo, hi = bounds_for(len(g), m)
-    arcs.append((0, 2, lo, hi))
-    arcs.append((3, 1, lo, hi))
-    for i, mb in enumerate(famA.members):
-        lo, hi = bounds_for(len(mb.elements), m)
+    lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
+    arcs = [(0, 2, lo, hi), (3, 1, lo, hi)]  # (u, v, lower, upper)
+    for i, size in enumerate(famA.sizes):
+        lo, hi = bounds_for(size, m)
         arcs.append((node_a(parentA[i]), node_a(i), lo, hi))
-    for i, mb in enumerate(famB.members):
-        lo, hi = bounds_for(len(mb.elements), m)
+    for i, size in enumerate(famB.sizes):
+        lo, hi = bounds_for(size, m)
         arcs.append((node_b(i), node_b(parentB[i]), lo, hi))
 
-    hinge_order = sorted(g)
-    random.Random(seed).shuffle(hinge_order)
-    first_hinge_arc = len(arcs)
-    for x in hinge_order:
-        arcs.append((node_a(innerA[x]), node_b(innerB[x]), 0, 1))
+    order = sorted(g)
+    random.Random(seed).shuffle(order)
+    first_element_arc = len(arcs)
+    for x in order:
+        c, p = g[x]
+        lo, hi = bounds_for(p, m)
+        arcs.append((node_a(innerA[x]), node_b(innerB[x]), c * lo, c * hi))
 
     flows = _feasible_flow(n_nodes, arcs)
     if flows is None:
@@ -344,10 +360,8 @@ def equalized_select(
             "or do not cover a common ground",
             witness=(len(g), m),
         )
-    chosen = frozenset(
-        x for x, f in zip(hinge_order, flows[first_hinge_arc:]) if f == 1
-    )
-    bad = selection_respects_bounds(chosen, g, famA, famB, m)
+    amounts = {x: f for x, f in zip(order, flows[first_element_arc:]) if f}
+    bad = selection_respects_bounds(amounts, g, famA, famB, m)
     if bad is not None:
         raise InternalInvariantError("selection violates a family bound", witness=bad)
-    return Selection(chosen, m)
+    return Selection(amounts, m)

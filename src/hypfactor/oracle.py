@@ -235,5 +235,5 @@ def exhaustive_select(
             for i in combo:
                 mask |= 1 << i
             if all(lo <= (mask & cm).bit_count() <= hi for cm, lo, hi in constraints):
-                out.append(Selection(frozenset(items[i] for i in combo), m))
+                out.append(Selection(dict.fromkeys((items[i] for i in combo), 1), m))
     return out

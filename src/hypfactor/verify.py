@@ -1,8 +1,9 @@
 """Independent verification of pipeline stages and finished factorizations.
 
 Everything here recomputes from scratch: degrees, shape multiplicities,
-connectivity, and wing balances are derived directly from the edge store,
-never from bookkeeping kept by the construction.  Reports carry one entry
+connectivity, and wing balances are derived from the explicit edge list
+(`G.edges()`), never from counts, union-finds or other bookkeeping kept
+by the construction.  Reports carry one entry
 per check with a small witness for the first violation found, and they
 serialize to the same JSON shape the command line emits.
 """
@@ -79,24 +80,29 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     m = n - ell + 1
     checks: list[CheckResult] = []
 
+    # one pass over the explicit edges: color classes and degrees
+    edges = list(G.edges())
+    classes: dict[int, list] = {i: [] for i in range(1, G.k + 1)}
+    deg = Counter()
+    for e in edges:
+        classes[e.color].append(e)
+        for v in e.verts:
+            deg[e.color, v] += 1
+
     # degrees: amalgam carries r_i * m, every split vertex exactly r_i
-    bad = None
-    for i in range(1, G.k + 1):
-        for u in sorted(G.vertices):
-            want = r[i - 1] * m if u == alpha else r[i - 1]
-            got = G.degree(u, i)
-            if got != want:
-                bad = (i, u, got, want)
-                break
-        if bad:
-            break
+    want = {u: m if u == alpha else 1 for u in sorted(G.vertices)}
+    bad = next(
+        ((i, u, deg[i, u], r[i - 1] * w) for i in range(1, G.k + 1)
+         for u, w in want.items() if deg[i, u] != r[i - 1] * w),
+        None,
+    )
     checks.append(CheckResult("degrees", bad is None, bad))
 
     # shape multiplicities: m(alpha^q, U) = lam * C(m, q) for every cell
     split_verts = sorted(G.vertices - {alpha})
     shape = Counter()
     bad = None
-    for e in G.edges():
+    for e in edges:
         rest = tuple(v for v in e.verts if v != alpha)
         if len(set(rest)) != len(rest):
             bad = ("repeated ordinary vertex", e.id, e.verts)
@@ -117,12 +123,7 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     checks.append(CheckResult("multiplicities", bad is None, bad))
 
     # no edge may hold more amalgam occurrences than splits remaining + 1
-    bad = None
-    for e in G.edges():
-        cnt = e.verts.count(alpha)
-        if cnt > m:
-            bad = (e.id, cnt, m)
-            break
+    bad = next(((e.id, e.verts.count(alpha), m) for e in edges if e.verts.count(alpha) > m), None)
     checks.append(CheckResult("edge-amalgam-bound", bad is None, bad))
 
     # connectivity of every class that must stay connected
@@ -130,25 +131,16 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
         checks.append(CheckResult("connectivity", None, ("h=1",)))
         checks.append(CheckResult("wing-balance", None, ("h=1",)))
     else:
-        bad = None
-        for i in range(1, G.k + 1):
-            if r[i - 1] < 2:
-                continue
-            if not is_connected(G.vertices, [e.verts for e in G.color_class(i)]):
-                bad = (i,)
-                break
+        needed = [i for i in range(1, G.k + 1) if r[i - 1] >= 2]
+        bad = next(
+            ((i,) for i in needed if not is_connected(G.vertices, [e.verts for e in classes[i]])),
+            None,
+        )
         checks.append(CheckResult("connectivity", bad is None, bad))
 
         if ell <= n - 1:
-            bad = None
-            for i in range(1, G.k + 1):
-                if r[i - 1] < 2:
-                    continue
-                delta = wing_decomposition(G.color_class(i), alpha).delta
-                want = r[i - 1] * m
-                if delta != want:
-                    bad = (i, delta, want)
-                    break
+            deltas = ((i, wing_decomposition(classes[i], alpha).delta) for i in needed)
+            bad = next(((i, d, r[i - 1] * m) for i, d in deltas if d != r[i - 1] * m), None)
             checks.append(CheckResult("wing-balance", bad is None, bad))
         else:
             checks.append(CheckResult("wing-balance", None, ("final stage",)))

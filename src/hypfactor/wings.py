@@ -8,36 +8,19 @@ amalgam's occurrences from every edge and taking connected components of
 what remains; every component, together with the class edges meeting it,
 is one wing, and every all-amalgam loop edge is a wing of its own.
 
-The decomposition drives the connectivity side of the splitting pipeline:
-moving a strict, nonempty part of some multi-hinge wing's hinges to the
-new vertex is exactly what keeps the class connected after a split.
+`wing_decomposition` works on explicit edges and hinge refs, for the
+verifier and the split-connectivity rule: moving a strict, nonempty part
+of some multi-hinge wing's hinges to the new vertex is exactly what keeps
+the class connected.  `wing_decompositions` is the construction's view
+over edge types, grouped by the graph's per-color union-find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .hypercore import ColoredMultiHypergraph, Edge, HingeRef
-
-
-class _DSU:
-    """Union-find over arbitrary hashable items."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x, p = p, self.parent[p]
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+from .hypercore import ColoredMultiHypergraph, Edge, HingeRef, UnionFind
 
 
 def is_connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
@@ -49,7 +32,7 @@ def is_connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> boo
     for reachability.
     """
     verts = set(vertices)
-    dsu = _DSU()
+    dsu = UnionFind()
     for e in edges:
         vs = set(e)
         verts |= vs
@@ -102,55 +85,72 @@ def wing_decomposition(edges: Sequence[Edge], alpha: int) -> WingDecomposition:
     wing.  Components never touching the amalgam contribute no wings (the
     class is then disconnected, which the caller's invariants catch).
     """
-    loops: list[Edge] = []
-    others: list[tuple[Edge, tuple[int, ...]]] = []
-    for e in edges:
-        rest = tuple(v for v in e.verts if v != alpha)
-        if rest:
-            others.append((e, rest))
-        else:
-            loops.append(e)
-
-    dsu = _DSU()
-    for _, rest in others:
-        first = rest[0]
-        for v in rest[1:]:
-            dsu.union(first, v)
-
-    groups: dict[int, list[tuple[Edge, tuple[int, ...]]]] = {}
-    for e, rest in others:
-        groups.setdefault(dsu.find(rest[0]), []).append((e, rest))
+    dsu = UnionFind()
+    rests = [[v for v in e.verts if v != alpha] for e in edges]
+    for rest in rests:
+        for v in rest:
+            dsu.union(v, rest[0])
+    groups: dict = {}
+    for e, rest in zip(edges, rests):
+        groups.setdefault(dsu.find(rest[0]) if rest else ("loop", e.id), []).append(e)
 
     wings = []
-    for e in loops:
-        hinges = frozenset(HingeRef(e.id, s) for s in range(1, len(e.verts) + 1))
-        wings.append(Wing(hinges, frozenset([e.id]), frozenset([alpha])))
-    for root in sorted(groups, key=lambda x: min(ed.id for ed, _ in groups[x])):
-        members = groups[root]
-        hinges = set()
-        verts = {alpha}
-        eids = set()
-        for e, rest in members:
-            eids.add(e.id)
-            verts.update(rest)
-            p = e.verts.count(alpha)
-            hinges.update(HingeRef(e.id, s) for s in range(1, p + 1))
+    for members in groups.values():
+        hinges = frozenset(
+            HingeRef(e.id, s) for e in members for s in range(1, e.verts.count(alpha) + 1)
+        )
         if hinges:
-            wings.append(Wing(frozenset(hinges), frozenset(eids), frozenset(verts)))
+            verts = frozenset({alpha}.union(*(e.verts for e in members)))
+            wings.append(Wing(hinges, frozenset(e.id for e in members), verts))
     wings.sort(key=lambda w: min(w.edge_ids))
-
-    big = frozenset().union(*(w.hinges for w in wings if w.d_alpha >= 2)) if any(
-        w.d_alpha >= 2 for w in wings
-    ) else frozenset()
+    big = frozenset().union(*(w.hinges for w in wings if w.d_alpha >= 2))
     return WingDecomposition(tuple(wings), big)
 
 
-def wing_decompositions(G: ColoredMultiHypergraph) -> dict[int, WingDecomposition]:
-    """Wing decomposition of every color class of `G`, keyed by color."""
-    by_color: dict[int, list[Edge]] = {i: [] for i in range(1, G.k + 1)}
-    for e in G.edges():
-        by_color[e.color].append(e)
-    return {i: wing_decomposition(by_color[i], G.alpha) for i in range(1, G.k + 1)}
+@dataclass(frozen=True)
+class ClassWings:
+    """Wings of one color class over its amalgam-incident edge types.
+
+    `wings` holds the types of each non-loop wing (a loop type stands for
+    c one-edge wings), `big` the types in wings with 2+ hinges, and
+    `delta` the number of hinges in `big`.
+    """
+
+    types: frozenset
+    wings: tuple[frozenset, ...]
+    big: frozenset
+    delta: int
+
+
+def wing_decompositions(
+    G: ColoredMultiHypergraph, ground: Optional[dict] = None
+) -> dict[int, ClassWings]:
+    """Wings of every color class of `G`, keyed by color.
+
+    `ground` is `G.hinges_at(G.alpha)`, computed when not given.  A
+    non-loop type joins the wing of its ordinary vertices' component in
+    the color's union-find.
+    """
+    ground = G.hinges_at(G.alpha) if ground is None else ground
+    types = {i: [] for i in range(1, G.k + 1)}
+    comps = {i: {} for i in range(1, G.k + 1)}
+    for key, (c, p) in ground.items():
+        color, verts = key
+        types[color].append(key)
+        if p < G.h:
+            u = next(v for v in verts if v != G.alpha)
+            comps[color].setdefault(G.find(color, u), []).append(key)
+
+    def hinges(keys):
+        return sum(ground[x][0] * ground[x][1] for x in keys)
+
+    out = {}
+    for i in range(1, G.k + 1):
+        wings = tuple(frozenset(w) for w in comps[i].values())
+        big = [x for x in types[i] if ground[x][1] == G.h >= 2]
+        big += [x for w in wings if hinges(w) >= 2 for x in w]
+        out[i] = ClassWings(frozenset(types[i]), wings, frozenset(big), hinges(big))
+    return out
 
 
 def split_is_connected(decomp: WingDecomposition, A: Iterable[HingeRef]) -> bool:

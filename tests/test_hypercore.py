@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hypfactor import (
     ColoredMultiHypergraph,
-    HingeRef,
     InvalidHingeError,
     ParameterError,
     binom,
@@ -58,9 +57,11 @@ def test_amalgam_degree_per_color(amalgam_533):
 
 
 def test_amalgam_hinge_count(amalgam_533):
-    # h occurrences per loop, lam * C(n, h) loops
+    # h occurrences per loop, lam * C(n, h) loops, held by one type per color
     G = amalgam_533
-    assert len(G.hinges_at(G.alpha)) == 3 * binom(5, 3)
+    ground = G.hinges_at(G.alpha)
+    assert sum(c * p for c, p in ground.values()) == 3 * binom(5, 3)
+    assert ground == {(1, (5, 5, 5)): (5, 3), (2, (5, 5, 5)): (5, 3)}
 
 
 def test_amalgam_loop_multiplicity(amalgam_533):
@@ -68,25 +69,28 @@ def test_amalgam_loop_multiplicity(amalgam_533):
     assert G.multiplicity(G.alpha, 3, ()) == binom(5, 3)
 
 
-def test_hinges_are_positional_and_sorted(amalgam_533):
-    G = amalgam_533
-    refs = G.hinges_at(G.alpha)
-    assert refs == tuple(sorted(refs))
-    by_edge = {}
-    for ref in refs:
-        by_edge.setdefault(ref.edge_id, []).append(ref.slot)
-    assert all(slots == [1, 2, 3] for slots in by_edge.values())
+def test_hinges_at_lists_types_with_counts():
+    # edges of one color and one multiset share a type; p counts the
+    # queried vertex inside the type, and types without it are left out
+    G = ColoredMultiHypergraph([0, 1, 2], alpha=0, h=3, k=2)
+    for verts, color in [((0, 0, 1), 1), ((1, 0, 0), 1), ((0, 0, 1), 2), ((1, 2, 2), 1)]:
+        G.add_edge(verts, color)
+    assert G.hinges_at(0) == {(1, (0, 0, 1)): (2, 2), (2, (0, 0, 1)): (1, 2)}
+    assert G.hinges_at(2) == {(1, (1, 2, 2)): (1, 2)}
+    assert G.edge_count == 4
+    assert [e.id for e in G.edges()] == [0, 1, 2, 3]
 
 
 # -- hinge moves ------------------------------------------------------------
+
+LOOP = (1, (5, 5, 5))  # the color-1 loop type of amalgam_533
 
 
 def test_move_hinge_on_loop(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
-    eid = next(G.edges()).id
-    G.move_hinge(HingeRef(eid, 1), 1)
-    assert G.edge(eid).verts == (1, G.alpha, G.alpha)
+    G.move_hinges({LOOP: 1}, 1)
+    assert [e.verts for e in G.color_class(1)].count((1, G.alpha, G.alpha)) == 1
     assert G.multiplicity(G.alpha, 3, ()) == binom(5, 3) - 1
     assert G.multiplicity(G.alpha, 2, (1,)) == 1
 
@@ -95,8 +99,7 @@ def test_move_hinge_shifts_degree_by_one(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
     d_alpha = G.degree(G.alpha)
-    eid = next(G.edges()).id
-    G.move_hinge(HingeRef(eid, 1), 1)
+    G.move_hinges({LOOP: 1}, 1)
     assert G.degree(G.alpha) == d_alpha - 1
     assert G.degree(1) == 1
 
@@ -104,43 +107,64 @@ def test_move_hinge_shifts_degree_by_one(amalgam_533):
 def test_move_hinge_preserves_color(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
-    eid = next(G.edges()).id
-    color = G.edge(eid).color
-    G.move_hinge(HingeRef(eid, 1), 1)
-    assert G.edge(eid).color == color
+    G.move_hinges({LOOP: 1}, 1)
+    assert G.hinges_at(1) == {(1, (1, 5, 5)): (1, 1)}
+    assert len(G.color_class(1)) == 5 and len(G.color_class(2)) == 5
 
 
-def test_move_hinge_rejects_stale_slot(amalgam_533):
-    # after two moves only one amalgam occurrence remains, so slot 2 is stale
+def test_move_hinges_moves_one_hinge_per_edge(amalgam_533):
+    # t = 3 of the 5 loops give up one hinge each; the rest stay loops
     G = amalgam_533
     G.add_vertex(1)
-    eid = next(G.edges()).id
-    G.move_hinge(HingeRef(eid, 3), 1)
-    G.move_hinge(HingeRef(eid, 2), 1)
+    G.move_hinges({LOOP: 3}, 1)
+    assert G.hinges_at(G.alpha)[LOOP] == (2, 3)
+    assert G.hinges_at(G.alpha)[(1, (1, 5, 5))] == (3, 2)
+    assert G.degree(1, 1) == 3
+
+
+def test_move_hinges_rejects_more_edges_than_the_type_has(amalgam_533):
+    # a request sized for an earlier stage is rejected once the type has
+    # fewer edges left, and nothing moves
+    G = amalgam_533
+    G.add_vertex(1)
+    G.move_hinges({LOOP: 4}, 1)
+    before = G.hinges_at(G.alpha)
     with pytest.raises(InvalidHingeError):
-        G.move_hinge(HingeRef(eid, 2), 1)
+        G.move_hinges({(2, (5, 5, 5)): 1, LOOP: 2}, 1)
+    assert G.hinges_at(G.alpha) == before
 
 
 def test_move_hinge_rejects_unknown_edge(amalgam_533):
+    # a type the graph does not hold, and a type without the amalgam
+    G = amalgam_533
+    G.add_vertex(1)
     with pytest.raises(InvalidHingeError):
-        amalgam_533.move_hinge(HingeRef(10**6, 1), 5)
+        G.move_hinges({(1, (1, 5, 5)): 1}, 1)
+    G.move_hinges({LOOP: 1}, 1)
+    G.add_vertex(2)
+    with pytest.raises(InvalidHingeError):
+        G.move_hinges({(1, (1, 2, 2)): 0}, 2)
 
 
 def test_move_hinge_rejects_undeclared_target(amalgam_533):
     G = amalgam_533
-    eid = next(G.edges()).id
     with pytest.raises(ParameterError):
-        G.move_hinge(HingeRef(eid, 1), 42)
+        G.move_hinges({LOOP: 1}, 42)
+    with pytest.raises(ParameterError):
+        G.move_hinges({LOOP: 1}, G.alpha)
 
 
-def test_batch_move_high_slots_first():
-    # both refs address the same 2-loop; a naive ascending order would
-    # leave slot 2 stale after the first move
-    G = ColoredMultiHypergraph([0], alpha=0, h=2, k=1)
-    G.add_vertex(1)
-    eid = G.add_edge((0, 0), 1)
-    G.move_hinges([HingeRef(eid, 1), HingeRef(eid, 2)], 1)
-    assert G.edge(eid).verts == (1, 1)
+def test_moves_merge_color_components():
+    # the target joins the component of every moved edge in its color only
+    G = ColoredMultiHypergraph([0, 1, 2, 3], alpha=0, h=2, k=2)
+    G.add_edge((0, 1), 1)
+    G.add_edge((0, 2), 1)
+    G.add_edge((0, 0), 2)
+    H = G.copy()
+    G.move_hinges({(1, (0, 1)): 1, (1, (0, 2)): 1, (2, (0, 0)): 1}, 3)
+    assert G.find(1, 1) == G.find(1, 2) == G.find(1, 3)
+    assert G.find(2, 3) != G.find(2, 1)
+    assert H.find(1, 1) != H.find(1, 2)
 
 
 # -- construction and validation --------------------------------------------
@@ -187,8 +211,8 @@ def test_copy_is_independent(amalgam_533):
     G = amalgam_533
     H = G.copy()
     H.add_vertex(1)
-    eid = next(H.edges()).id
-    H.move_hinge(HingeRef(eid, 1), 1)
+    H.move_hinges({LOOP: 1}, 1)
+    assert 1 not in G.vertices
     assert G.multiplicity(G.alpha, 3, ()) == binom(5, 3)
     assert H.multiplicity(H.alpha, 3, ()) == binom(5, 3) - 1
 
@@ -218,8 +242,7 @@ def test_random_moves_conserve_hinges_and_colors(seed):
         if not movable:
             break
         e = rng.choice(movable)
-        slot = rng.randrange(1, e.verts.count(G.alpha) + 1)
-        G.move_hinge(HingeRef(e.id, slot), rng.choice([1, 2]))
+        G.move_hinges({(e.color, e.verts): 1}, rng.choice([1, 2]))
     assert all(len(e.verts) == 2 for e in G.edges())
     assert sorted(e.color for e in G.edges()) == colors_before
     total = sum(G.degree(u) for u in G.vertices)

@@ -91,20 +91,37 @@ def test_disjoint_sets_are_laminar():
 
 
 def test_wing_family_on_base_amalgam():
-    # every loop is a wing, so wing sets equal edge sets; the class set and
-    # the multi-hinge union coincide at 15 hinges per color
+    # every wing is a loop, so the family holds per color only the class
+    # set, which coincides with the multi-hinge union at 15 hinges
     G = initial_amalgam(Params(5, 3, 1, (3, 3)))
     fam = build_wing_family(G)
-    sizes = sorted(len(m.elements) for m in fam.members)
-    assert sizes == [3] * 10 + [15, 15]
+    assert sorted(fam.sizes) == [15, 15]
     by_tags = {t for m in fam.members for t in m.tags}
-    assert ("color", 1) in by_tags and ("multiwing", 2) in by_tags
+    assert by_tags == {("color", 1), ("multiwing", 1), ("color", 2), ("multiwing", 2)}
     for m in fam.members:
-        kinds = {t[0] for t in m.tags}
-        if "wing" in kinds:
-            assert "edge" in kinds  # loop wings merge with their edge sets
-        if "color" in kinds:
-            assert "multiwing" in kinds
+        assert len(m.elements) == 1
+        assert {t[0] for t in m.tags} == {"color", "multiwing"}
+
+
+def test_wing_family_groups_a_split_class_by_wing():
+    # after two splits each class has non-loop wings; every wing member
+    # nests inside its class member, which weighs the class's amalgam degree
+    p = Params(6, 3, 1, (2, 2, 2, 2, 2))
+    G = initial_amalgam(p)
+    split_step(G, 1, p, seed=0)
+    split_step(G, 2, p, seed=0)
+    fam = build_wing_family(G)
+    parent, _ = fam.forest()
+    index = {t: j for j, m in enumerate(fam.members) for t in m.tags}
+    for i in range(1, p.k + 1):
+        top = index[("color", i)]
+        assert fam.sizes[top] == G.degree(G.alpha, i)
+        wings = [j for t, j in index.items() if t[:2] == ("wing", i)]
+        assert wings
+        for j in wings:
+            while j not in (top, -1):
+                j = parent[j]
+            assert j == top
 
 
 def test_cell_family_on_base_amalgam():
@@ -112,7 +129,7 @@ def test_cell_family_on_base_amalgam():
     G = initial_amalgam(Params(5, 3, 1, (3, 3)))
     fam = build_cell_family(G)
     assert len(fam.members) == 1
-    assert len(fam.members[0].elements) == 3 * binom(5, 3)
+    assert fam.sizes[0] == 3 * binom(5, 3)
     assert fam.members[0].tags[0][:2] == ("cell", 3)
 
 
@@ -123,7 +140,7 @@ def test_cell_family_after_first_split():
     G = initial_amalgam(p)
     split_step(G, 1, p, seed=0)
     fam = build_cell_family(G)
-    by_key = {m.tags[0]: len(m.elements) for m in fam.members}
+    by_key = {m.tags[0]: size for m, size in zip(fam.members, fam.sizes)}
     assert by_key[("cell", 2, (1,))] == 2 * binom(4, 2)
     assert by_key[("cell", 3, ())] == 3 * binom(4, 3)
     # cells partition the amalgam hinges
@@ -213,12 +230,35 @@ def test_pipeline_families_select_cleanly():
     G = initial_amalgam(p)
     split_step(G, 1, p, seed=0)
     split_step(G, 2, p, seed=0)
-    famA = build_wing_family(G)
-    famB = build_cell_family(G)
-    ground = frozenset(G.hinges_at(G.alpha))
+    ground = G.hinges_at(G.alpha)
+    famA = build_wing_family(G, ground)
+    famB = build_cell_family(G, ground)
     m = 6 - 3 + 1
     sel = equalized_select(ground, famA, famB, m, seed=5)
-    assert selection_respects_bounds(sel.chosen, ground, famA, famB, m) is None
+    assert selection_respects_bounds(sel.amounts, ground, famA, famB, m) is None
+    assert all(0 < t <= ground[x][0] for x, t in sel.amounts.items())
+
+
+def test_weighted_element_bounds():
+    # 5 items of size 3 at m = 2 take between 5 and 10; the ground total
+    # 15 + 2 asks for 8 or 9 in all
+    ground = {"a": (5, 3), "b": (1, 2)}
+    fam = LaminarFamily(ground, [])
+    sel = equalized_select(ground, fam, fam, m=2)
+    assert 5 <= sel.amounts["a"] <= 10 and sel.amounts.get("b", 0) == 1
+    assert 8 <= sum(sel.amounts.values()) <= 9
+    assert selection_respects_bounds({"a": 4, "b": 1}, ground, fam, fam, 2)[0] == "ground"
+    assert selection_respects_bounds({"a": 11, "b": 0}, ground, fam, fam, 2) == (
+        "ground", 11, 8, 9)
+    assert selection_respects_bounds({"a": 8, "b": 0}, ground, fam, fam, 2) == (
+        "element", "b", 0, 1, 1)
+
+
+def test_stray_elements_are_reported():
+    ground = frozenset({"x", "y"})
+    fam = _empty_over(ground)
+    assert selection_respects_bounds({"x", "stray"}, ground, fam, fam, m=2) == ("stray", "stray")
+    assert selection_respects_bounds({"x"}, ground, fam, fam, m=2) is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,99 @@
+"""Count-based stages against a hinge-level reference built from explicit edges.
+
+At every split stage the selector chooses an amount t per edge type.
+Expanded to hinges (t edges of the type, one hinge each), that choice
+must meet every floor/ceiling bound of the hinge-level wing family
+(class, multi-hinge union, wing, edge) and cell family, built here from
+`G.edges()` with `wing_decomposition` alone.
+"""
+
+import math
+
+import pytest
+
+from hypfactor import (
+    HingeRef,
+    LaminarFamily,
+    check_feasibility,
+    initial_amalgam,
+    split_step,
+    wing_decomposition,
+)
+from hypfactor import detach
+from hypfactor.detach import Params
+from hypfactor.laminar import Member, selection_respects_bounds
+
+
+def _feasible_vectors(n, h, lam):
+    S = lam * math.comb(n - 1, h - 1)
+    d = h // math.gcd(h, n)
+    out = []
+    for v in ((S,), (d,) * (S // d), (S - d, d)):
+        v = tuple(sorted(v, reverse=True))
+        if min(v) >= 1 and v not in out and check_feasibility(Params(n, h, lam, v)).ok:
+            out.append(v)
+    return out
+
+
+GRID = [
+    (n, h, lam, r)
+    for h in (2, 3, 4)
+    for n in range(h + 1, 9)
+    for lam in (1, 2)
+    for r in _feasible_vectors(n, h, lam)
+]
+
+
+def hinge_reference(G):
+    """Explicit edges, the hinge ground and both hinge-level families."""
+    alpha = G.alpha
+    edges = list(G.edges())
+    hinges = {e.id: [HingeRef(e.id, s) for s in range(1, e.verts.count(alpha) + 1)] for e in edges}
+    ground = frozenset(x for hs in hinges.values() for x in hs)
+    wing_side, cells = [], {}
+    for i in range(1, G.k + 1):
+        cls = [e for e in edges if e.color == i]
+        d = wing_decomposition(cls, alpha)
+        wing_side.append(Member(frozenset(x for e in cls for x in hinges[e.id]), (("color", i),)))
+        wing_side.append(Member(d.big_hinges, (("multiwing", i),)))
+        wing_side += [Member(w.hinges, (("wing", i, j),)) for j, w in enumerate(d.wings)]
+    for e in edges:
+        if hinges[e.id]:
+            wing_side.append(Member(frozenset(hinges[e.id]), (("edge", e.id),)))
+            rest = tuple(v for v in e.verts if v != alpha)
+            cells.setdefault((len(hinges[e.id]), rest), set()).update(hinges[e.id])
+    cell_side = [Member(frozenset(hs), (("cell",) + key,)) for key, hs in cells.items()]
+    return edges, ground, LaminarFamily(ground, wing_side), LaminarFamily(ground, cell_side)
+
+
+def expand(edges, amounts):
+    """t edges of each type, one hinge each."""
+    chosen = []
+    for (color, verts), t in amounts.items():
+        of_type = [e for e in edges if e.color == color and e.verts == verts]
+        assert t <= len(of_type)
+        chosen += [HingeRef(e.id, 1) for e in of_type[:t]]
+    return chosen
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
+def test_every_stage_is_hinge_exact(spec, seed, monkeypatch):
+    picks = []
+    select = detach.equalized_select
+
+    def recording_select(ground, famA, famB, m, seed=0):
+        sel = select(ground, famA, famB, m, seed)
+        picks.append(sel.amounts)
+        return sel
+
+    monkeypatch.setattr(detach, "equalized_select", recording_select)
+    p = Params(*spec)
+    G = initial_amalgam(p)
+    for ell in range(1, p.n):
+        edges, ground, famA, famB = hinge_reference(G)
+        split_step(G, ell, p, seed=seed)
+        chosen = expand(edges, picks[-1])
+        m = p.n - ell + 1
+        assert selection_respects_bounds(chosen, ground, famA, famB, m) is None
+    assert len(picks) == p.n - 1

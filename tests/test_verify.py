@@ -22,6 +22,16 @@ def _statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
+def _tampered(G, old, new):
+    """A rebuilt copy of `G` with one edge `old` replaced by `new`, both (color, verts)."""
+    H = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k, G.r)
+    edges = [(e.color, e.verts) for e in G.edges()]
+    edges[edges.index(old)] = new
+    for color, verts in edges:
+        H.add_edge(verts, color)
+    return H
+
+
 # -- stage verification -----------------------------------------------------
 
 
@@ -56,7 +66,7 @@ def test_recolored_edge_fails_degree_check():
     p = Params(5, 2, 1, (2, 2))
     G = initial_amalgam(p)
     e = G.color_class(1)[0]
-    e.color = 2
+    G = _tampered(G, (1, e.verts), (2, e.verts))
     rep = verify_stage(G, 1, p)
     assert not rep.overall
     statuses = _statuses(rep)
@@ -70,7 +80,7 @@ def test_tampered_shape_fails_multiplicity_check():
     p = Params(5, 3, 1, (3, 3))
     G = split_step(initial_amalgam(p), 1, p)
     e = next(e for e in G.edges() if e.verts.count(G.alpha) == 3)
-    e.verts = (1, G.alpha, G.alpha)
+    G = _tampered(G, (e.color, e.verts), (e.color, (1, G.alpha, G.alpha)))
     rep = verify_stage(G, 2, p)
     assert _statuses(rep)["multiplicities"] == "fail"
 
@@ -79,7 +89,7 @@ def test_repeated_split_vertex_fails_multiplicity_check():
     p = Params(5, 3, 1, (3, 3))
     G = split_step(initial_amalgam(p), 1, p)
     e = next(e for e in G.edges() if e.verts.count(G.alpha) == 3)
-    e.verts = (1, 1, G.alpha)
+    G = _tampered(G, (e.color, e.verts), (e.color, (1, 1, G.alpha)))
     rep = verify_stage(G, 2, p)
     check = next(c for c in rep.checks if c.name == "multiplicities")
     assert check.status == "fail"

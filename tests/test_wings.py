@@ -15,7 +15,7 @@ from hypfactor import (
     wing_decomposition,
     wing_decompositions,
 )
-from hypfactor.detach import Params
+from hypfactor.detach import Params, split_step
 from hypfactor.hypercore import Edge
 
 from conftest import detached_is_connected as _detached_is_connected
@@ -91,18 +91,25 @@ def test_mixed_class_wing_decomposition():
 
 
 def test_wings_partition_amalgam_hinges():
-    G = initial_amalgam(Params(5, 3, 1, (3, 3)))
+    # per class, the loop types and the non-loop wings partition the
+    # class's amalgam-incident types, one wing per union-find component
+    p = Params(6, 3, 1, (2, 2, 2, 2, 2))
+    G = initial_amalgam(p)
+    for ell in (1, 2):
+        split_step(G, ell, p, seed=4)
+    ground = G.hinges_at(G.alpha)
     decomps = wing_decompositions(G)
-    for i in (1, 2):
-        wings = decomps[i].wings
-        seen = set()
-        for w in wings:
-            assert not (seen & w.hinges)
-            seen |= w.hinges
-        class_hinges = {
-            ref for ref in G.hinges_at(G.alpha) if G.edge(ref.edge_id).color == i
-        }
-        assert seen == class_hinges
+    for i in range(1, p.k + 1):
+        d = decomps[i]
+        loops = {key for key in d.types if ground[key][1] == G.h}
+        seen = set(loops)
+        for w in d.wings:
+            assert not (seen & w)
+            seen |= w
+            roots = {G.find(i, next(v for v in key[1] if v != G.alpha)) for key in w}
+            assert len(roots) == 1
+        assert seen == d.types == {key for key in ground if key[0] == i}
+        assert d.delta == wing_decomposition(G.color_class(i), G.alpha).delta
 
 
 def test_base_amalgam_delta_is_class_degree():
