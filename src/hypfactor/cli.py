@@ -165,19 +165,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            raw = fh.read()
     try:
-        doc = json.loads(raw)
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        fact = doc_to_factorization(json.loads(raw))
     except json.JSONDecodeError as e:
         print(f"parse failure at line {e.lineno} column {e.colno}: {e.msg}", file=sys.stderr)
         return 4
-    try:
-        fact = doc_to_factorization(doc)
-    except ParameterError as e:
+    except (ValueError, RecursionError) as e:  # bad fields or UTF-8, huge ints, deep nesting
         print(f"parse failure: {e}", file=sys.stderr)
         return 4
     rep = verify_factorization(fact)
@@ -263,8 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()  # built once: parse_args leaves the parser unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ParameterError as e:

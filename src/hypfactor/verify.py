@@ -1,11 +1,10 @@
 """Independent verification of pipeline stages and finished factorizations.
 
-Everything here recomputes from scratch: degrees, shape multiplicities,
-connectivity, and wing balances are derived from the explicit edge list
-(`G.edges()`), never from counts, union-finds or other bookkeeping kept
-by the construction.  Reports carry one entry
-per check with a small witness for the first violation found, and they
-serialize to the same JSON shape the command line emits.
+Everything is recomputed from the explicit edge list: `verify_stage`
+recounts `G.edges()` by type (color, verts) and reads no count, union-find
+or other state of the construction.  Each report has one entry per check
+with a small witness for the first violation found (an edge is named by
+the first id of its type), in the JSON shape the command line emits.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .hypercore import ColoredMultiHypergraph, binom
-from .wings import is_connected, wing_decomposition
+from .hypercore import ColoredMultiHypergraph, UnionFind, binom
+from .wings import is_connected
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,29 @@ def _finish(stage, checks) -> VerificationReport:
     return VerificationReport(stage, tuple(checks), overall)
 
 
+def _class_wings(types, alpha, split_verts) -> tuple[bool, int]:
+    """Connectivity and `delta` of one color class given as (verts, count) types.
+
+    The wings are the components of the ordinary vertices, plus one per loop
+    edge; connected iff every component meets the amalgam (vacuous if none).
+    """
+    uf, loops, ends = UnionFind({v: v for v in split_verts}), 0, []
+    for verts, c in types:
+        rest = [v for v in verts if v != alpha]
+        q = len(verts) - len(rest)
+        if rest:
+            for v in rest[1:]:
+                uf.union(v, rest[0])
+            ends.append((rest[0], c * q))
+        elif q >= 2:
+            loops += c * q
+    hinges = Counter()
+    for u, x in ends:
+        hinges[uf.find(u)] += x
+    connected = all(hinges[uf.find(v)] for v in list(uf.parent))
+    return connected, loops + sum(x for x in hinges.values() if x >= 2)
+
+
 def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     """Check the stage-`ell` invariants of the splitting pipeline.
 
@@ -80,14 +102,18 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     m = n - ell + 1
     checks: list[CheckResult] = []
 
-    # one pass over the explicit edges: color classes and degrees
-    edges = list(G.edges())
+    # one pass over the explicit edges: each type (color, verts) with its
+    # count; its first edge id is the witness when a check fails on the type
+    ids: dict[tuple, list] = {}
+    for e in G.edges():
+        ids.setdefault((e.color, e.verts), []).append(e.id)
+    types = {key: len(v) for key, v in ids.items()}
     classes: dict[int, list] = {i: [] for i in range(1, G.k + 1)}
     deg = Counter()
-    for e in edges:
-        classes[e.color].append(e)
-        for v in e.verts:
-            deg[e.color, v] += 1
+    for (color, verts), c in types.items():
+        classes[color].append((verts, c))
+        for v in verts:
+            deg[color, v] += c
 
     # degrees: amalgam carries r_i * m, every split vertex exactly r_i
     want = {u: m if u == alpha else 1 for u in sorted(G.vertices)}
@@ -102,12 +128,12 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     split_verts = sorted(G.vertices - {alpha})
     shape = Counter()
     bad = None
-    for e in edges:
-        rest = tuple(v for v in e.verts if v != alpha)
+    for (color, verts), c in types.items():
+        rest = tuple(v for v in verts if v != alpha)
         if len(set(rest)) != len(rest):
-            bad = ("repeated ordinary vertex", e.id, e.verts)
+            bad = ("repeated ordinary vertex", ids[color, verts][0], verts)
             break
-        shape[(len(e.verts) - len(rest), rest)] += 1
+        shape[(len(verts) - len(rest), rest)] += c
     if bad is None:
         for q in range(0, h + 1):
             if h - q > len(split_verts):
@@ -123,7 +149,7 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     checks.append(CheckResult("multiplicities", bad is None, bad))
 
     # no edge may hold more amalgam occurrences than splits remaining + 1
-    bad = next(((e.id, e.verts.count(alpha), m) for e in edges if e.verts.count(alpha) > m), None)
+    bad = next(((ids[k][0], k[1].count(alpha), m) for k in types if k[1].count(alpha) > m), None)
     checks.append(CheckResult("edge-amalgam-bound", bad is None, bad))
 
     # connectivity of every class that must stay connected
@@ -132,14 +158,12 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
         checks.append(CheckResult("wing-balance", None, ("h=1",)))
     else:
         needed = [i for i in range(1, G.k + 1) if r[i - 1] >= 2]
-        bad = next(
-            ((i,) for i in needed if not is_connected(G.vertices, [e.verts for e in classes[i]])),
-            None,
-        )
+        wings = {i: _class_wings(classes[i], alpha, split_verts) for i in needed}
+        bad = next(((i,) for i in needed if not wings[i][0]), None)
         checks.append(CheckResult("connectivity", bad is None, bad))
 
         if ell <= n - 1:
-            deltas = ((i, wing_decomposition(classes[i], alpha).delta) for i in needed)
+            deltas = ((i, wings[i][1]) for i in needed)
             bad = next(((i, d, r[i - 1] * m) for i, d in deltas if d != r[i - 1] * m), None)
             checks.append(CheckResult("wing-balance", bad is None, bad))
         else:

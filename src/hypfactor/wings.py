@@ -9,10 +9,10 @@ what remains; every component, together with the class edges meeting it,
 is one wing, and every all-amalgam loop edge is a wing of its own.
 
 `wing_decomposition` works on explicit edges and hinge refs, for the
-verifier and the split-connectivity rule: moving a strict, nonempty part
-of some multi-hinge wing's hinges to the new vertex is exactly what keeps
-the class connected.  `wing_decompositions` is the construction's view
-over edge types, grouped by the graph's per-color union-find.
+split-connectivity rule, criterion 7 and the tests (the verifier counts
+wings itself): moving a strict, nonempty part of some multi-hinge wing's
+hinges to the new vertex is exactly what keeps the class connected.
+`wing_decompositions` is the construction's view over edge types.
 """
 
 from __future__ import annotations

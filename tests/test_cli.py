@@ -4,12 +4,14 @@ import io
 import json
 
 import pytest
+from hypfactor import cli, construct
 from hypfactor.cli import (
     doc_to_factorization,
     dumps_canonical,
     factorization_to_doc,
     main,
 )
+from hypfactor.detach import Params
 
 
 def run(capsys, *argv):
@@ -178,6 +180,29 @@ def test_verify_rejects_wrongly_typed_fields(capsys, tmp_path, doc, message):
     assert f"parse failure: {message}" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"\xff\xfe{}", "codec can't decode"),
+        (b"[" * 200000, "maximum recursion depth exceeded"),
+        (b"5" * 5000, "integer string conversion"),
+    ],
+    ids=["not-utf8", "deep-nesting", "huge-integer"],
+)
+def test_verify_untrusted_bytes_are_parse_failures(capsys, tmp_path, monkeypatch, raw, message, source):
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        arg = "-"
+    else:
+        arg = str(tmp_path / "untrusted.json")
+        (tmp_path / "untrusted.json").write_bytes(raw)
+    rc, out, err = run(capsys, "verify", arg)
+    assert rc == 4
+    assert err.startswith("parse failure: ") and message in err
+    assert out == ""
+
+
 def test_verify_missing_file_is_io_failure(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert rc == 4
@@ -251,3 +276,27 @@ def test_oracle_budget_exhaustion_exit_code(capsys):
     assert rc == 5
     assert "search: unknown" in out
     assert "budget exhausted" in out
+
+
+# -- one parser for every call ----------------------------------------------
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(dumps_canonical(factorization_to_doc(construct(Params(5, 2, 1, (2, 2))))))
+    params = ("--n", "5", "--h", "2", "--lambda", "1", "--r", "2,2")
+    calls = [
+        ("generate", *params, "--check", "full", "--format", "text"),
+        ("generate", *params),
+        ("feasible", *params),
+        ("verify", str(path)),
+    ]
+
+    def first_call(argv):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        return run(capsys, *argv)
+
+    expected = [first_call(argv) for argv in calls]
+    assert [rc for rc, _, _ in expected] == [0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    assert [run(capsys, *argv) for argv in calls + calls] == expected + expected

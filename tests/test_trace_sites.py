@@ -4,7 +4,8 @@
 callers look it up by.  These tests read that table (and change nothing
 under `perfbench/`): every site must hold one and the same function, and
 a tiny traced construction must call each layer of the split stage, with
-`hinges_at` running exactly once per stage.
+`hinges_at` running exactly once per stage; with every stage checked,
+`verify_stage` runs once per stage and `verify_factorization` once.
 """
 
 import importlib
@@ -58,3 +59,16 @@ def test_traced_construction_calls_every_stage_layer(pkg):
         assert calls[name] >= 1, name
     assert calls["hypercore.ColoredMultiHypergraph.hinges_at"] == stages
     assert tracer.counts["laminar.ground_hinges"] > 0
+
+
+def test_traced_full_check_verifies_each_stage_once(pkg):
+    p = pkg.detach.Params(6, 3, 1, (2, 2, 2, 2, 2))
+    tracer = layertrace.LayerTracer()
+    tracer.install(pkg)
+    try:
+        pkg.detach.construct(p, seed=0, check_mode="full")
+    finally:
+        tracer.remove()
+    _, calls = tracer.layer_times()
+    assert calls["verify.verify_stage"] == p.n - 1
+    assert calls["verify.verify_factorization"] == 1

@@ -1,6 +1,10 @@
 """Tests for stage-invariant and final-factorization verification."""
 
 import json
+import random
+from collections import Counter
+from itertools import combinations
+from types import SimpleNamespace
 
 from conftest import perturbation_fixtures
 from hypfactor import (
@@ -8,11 +12,14 @@ from hypfactor import (
     binom,
     construct,
     initial_amalgam,
+    is_connected,
     split_step,
     verify_factorization,
     verify_stage,
+    wing_decomposition,
 )
 from hypfactor.detach import Factorization, Params
+from test_stage_exactness import GRID
 
 STAGE_CHECKS = ["degrees", "multiplicities", "edge-amalgam-bound", "connectivity", "wing-balance"]
 FINAL_CHECKS = ["edge-shapes", "cover-multiplicity", "regularity", "connectivity", "degree-sum"]
@@ -22,14 +29,19 @@ def _statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
-def _tampered(G, old, new):
-    """A rebuilt copy of `G` with one edge `old` replaced by `new`, both (color, verts)."""
+def _rebuilt(G, edges):
+    """A graph with the vertices and parameters of `G` and the (color, verts) `edges`."""
     H = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k, G.r)
-    edges = [(e.color, e.verts) for e in G.edges()]
-    edges[edges.index(old)] = new
     for color, verts in edges:
         H.add_edge(verts, color)
     return H
+
+
+def _tampered(G, old, new):
+    """A rebuilt copy of `G` with one edge `old` replaced by `new`, both (color, verts)."""
+    edges = [(e.color, e.verts) for e in G.edges()]
+    edges[edges.index(old)] = new
+    return _rebuilt(G, edges)
 
 
 # -- stage verification -----------------------------------------------------
@@ -106,6 +118,20 @@ def test_overfull_edge_fails_amalgam_bound():
     assert check.witness[1:] == (3, 2)
 
 
+def test_witnesses_name_the_first_bad_edge_in_iteration_order():
+    # edges of one type need not be adjacent; the first bad one seen is named
+    edges = [
+        SimpleNamespace(id=i, verts=verts, color=1)
+        for i, verts in ((7, (1, 2, 9)), (3, (9, 9, 9)), (5, (1, 1, 9)), (1, (9, 9, 9)), (4, (1, 1, 9)))
+    ]
+    G = SimpleNamespace(vertices={1, 2, 9}, alpha=9, k=1, edges=lambda: iter(edges))
+    p = Params(4, 3, 1, (3,))
+    witness = {c.name: c.witness for c in verify_stage(G, 3, p).checks}
+    assert witness["multiplicities"] == ("repeated ordinary vertex", 5, (1, 1, 9))
+    assert witness["edge-amalgam-bound"] == (3, 3, 2)
+    assert reference_stage(G, 3, p) == witness
+
+
 def test_disconnected_class_fails_connectivity():
     G = ColoredMultiHypergraph([1, 2, 9], alpha=9, h=2, k=1, r=(2,))
     G.add_edge((1, 2), 1)
@@ -143,6 +169,104 @@ def test_final_stage_skips_wing_balance():
     rep = verify_stage(G, p.n, p)
     assert _statuses(rep)["wing-balance"] == "skipped"
     assert rep.overall
+
+
+# -- stage verification against a hinge-level reference ---------------------
+
+
+def reference_stage(G, ell, p):
+    """Witness of the first violation per stage check (None: pass), edge by edge.
+
+    Reads only `G.vertices`, `G.alpha`, `G.k` and `G.edges()`.  Connectivity
+    runs `is_connected` on each class's explicit edges and the wing balance
+    takes `delta` from `wing_decomposition`, hinge by hinge.  The wing
+    balance is absent at the final stage, where it is skipped.
+    """
+    alpha, m = G.alpha, p.n - ell + 1
+    edges = list(G.edges())
+    classes = {i: [e for e in edges if e.color == i] for i in range(1, G.k + 1)}
+    deg = Counter((e.color, v) for e in edges for v in e.verts)
+    want = {(i, u): p.r[i - 1] * (m if u == alpha else 1) for i in classes for u in sorted(G.vertices)}
+    out = {"degrees": next(((*iu, deg[iu], w) for iu, w in want.items() if deg[iu] != w), None)}
+
+    rests = [(e, tuple(v for v in e.verts if v != alpha)) for e in edges]
+    bad = next(
+        (("repeated ordinary vertex", e.id, e.verts) for e, rest in rests if len(set(rest)) != len(rest)),
+        None,
+    )
+    if bad is None:
+        shape = Counter((len(e.verts) - len(rest), rest) for e, rest in rests)
+        split = sorted(G.vertices - {alpha})
+        cells = [(q, U) for q in range(p.h + 1) for U in combinations(split, p.h - q)]
+        want_q = {q: p.lam * binom(m, q) for q in range(p.h + 1)}
+        bad = next((("cell", q, U, shape[q, U], want_q[q]) for q, U in cells if shape[q, U] != want_q[q]), None)
+    out["multiplicities"] = bad
+    out["edge-amalgam-bound"] = next(
+        ((e.id, e.verts.count(alpha), m) for e in edges if e.verts.count(alpha) > m), None
+    )
+
+    needed = [i for i in classes if p.r[i - 1] >= 2]
+    out["connectivity"] = next(
+        ((i,) for i in needed if not is_connected(G.vertices, [e.verts for e in classes[i]])), None
+    )
+    if ell < p.n:
+        deltas = ((i, wing_decomposition(classes[i], alpha).delta) for i in needed)
+        out["wing-balance"] = next(((i, d, p.r[i - 1] * m) for i, d in deltas if d != p.r[i - 1] * m), None)
+    return out
+
+
+def _stage_variants(G, rng):
+    """`G`, seeded corruptions of it, and one corruption in shuffled edge order.
+
+    Each corruption makes 1-3 edits to the edge list (recolour an edge,
+    replace one vertex occurrence, drop an edge) and rebuilds the graph.
+    The shuffled copy exposes only `vertices`, `alpha`, `k` and `edges()`,
+    so edges of one type are no longer adjacent and no construction state
+    is there to be read.
+    """
+    variants = [("stage", G)]
+    edges = [(e.color, e.verts) for e in G.edges()]
+    for t in range(3):
+        es = list(edges)
+        for _ in range(rng.randint(1, 3)):
+            color, verts = es.pop(rng.randrange(len(es)))
+            kind = rng.choice(("recolour", "replace", "drop"))
+            if kind == "recolour":
+                es.append((rng.choice([c for c in range(1, G.k + 1) if c != color] or [color]), verts))
+            elif kind == "replace":
+                vs = list(verts)
+                vs[rng.randrange(len(vs))] = rng.choice(sorted(G.vertices))
+                es.append((color, tuple(sorted(vs))))
+        variants.append((f"tampered {t}", _rebuilt(G, es)))
+    shuffled = list(variants[-1][1].edges())
+    rng.shuffle(shuffled)
+    stub = SimpleNamespace(vertices=G.vertices, alpha=G.alpha, k=G.k, edges=lambda: iter(shuffled))
+    variants.append(("shuffled", stub))
+    return variants
+
+
+def test_stage_checks_match_hinge_level_reference():
+    failed = Counter()
+    for spec in GRID:
+        p = Params(*spec)
+        for seed in (0, 5):
+            rng = random.Random(f"{spec}/{seed}")
+            G = initial_amalgam(p)
+            for ell in range(1, p.n + 1):
+                if ell > 1:
+                    split_step(G, ell - 1, p, seed=seed)
+                for name, H in _stage_variants(G, rng):
+                    rep, ref = verify_stage(H, ell, p), reference_stage(H, ell, p)
+                    assert [c.name for c in rep.checks] == STAGE_CHECKS
+                    for c in rep.checks:
+                        where = (spec, seed, ell, name, c.name)
+                        if c.name not in ref:
+                            assert c.status == "skipped", where
+                            continue
+                        assert c.status == ("pass" if ref[c.name] is None else "fail"), where
+                        assert c.witness == ref[c.name], where
+                        failed[c.name] += c.status == "fail"
+    assert failed["connectivity"] >= 1 and failed["wing-balance"] >= 1, failed
 
 
 # -- final verification -----------------------------------------------------
