@@ -84,7 +84,10 @@ def doc_to_factorization(doc) -> Factorization:
             if not isinstance(e, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in e
             ):
-                raise ParameterError(f"factor {i + 1} contains a malformed edge: {e!r}")
+                shown = repr(e)  # untrusted and unbounded: echo a prefix only
+                if len(shown) > 80:
+                    shown = shown[:80] + "…"
+                raise ParameterError(f"factor {i + 1} contains a malformed edge: {shown}")
     Params(n, h, lam, r)  # the same value checks `generate` applies
     return Factorization.canonical(n, h, lam, r, factors)
 

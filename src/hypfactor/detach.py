@@ -126,7 +126,7 @@ def initial_amalgam(p: Params) -> ColoredMultiHypergraph:
             + "; ".join(f"{name}: {detail}" for name, ok, detail in rep.conditions if not ok)
         )
     alpha = p.n
-    G = ColoredMultiHypergraph([alpha], alpha, p.h, p.k, p.r)
+    G = ColoredMultiHypergraph([alpha], alpha, p.h, p.k)
     loop = (alpha,) * p.h
     for i, ri in enumerate(p.r, start=1):
         for _ in range(ri * p.n // p.h):

@@ -85,7 +85,6 @@ class ColoredMultiHypergraph:
         alpha: int,
         h: int,
         k: int,
-        r: Optional[tuple[int, ...]] = None,
     ):
         self.vertices: set[int] = set(vertices)
         if alpha not in self.vertices:
@@ -95,7 +94,6 @@ class ColoredMultiHypergraph:
         self.alpha = alpha
         self.h = h
         self.k = k
-        self.r = tuple(r) if r is not None else None
         self._types: Counter = Counter()  # (color, sorted verts) -> count
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
 
@@ -211,7 +209,7 @@ class ColoredMultiHypergraph:
     # -- copying ---------------------------------------------------------
 
     def copy(self) -> "ColoredMultiHypergraph":
-        g = ColoredMultiHypergraph(self.vertices, self.alpha, self.h, self.k, self.r)
+        g = ColoredMultiHypergraph(self.vertices, self.alpha, self.h, self.k)
         g._types = Counter(self._types)
         g._uf = {i: UnionFind(uf.parent) for i, uf in self._uf.items()}
         return g

@@ -14,16 +14,16 @@ of its weight over m.  A plain iterable ground means unit elements.
 For laminar inputs such a selection always exists: the bounds form a
 flow problem on the two forests (source, down one forest, across one arc
 per element, up the other, sink) with a totally unimodular constraint
-matrix, and weight/m everywhere is fractionally feasible.  The solver
-runs that feasible flow through the usual excess-node reduction to a
-small Dinic max-flow.  The seed only permutes the order in which element
-arcs are wired, so it never affects validity.
+matrix, and weight/m everywhere is fractionally feasible.  The selector
+wires that network straight from the forests and, after the usual
+excess-node reduction, runs one iterative Dinic max-flow of no depth
+limit.  The seed only permutes the order in which element arcs are
+wired, so it never affects validity.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -215,90 +215,51 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: Optional[dict] = None) 
 # -- max-flow machinery --------------------------------------------------
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+def _max_flow(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
+    """Dinic max flow from `s` to `t`, updating the residual capacities `cap`.
 
-    def add(self, u: int, v: int, c: int) -> int:
-        a = len(self.to)
-        self.adj[u].append(a)
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(a + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return a
-
-    def _bfs(self, s, t):
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u, t, f):
-        if u == t:
-            return f
-        while self.it[u] < len(self.adj[u]):
-            a = self.adj[u][self.it[u]]
-            v = self.to[a]
-            if self.cap[a] > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(f, self.cap[a]))
-                if got:
-                    self.cap[a] -= got
-                    self.cap[a ^ 1] += got
-                    return got
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s, t):
-        total = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t, 1 << 60)
-                if not f:
-                    break
-                total += f
-        return total
-
-
-def _feasible_flow(n_nodes: int, arcs: list[tuple[int, int, int, int]]):
-    """Integral flow meeting [lo, hi] on every arc, or None.
-
-    `arcs` are (u, v, lo, hi) with node ids below `n_nodes`, where node 0
-    is the circulation source and node 1 the sink.  Returns per-arc flow
-    values aligned with the input list.
+    `adj[u]` lists the arcs out of node u; arc a enters `to[a]` and its
+    reverse is arc a ^ 1.  Blocking flows walk an explicit arc stack.
     """
-    src2, snk2 = n_nodes, n_nodes + 1
-    net = _Dinic(n_nodes + 2)
-    ids = []
-    excess = [0] * n_nodes
-    for u, v, lo, hi in arcs:
-        ids.append(net.add(u, v, hi - lo))
-        excess[v] += lo
-        excess[u] -= lo
-    net.add(1, 0, 1 << 60)  # close the circulation
-    need = 0
-    for v in range(n_nodes):
-        if excess[v] > 0:
-            net.add(src2, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            net.add(v, snk2, -excess[v])
-    if net.max_flow(src2, snk2) != need:
-        return None
-    # pushed units sit on the reverse arc; add the lower bound back in
-    return [arcs[i][2] + net.cap[a ^ 1] for i, a in enumerate(ids)]
+    n = len(adj)
+    total = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:  # the queue grows while it is walked
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return total
+        it = [0] * n
+        path: list[int] = []  # arcs from s to u
+        u = s
+        while True:
+            if u == t:
+                f = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                total += f
+                path.clear()
+                u = s
+            for i in range(it[u], len(adj[u])):
+                a = adj[u][i]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    it[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:  # dead end: close u, retreat one arc and skip it at its tail
+                if not path:
+                    break
+                it[u] = len(adj[u])
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 def equalized_select(
@@ -324,43 +285,64 @@ def equalized_select(
     parentA, innerA = famA._forest or famA.forest()
     parentB, innerB = famB._forest or famB.forest()
 
-    # Node map: 0 source, 1 sink, 2 wing-side root, 3 cell-side root,
-    # then one node per family member.
-    offA = 4
+    # Nodes: 0 source, 1 sink, 2 wing-side root, 3 cell-side root, one per
+    # member of each family, then the super-source and super-sink.  Index
+    # -1 (no parent, or no member) picks the last entry: that side's root.
     offB = 4 + len(famA.members)
-    n_nodes = offB + len(famB.members)
+    n = offB + len(famB.members)
+    nodeA = [*range(4, offB), 2]
+    nodeB = [*range(offB, n), 3]
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
+    to: list[int] = []
+    cap: list[int] = []
+    excess = [0] * (n + 2)
 
-    def node_a(i):
-        return offA + i if i >= 0 else 2
-
-    def node_b(i):
-        return offB + i if i >= 0 else 3
+    def arc(u, v, lo, hi):
+        """Arc u->v carrying [lo, hi]: capacity hi - lo, with lo booked as excess."""
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(hi - lo)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        excess[v] += lo
+        excess[u] -= lo
 
     lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
-    arcs = [(0, 2, lo, hi), (3, 1, lo, hi)]  # (u, v, lower, upper)
+    arc(0, 2, lo, hi)
+    arc(3, 1, lo, hi)
     for i, size in enumerate(famA.sizes):
-        lo, hi = bounds_for(size, m)
-        arcs.append((node_a(parentA[i]), node_a(i), lo, hi))
+        arc(nodeA[parentA[i]], nodeA[i], *bounds_for(size, m))
     for i, size in enumerate(famB.sizes):
-        lo, hi = bounds_for(size, m)
-        arcs.append((node_b(i), node_b(parentB[i]), lo, hi))
+        arc(nodeB[i], nodeB[parentB[i]], *bounds_for(size, m))
 
     order = sorted(g)
     random.Random(seed).shuffle(order)
-    first_element_arc = len(arcs)
+    first_element_arc = len(to)
+    amounts = {}
     for x in order:
         c, p = g[x]
         lo, hi = bounds_for(p, m)
-        arcs.append((node_a(innerA[x]), node_b(innerB[x]), c * lo, c * hi))
+        arc(nodeA[innerA[x]], nodeB[innerB[x]], c * lo, c * hi)
+        amounts[x] = c * lo
+    arc(1, 0, 0, 1 << 60)  # close the circulation
+    need = sum(e for e in excess if e > 0)
+    for v in range(n):
+        if excess[v] > 0:
+            arc(n, v, 0, excess[v])
+        elif excess[v] < 0:
+            arc(v, n + 1, 0, -excess[v])
 
-    flows = _feasible_flow(n_nodes, arcs)
-    if flows is None:
+    if _max_flow(adj, to, cap, n, n + 1) != need:
         raise InternalInvariantError(
             "equalized selection infeasible; input families are not laminar "
             "or do not cover a common ground",
             witness=(len(g), m),
         )
-    amounts = {x: f for x, f in zip(order, flows[first_element_arc:]) if f}
+    # pushed units sit on each element arc's reverse, above its lower bound
+    for j, x in enumerate(order):
+        amounts[x] += cap[first_element_arc + 2 * j + 1]
+    amounts = {x: f for x, f in amounts.items() if f}
     bad = selection_respects_bounds(amounts, g, famA, famB, m)
     if bad is not None:
         raise InternalInvariantError("selection violates a family bound", witness=bad)

@@ -5,9 +5,9 @@ by backtracking over color assignments (restart attempts to find a
 witness, then an exhaustive scan to refute), entirely separate from the
 splitting pipeline: it shares no code path with `construct` beyond the
 result container and the final verifier.  `exhaustive_select` enumerates
-every selection satisfying the floor/ceiling bounds of two hinge
-families, used to check that the flow-based selector only ever returns
-members of that space.
+every selection satisfying the floor/ceiling bounds of two laminar
+families over arbitrary elements, used to check that the flow-based
+selector only ever returns members of that space.
 
 The backtracking inner loop is the kernel in `_search_py`; `kernel_inputs`
 turns an edge order into its arguments.
@@ -213,7 +213,7 @@ def exhaustive_select(
     g = len(items)
     if g > max_ground:
         raise ParameterError(
-            f"exhaustive selection over {g} hinges refused (cap {max_ground})"
+            f"exhaustive selection over {g} elements refused (cap {max_ground})"
         )
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")

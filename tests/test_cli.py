@@ -180,6 +180,10 @@ def test_verify_rejects_wrongly_typed_fields(capsys, tmp_path, doc, message):
     assert f"parse failure: {message}" in err
 
 
+def _one_edge_doc(edge: str) -> bytes:
+    return ('{"n":4,"h":2,"lambda":1,"r":[1],"factors":[[' + edge + "]]}").encode()
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize(
     "raw, message",
@@ -187,8 +191,11 @@ def test_verify_rejects_wrongly_typed_fields(capsys, tmp_path, doc, message):
         (b"\xff\xfe{}", "codec can't decode"),
         (b"[" * 200000, "maximum recursion depth exceeded"),
         (b"5" * 5000, "integer string conversion"),
+        # malformed edges are echoed as a bounded prefix, never whole
+        (_one_edge_doc("[" * 300 + "]" * 300), "malformed edge: " + "[" * 80 + "…"),
+        (_one_edge_doc("[" + ",".join(['"x"'] * 100000) + "]"), "malformed edge: ['x', 'x', "),
     ],
-    ids=["not-utf8", "deep-nesting", "huge-integer"],
+    ids=["not-utf8", "deep-nesting", "huge-integer", "deep-edge", "wide-edge"],
 )
 def test_verify_untrusted_bytes_are_parse_failures(capsys, tmp_path, monkeypatch, raw, message, source):
     if source == "stdin":
@@ -200,6 +207,7 @@ def test_verify_untrusted_bytes_are_parse_failures(capsys, tmp_path, monkeypatch
     rc, out, err = run(capsys, "verify", arg)
     assert rc == 4
     assert err.startswith("parse failure: ") and message in err
+    assert len(err) <= 200
     assert out == ""
 
 

@@ -261,6 +261,17 @@ def test_stray_elements_are_reported():
     assert selection_respects_bounds({"x"}, ground, fam, fam, m=2) is None
 
 
+def test_deep_opposite_chains_select_without_recursion():
+    # two chains of 1200 nested sets growing from opposite ends of the
+    # ground, so flow paths run the full depth of both forests
+    size, m = 1200, 1199
+    ground = frozenset(range(size))
+    famA = _fam(ground, *(range(i) for i in range(1, size + 1)))
+    famB = _fam(ground, *(range(size - i, size) for i in range(1, size + 1)))
+    sel = equalized_select(ground, famA, famB, m)
+    assert selection_respects_bounds(sel.amounts, ground, famA, famB, m) is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10**7), gsize=st.integers(1, 24), m=st.integers(2, 6))
 def test_random_laminar_selection_respects_bounds(seed, gsize, m):

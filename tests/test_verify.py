@@ -31,7 +31,7 @@ def _statuses(report):
 
 def _rebuilt(G, edges):
     """A graph with the vertices and parameters of `G` and the (color, verts) `edges`."""
-    H = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k, G.r)
+    H = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k)
     for color, verts in edges:
         H.add_edge(verts, color)
     return H
@@ -110,7 +110,7 @@ def test_repeated_split_vertex_fails_multiplicity_check():
 
 def test_overfull_edge_fails_amalgam_bound():
     # at stage 3 of n=4 the divisor is 2, so a surviving 3-loop is illegal
-    G = ColoredMultiHypergraph([1, 2, 9], alpha=9, h=3, k=1, r=(3,))
+    G = ColoredMultiHypergraph([1, 2, 9], alpha=9, h=3, k=1)
     G.add_edge((9, 9, 9), 1)
     rep = verify_stage(G, 3, Params(4, 3, 1, (3,)))
     check = next(c for c in rep.checks if c.name == "edge-amalgam-bound")
@@ -133,7 +133,7 @@ def test_witnesses_name_the_first_bad_edge_in_iteration_order():
 
 
 def test_disconnected_class_fails_connectivity():
-    G = ColoredMultiHypergraph([1, 2, 9], alpha=9, h=2, k=1, r=(2,))
+    G = ColoredMultiHypergraph([1, 2, 9], alpha=9, h=2, k=1)
     G.add_edge((1, 2), 1)
     G.add_edge((1, 2), 1)
     rep = verify_stage(G, 3, Params(4, 2, 1, (2,)))
@@ -142,7 +142,7 @@ def test_disconnected_class_fails_connectivity():
 
 def test_unbalanced_wings_fail_wing_balance():
     # amalgam degree 5 over wings of 3 and 2 hinges, against r * m = 4
-    G = ColoredMultiHypergraph([1, 9], alpha=9, h=2, k=1, r=(2,))
+    G = ColoredMultiHypergraph([1, 9], alpha=9, h=2, k=1)
     for _ in range(3):
         G.add_edge((1, 9), 1)
     G.add_edge((9, 9), 1)
