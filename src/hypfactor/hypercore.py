@@ -7,8 +7,12 @@ the amalgam, may occur several times within an edge; each occurrence is
 a "hinge".  Per color, a union-find over ordinary (non-amalgam) vertices
 tracks the components that wings hang off; edges only ever gain
 ordinary vertices, so components only merge and the union-find stays
-exact.  `edges()` and `color_class()` expand the counts into explicit
-`Edge` records for the verifier and the output.
+exact.  The graph also indexes its amalgam-incident types by their
+amalgam multiplicity p (the counts stay in the one `Counter`):
+`add_edge` inserts a type when it first appears and `move_hinges`
+deletes it when it empties, so a split stage reads its ground from the
+index instead of scanning every type.  `edges()` and `color_class()` expand
+the counts into explicit `Edge` records for the verifier and the output.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ class ColoredMultiHypergraph:
         self.h = h
         self.k = k
         self._types: Counter = Counter()  # (color, sorted verts) -> count
+        self._at_alpha: dict[tuple, int] = {}  # alpha-incident type -> p
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
 
     # -- basic accessors -------------------------------------------------
@@ -142,6 +147,8 @@ class ColoredMultiHypergraph:
             raise ParameterError(f"edge {vt} uses undeclared vertices {sorted(missing)}")
         key = (color, vt)
         self._types[key] += 1
+        if self.alpha in vt:
+            self._at_alpha[key] = vt.count(self.alpha)
         rest = [v for v in vt if v != self.alpha]
         for v in rest:
             self._uf[color].union(v, rest[0])
@@ -161,17 +168,24 @@ class ColoredMultiHypergraph:
                 raise InvalidHingeError(
                     f"cannot move {t} hinges of type {key} ({self._types.get(key, 0)} edges)"
                 )
-        for (color, verts), t in amounts.items():
+        alpha, types, at_alpha = self.alpha, self._types, self._at_alpha
+        for key, t in amounts.items():
             if not t:
                 continue
-            self._types[(color, verts)] -= t
-            if not self._types[(color, verts)]:
-                del self._types[(color, verts)]
-            vs = list(verts)
-            vs.remove(self.alpha)
-            self._types[(color, tuple(sorted(vs + [to])))] += t
-            rest = [v for v in vs if v != self.alpha]
-            self._uf[color].union(rest[0] if rest else to, to)
+            color, verts = key
+            p = at_alpha[key]
+            if types[key] == t:
+                del types[key], at_alpha[key]
+            else:
+                types[key] -= t
+            i = verts.index(alpha)  # the sorted verts hold p alphas from i on
+            dest = (color, tuple(sorted(verts[:i] + verts[i + 1:] + (to,))))
+            types[dest] = types.get(dest, 0) + t
+            if p > 1:
+                at_alpha[dest] = p - 1
+            # `to` joins the first ordinary vertex, if the type had one
+            first = verts[0] if i else verts[p] if p < self.h else to
+            self._uf[color].union(first, to)
 
     # -- derived quantities ----------------------------------------------
 
@@ -199,17 +213,17 @@ class ColoredMultiHypergraph:
         return sum(self._types.get((i, key), 0) for i in range(1, self.k + 1))
 
     def hinges_at(self, u: int) -> dict[tuple, tuple[int, int]]:
-        """Each edge type holding `u`, mapped to (count c, multiplicity p of `u`)."""
+        """Each edge type holding `u`, mapped to (count c, multiplicity p of `u`).
+
+        For the amalgam this reads the index of amalgam-incident types
+        that `add_edge` and `move_hinges` keep, so it costs
+        O(amalgam-incident types); any other vertex scans every type.
+        """
         if u not in self.vertices:
             raise ParameterError(f"vertex {u} not declared")
+        if u == self.alpha:
+            types = self._types
+            return {key: (types[key], p) for key, p in self._at_alpha.items()}
         return {
             key: (c, key[1].count(u)) for key, c in self._types.items() if u in key[1]
         }
-
-    # -- copying ---------------------------------------------------------
-
-    def copy(self) -> "ColoredMultiHypergraph":
-        g = ColoredMultiHypergraph(self.vertices, self.alpha, self.h, self.k)
-        g._types = Counter(self._types)
-        g._uf = {i: UnionFind(uf.parent) for i, uf in self._uf.items()}
-        return g

@@ -52,26 +52,43 @@ class LaminarFamily:
     elements; `sizes[i]` is member i's total weight.  Members are
     deduplicated (equal sets merge their provenance tags) and kept in a
     canonical order: decreasing element count, then lexicographic on the
-    sorted elements.  Laminarity is checked at construction unless the
+    sorted elements.  In a laminar family two distinct members of one
+    size are disjoint, so their least elements differ and already decide
+    the order without sorting any member; only a family that is not
+    laminar can tie on (count, least element), and it is then sorted in
+    full, so the order never depends on the caller's.  Laminarity is checked at construction unless the
     caller opts out (only tests of malformed input do); the checked
-    forest is kept for selection.
+    forest is kept for selection, and the sizes are summed through it in
+    one pass over the ground.
     """
 
     def __init__(self, ground: Iterable, members: Sequence[Member], validate: bool = True):
         self.ground = weighted(ground)
-        merged: dict[frozenset, list] = {}
-        order: list[frozenset] = []
-        for m in members:
-            key = m.elements
-            if key not in merged:
-                merged[key] = []
-                order.append(key)
-            merged[key].extend(m.tags)
-        order.sort(key=lambda s: (-len(s), sorted(s)))
-        self.members = tuple(Member(s, tuple(merged[s])) for s in order)
-        weight = {x: c * p for x, (c, p) in self.ground.items()}
-        self.sizes = tuple(sum(weight.get(x, 0) for x in s) for s in order)
-        self._forest = self.forest() if validate else None
+        merged: dict[frozenset, Member] = {}
+        for mb in members:
+            prev = merged.get(mb.elements)
+            merged[mb.elements] = mb if prev is None else Member(mb.elements, prev.tags + mb.tags)
+        # only one member can be empty, so its missing least element is never compared
+        key = {s: (-len(s), min(s, default=None)) for s in merged}
+        order = sorted(merged, key=key.__getitem__)
+        if any(key[a] == key[b] for a, b in zip(order, order[1:])):
+            order.sort(key=lambda s: (-len(s), sorted(s)))  # not laminar: overlapping ties
+        self.members = tuple(merged[s] for s in order)
+        if not validate:
+            self._forest = None
+            weight = {x: c * p for x, (c, p) in self.ground.items()}
+            self.sizes = tuple(sum(weight.get(x, 0) for x in s) for s in order)
+            return
+        self._forest = self.forest()
+        parent, innermost = self._forest
+        sizes = [0] * len(order)
+        for x, (c, p) in self.ground.items():
+            if innermost[x] >= 0:
+                sizes[innermost[x]] += c * p
+        for i in range(len(sizes) - 1, -1, -1):  # parents precede their children
+            if parent[i] >= 0:
+                sizes[parent[i]] += sizes[i]
+        self.sizes = tuple(sizes)
 
     @classmethod
     def from_sets(cls, ground, sets, tags=None, validate=True):
@@ -89,25 +106,24 @@ class LaminarFamily:
         currently sit in one and the same innermost set, which becomes
         the parent.
         """
-        innermost: dict = {x: -1 for x in self.ground}
+        innermost: dict = dict.fromkeys(self.ground, -1)
         parent = []
         for idx, mb in enumerate(self.members):
-            seen = set()
-            for x in mb.elements:
-                if x not in innermost:
-                    raise InternalInvariantError(
-                        f"member {idx} contains {x!r} outside the ground set",
-                        witness=(mb.tags, x),
-                    )
-                seen.add(innermost[x])
+            try:
+                seen = {innermost[x] for x in mb.elements}
+            except KeyError as exc:
+                x = exc.args[0]
+                raise InternalInvariantError(
+                    f"member {idx} contains {x!r} outside the ground set",
+                    witness=(mb.tags, x),
+                ) from None
             if len(seen) > 1:
                 raise InternalInvariantError(
                     f"family is not laminar: member {idx} straddles {sorted(seen)}",
                     witness=(mb.tags, sorted(seen)),
                 )
             parent.append(seen.pop() if seen else -1)
-            for x in mb.elements:
-                innermost[x] = idx
+            innermost.update(dict.fromkeys(mb.elements, idx))
         return parent, innermost
 
 
@@ -204,11 +220,10 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: Optional[dict] = None) 
     ground = G.hinges_at(G.alpha) if ground is None else ground
     cells: dict[tuple, list] = {}
     for key, (c, p) in ground.items():
-        rest = tuple(v for v in key[1] if v != G.alpha)
-        cells.setdefault((p, rest), []).append(key)
-    members = [
-        Member(frozenset(ts), (("cell",) + key,)) for key, ts in sorted(cells.items())
-    ]
+        verts = key[1]
+        i = verts.index(G.alpha)  # the sorted verts hold p alphas from i on
+        cells.setdefault((p, verts[:i] + verts[i + p:]), []).append(key)
+    members = [Member(frozenset(ts), (("cell",) + key,)) for key, ts in cells.items()]
     return LaminarFamily(ground, members)
 
 

@@ -129,27 +129,37 @@ def wing_decompositions(
 
     `ground` is `G.hinges_at(G.alpha)`, computed when not given.  A
     non-loop type joins the wing of its ordinary vertices' component in
-    the color's union-find.
+    the color's union-find; the pass over the ground that groups the
+    types also adds up each wing's hinges.
     """
     ground = G.hinges_at(G.alpha) if ground is None else ground
+    alpha, h = G.alpha, G.h
     types = {i: [] for i in range(1, G.k + 1)}
-    comps = {i: {} for i in range(1, G.k + 1)}
+    loops = {i: [] for i in range(1, G.k + 1)}
+    comps = {i: {} for i in range(1, G.k + 1)}  # root -> [types, hinges]
     for key, (c, p) in ground.items():
         color, verts = key
         types[color].append(key)
-        if p < G.h:
-            u = next(v for v in verts if v != G.alpha)
-            comps[color].setdefault(G.find(color, u), []).append(key)
-
-    def hinges(keys):
-        return sum(ground[x][0] * ground[x][1] for x in keys)
+        if p == h:
+            loops[color].append(key)
+            continue
+        # the sorted verts hold p alphas in a row, so one of these is ordinary
+        u = verts[0] if verts[0] != alpha else verts[p]
+        wing = comps[color].setdefault(G.find(color, u), [[], 0])
+        wing[0].append(key)
+        wing[1] += c * p
 
     out = {}
     for i in range(1, G.k + 1):
-        wings = tuple(frozenset(w) for w in comps[i].values())
-        big = [x for x in types[i] if ground[x][1] == G.h >= 2]
-        big += [x for w in wings if hinges(w) >= 2 for x in w]
-        out[i] = ClassWings(frozenset(types[i]), wings, frozenset(big), hinges(big))
+        big = loops[i] if h >= 2 else []
+        delta = sum(ground[x][0] * h for x in big)
+        wings = []
+        for w, hinges in comps[i].values():
+            wings.append(frozenset(w))
+            if hinges >= 2:
+                big += w
+                delta += hinges
+        out[i] = ClassWings(frozenset(types[i]), tuple(wings), frozenset(big), delta)
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for laminar families, their builders, and equalized selection."""
 
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,20 @@ def test_equal_sets_merge_tags():
 def test_straddling_sets_rejected():
     with pytest.raises(InternalInvariantError):
         _fam(range(1, 5), {1, 2}, {2, 3})
+
+
+def test_order_and_straddle_witness_ignore_input_order():
+    # {1, 2} and {1, 3} tie on (size, least element); only a non-laminar family can
+    sets = [{1, 3}, {0, 5}, {1, 2}, {0, 1, 4}]
+    witnesses = set()
+    for perm in itertools.permutations(sets):
+        tags = [tuple(sorted(s)) for s in perm]
+        fam = LaminarFamily.from_sets(range(6), perm, tags, validate=False)
+        assert [sorted(m.elements) for m in fam.members] == [[0, 1, 4], [0, 5], [1, 2], [1, 3]]
+        with pytest.raises(InternalInvariantError) as exc:
+            LaminarFamily.from_sets(range(6), perm, tags)
+        witnesses.add(repr(exc.value.witness))
+    assert len(witnesses) == 1
 
 
 def test_element_outside_ground_rejected():

@@ -5,6 +5,10 @@ Expanded to hinges (t edges of the type, one hinge each), that choice
 must meet every floor/ceiling bound of the hinge-level wing family
 (class, multi-hinge union, wing, edge) and cell family, built here from
 `G.edges()` with `wing_decomposition` alone.
+
+The graph's split state (its amalgam index and the union-finds behind
+the wings) is kept across stages, so at every stage it must also match a
+graph rebuilt from `G.edges()` through `add_edge`.
 """
 
 import math
@@ -12,8 +16,11 @@ import math
 import pytest
 
 from hypfactor import (
+    ColoredMultiHypergraph,
     HingeRef,
     LaminarFamily,
+    build_cell_family,
+    build_wing_family,
     check_feasibility,
     initial_amalgam,
     split_step,
@@ -97,3 +104,40 @@ def test_every_stage_is_hinge_exact(spec, seed, monkeypatch):
         m = p.n - ell + 1
         assert selection_respects_bounds(chosen, ground, famA, famB, m) is None
     assert len(picks) == p.n - 1
+
+
+def rebuilt(G):
+    """A fresh graph holding `G`'s explicit edges, added one by one."""
+    R = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k)
+    for e in G.edges():
+        R.add_edge(e.verts, e.color)
+    return R
+
+
+def family_shape(fam):
+    """Member sizes, innermost member per element and parent per member, by element set."""
+    parent, innermost = fam._forest
+    names = [mb.elements for mb in fam.members]
+    return (
+        dict(zip(names, fam.sizes)),
+        {x: names[i] if i >= 0 else None for x, i in innermost.items()},
+        {names[i]: names[j] if j >= 0 else None for i, j in enumerate(parent)},
+    )
+
+
+def assert_matches_rebuild(G):
+    R = rebuilt(G)
+    assert G.hinges_at(G.alpha) == R.hinges_at(R.alpha)
+    for build in (build_wing_family, build_cell_family):
+        assert family_shape(build(G)) == family_shape(build(R))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
+def test_every_stage_matches_a_rebuild(spec, seed):
+    p = Params(*spec)
+    G = initial_amalgam(p)
+    for ell in range(1, p.n):
+        assert_matches_rebuild(G)
+        split_step(G, ell, p, seed=seed)
+    assert_matches_rebuild(G)
