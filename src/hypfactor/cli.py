@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError
@@ -53,6 +54,37 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _cut(text: str) -> str:
+    """An untrusted and unbounded text cut to an 80-character prefix."""
+    return text if len(text) <= 80 else text[:80] + "…"
+
+
+def _witness_text(w) -> str:
+    """`str(w)` for a witness tuple, but an int past 256 bits shows its bit length.
+
+    A witness such as the degree sum λ·C(n - 1, h - 1) of a document that
+    declares a huge n can pass the int-to-str digit limit of Python.
+    """
+    if isinstance(w, tuple):
+        parts = [_witness_text(x) for x in w]
+        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+    if isinstance(w, int) and w.bit_length() > 256:
+        return f"<{w.bit_length()}-bit integer>"
+    return repr(w)
+
+
+def _reject_first_malformed(factors) -> None:
+    """Raise ParameterError naming the first factor or edge of the wrong type."""
+    for i, factor in enumerate(factors, start=1):
+        if not isinstance(factor, list):
+            raise ParameterError(f"factor {i} must be a list of edges")
+        for e in factor:
+            if not isinstance(e, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in e
+            ):
+                raise ParameterError(f"factor {i} contains a malformed edge: {_cut(repr(e))}")
+
+
 def doc_to_factorization(doc) -> Factorization:
     """Validate a parsed document and rebuild the factorization.
 
@@ -77,17 +109,14 @@ def doc_to_factorization(doc) -> Factorization:
     factors = doc["factors"]
     if not isinstance(factors, list):
         raise ParameterError("field 'factors' must be a list")
-    for i, factor in enumerate(factors):
-        if not isinstance(factor, list):
-            raise ParameterError(f"factor {i + 1} must be a list of edges")
-        for e in factor:
-            if not isinstance(e, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in e
-            ):
-                shown = repr(e)  # untrusted and unbounded: echo a prefix only
-                if len(shown) > 80:
-                    shown = shown[:80] + "…"
-                raise ParameterError(f"factor {i + 1} contains a malformed edge: {shown}")
+    # one C-level pass per nesting level settles the usual case; the scan
+    # runs only when it fails, to name the first offending factor or edge
+    if not (
+        set(map(type, factors)) <= {list}
+        and set(map(type, chain.from_iterable(factors))) <= {list}
+        and set(map(type, chain.from_iterable(chain.from_iterable(factors)))) <= {int}
+    ):
+        _reject_first_malformed(factors)
     Params(n, h, lam, r)  # the same value checks `generate` applies
     return Factorization.canonical(n, h, lam, r, factors)
 
@@ -183,7 +212,7 @@ def cmd_verify(args) -> int:
         return 4
     rep = verify_factorization(fact)
     for c in rep.checks:
-        extra = "" if c.witness is None else f"  {c.witness}"
+        extra = "" if c.witness is None else f"  {_cut(_witness_text(c.witness))}"
         print(f"{c.name}: {c.status}{extra}")
     print(f"overall: {'valid' if rep.overall else 'INVALID'}")
     return 0 if rep.overall else 1

@@ -129,8 +129,7 @@ def initial_amalgam(p: Params) -> ColoredMultiHypergraph:
     G = ColoredMultiHypergraph([alpha], alpha, p.h, p.k)
     loop = (alpha,) * p.h
     for i, ri in enumerate(p.r, start=1):
-        for _ in range(ri * p.n // p.h):
-            G.add_edge(loop, i)
+        G.add_edge(loop, i, ri * p.n // p.h)
     return G
 
 
@@ -174,9 +173,7 @@ class Factorization:
 
     @staticmethod
     def canonical(n, h, lam, r, factors, **kw) -> "Factorization":
-        canon = tuple(
-            tuple(sorted(tuple(sorted(e)) for e in factor)) for factor in factors
-        )
+        canon = tuple(tuple(sorted(map(tuple, map(sorted, factor)))) for factor in factors)
         return Factorization(n, h, lam, tuple(r), canon, **kw)
 
 

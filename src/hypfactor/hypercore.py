@@ -69,10 +69,12 @@ class UnionFind:
             x, p = p, self.parent[p]
         return p
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Join the components of `a` and `b`; True iff they were apart."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+        return ra != rb
 
 
 class ColoredMultiHypergraph:
@@ -133,8 +135,8 @@ class ColoredMultiHypergraph:
             raise ParameterError(f"vertex {v} already present")
         self.vertices.add(v)
 
-    def add_edge(self, verts: Iterable[int], color: int) -> tuple:
-        """Add one edge and return its type `(color, sorted verts)`."""
+    def add_edge(self, verts: Iterable[int], color: int, mult: int = 1) -> tuple:
+        """Add `mult` edges of one type and return the type `(color, sorted verts)`."""
         vt = tuple(sorted(verts))
         if len(vt) != self.h:
             raise ParameterError(
@@ -145,8 +147,10 @@ class ColoredMultiHypergraph:
         missing = set(vt) - self.vertices
         if missing:
             raise ParameterError(f"edge {vt} uses undeclared vertices {sorted(missing)}")
+        if mult < 1:
+            raise ParameterError(f"edge multiplicity must be >= 1, got {mult}")
         key = (color, vt)
-        self._types[key] += 1
+        self._types[key] += mult
         if self.alpha in vt:
             self._at_alpha[key] = vt.count(self.alpha)
         rest = [v for v in vt if v != self.alpha]

@@ -29,24 +29,23 @@ def is_connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> boo
     Every declared vertex must land in the single component; a declared
     vertex incident with no edge therefore makes the answer False (unless
     it is the only vertex).  Edges may be multisets; repeats are ignored
-    for reachability.
+    for reachability.  The unions stop as soon as they have joined all
+    vertices, which a full cover reaches long before its last edge.
     """
-    verts = set(vertices)
+    edges = list(edges)
+    need = len(set(vertices).union(*edges)) - 1  # unions that join two parts
+    if need <= 0:
+        return True
     dsu = UnionFind()
     for e in edges:
-        vs = set(e)
-        verts |= vs
-        it = iter(vs)
-        try:
-            first = next(it)
-        except StopIteration:
-            continue
+        it = iter(e)
+        first = next(it, None)
         for v in it:
-            dsu.union(first, v)
-    if len(verts) <= 1:
-        return True
-    roots = {dsu.find(v) for v in verts}
-    return len(roots) == 1
+            if dsu.union(first, v):
+                need -= 1
+                if not need:
+                    return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,17 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
+import functools
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from hypfactor import cli, construct
 from hypfactor.cli import (
     doc_to_factorization,
@@ -169,8 +177,18 @@ def test_verify_reports_json_parse_position(capsys, tmp_path):
          "edge size h must be >= 1"),
         ({"n": -3, "h": 2, "lambda": 1, "r": [1], "factors": [[]]},
          "need more vertices than the edge size"),
+        # JSON true is a Python int subclass, and still no vertex or degree
+        ({"n": 4, "h": 2, "lambda": 1, "r": [1], "factors": [[[1, 2]], [[3, True]]]},
+         "factor 2 contains a malformed edge: [3, True]"),
+        ({"n": 4, "h": 2, "lambda": 1, "r": [1, True], "factors": [[]]},
+         "field 'r' must be a list of integers"),
+        ({"n": 4, "h": 2, "lambda": 1, "r": [1], "factors": [[[1, 2.0]], 7]},
+         "factor 1 contains a malformed edge: [1, 2.0]"),
     ],
-    ids=["r-not-a-list", "lambda-zero", "h-zero", "n-negative"],
+    ids=[
+        "r-not-a-list", "lambda-zero", "h-zero", "n-negative",
+        "bool-vertex", "bool-degree", "first-of-two-faults",
+    ],
 )
 def test_verify_rejects_wrongly_typed_fields(capsys, tmp_path, doc, message):
     path = tmp_path / "typed.json"
@@ -215,6 +233,177 @@ def test_verify_missing_file_is_io_failure(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert rc == 4
     assert "i/o failure" in err
+
+
+# The whole check runs in a child process whose address space is capped at
+# 2 GiB, so code that builds anything per declared vertex dies there with a
+# MemoryError traceback instead of exhausting the machine.
+_BOUNDED_VERIFY = """
+import json, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from hypfactor.cli import doc_to_factorization, main
+from hypfactor.verify import verify_factorization
+rc = main(["verify", sys.argv[1]])
+with open(sys.argv[1], encoding="utf-8") as fh:
+    f = doc_to_factorization(json.load(fh))
+tracemalloc.start()
+t = time.perf_counter()
+verify_factorization(f)
+seconds = time.perf_counter() - t
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(f"cost {peak} {seconds}")
+sys.exit(rc)
+"""
+
+
+def test_verify_cost_follows_the_document_not_the_declared_n(tmp_path):
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps({"n": 10**8, "h": 2, "lambda": 1, "r": [2], "factors": [[]]}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_VERIFY, str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stderr == "", proc.stderr[-2000:]  # no MemoryError traceback
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[:6] == [
+        "edge-shapes: pass",
+        "cover-multiplicity: fail  ((1, 2), 0, 1)",
+        "regularity: fail  (1, 1, 0, 2)",
+        "connectivity: fail  (1,)",
+        "degree-sum: fail  (2, 99999999)",
+        "overall: INVALID",
+    ]
+    _, peak, seconds = lines[6].split()
+    assert int(peak) < 2**20  # bytes
+    assert float(seconds) < 10.0  # a walk over 1..n takes minutes
+
+
+def test_verify_bounds_the_witnesses_it_prints(capsys, tmp_path):
+    # the degree-sum witness C(10**100 - 1, 49) has about 4,840 digits, past
+    # the int-to-str digit limit of Python, and the cover witness is 50 long
+    path = tmp_path / "huge-binomial.json"
+    path.write_text(json.dumps({"n": 10**100, "h": 50, "lambda": 1, "r": [2], "factors": [[]]}))
+    assert main(["verify", str(path)]) == 1
+    cover = str((tuple(range(1, 51)), 0, 1))
+    assert capsys.readouterr().out.splitlines() == [
+        "edge-shapes: pass",
+        f"cover-multiplicity: fail  {cover[:80]}…",
+        "regularity: fail  (1, 1, 0, 2)",
+        "connectivity: fail  (1,)",
+        "degree-sum: fail  (2, <16069-bit integer>)",
+        "overall: INVALID",
+    ]
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="C(n - 1, h - 1) of the degree-sum witness is computed in full")
+def test_verify_cost_of_a_huge_binomial(tmp_path):
+    path = tmp_path / "huge-binomial.json"
+    path.write_text(json.dumps({"n": 10**8, "h": 10**6, "lambda": 1, "r": [2], "factors": [[]]}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfactor.cli", "verify", str(path)],
+        capture_output=True, text=True, timeout=2,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+
+
+# -- verify on fuzzed documents ---------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _base_doc() -> str:
+    f = construct(Params(6, 3, 1, (2, 2, 2, 2, 2)), seed=1, check_mode="off")
+    return json.dumps(factorization_to_doc(f))
+
+
+_JSON_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+# n and h are each set extreme or left alone.  The arithmetic checks
+# compute C(n, h) and C(n - 1, h - 1) exactly, about min(h, n - h) * log2(n)
+# bits each; a pair past 2**20 bits, such as n = 10**8 with h = 10**6 (45 s
+# per binomial), would time math.comb alone, so `fuzzed_documents` leaves
+# such pairs out and `test_verify_cost_of_a_huge_binomial` keeps that cost in view.
+_EXTREMES = {
+    "n": (10**8, 10**12, 10**18, 10**100),
+    "h": (50, 10**6, 10**12, 10**100),
+}
+_BINOMIAL_BITS = 2**20
+
+
+def _paths(node, path=()):
+    """Every path into a parsed document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid document after 0-3 edits, then maybe an extreme n, h or both.
+
+    An edit replaces a value by a small integer or by any JSON value,
+    drops it, or nests it one list deeper.
+    """
+    doc = json.loads(_base_doc())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("number", "number", "drop", "replace", "nest")))
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = [doc] if kind == "nest" else draw(_JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "nest":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = draw(st.integers(-3, 12) if kind == "number" else _JSON)
+    if isinstance(doc, dict):
+        for field, values in _EXTREMES.items():
+            if draw(st.integers(0, 2)) == 0:
+                doc[field] = draw(st.sampled_from(values))
+        n, h = doc.get("n"), doc.get("h")
+        if type(n) is int and type(h) is int and n > h >= 1:
+            assume(min(h, n - h) * n.bit_length() <= _BINOMIAL_BITS)
+    return doc
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(fuzzed_documents())
+def test_verify_survives_fuzzed_documents(doc):
+    buf = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            t = time.perf_counter()
+            rc = main(["verify", "-"])
+            seconds = time.perf_counter() - t
+    finally:
+        sys.stdin = stdin
+    assert rc in (0, 1, 4), buf.getvalue()
+    assert "Traceback" not in buf.getvalue()
+    assert seconds < 10.0, (seconds, doc)
 
 
 # -- feasible ---------------------------------------------------------------

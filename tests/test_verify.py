@@ -8,7 +8,9 @@ from types import SimpleNamespace
 
 from conftest import perturbation_fixtures
 from hypfactor import (
+    CheckResult,
     ColoredMultiHypergraph,
+    VerificationReport,
     binom,
     construct,
     initial_amalgam,
@@ -339,3 +341,141 @@ def test_all_perturbations_match_expected_vectors():
         rep = verify_factorization(f)
         assert _statuses(rep) == expected, name
         assert not rep.overall
+
+
+# -- final verification against a reference that walks 1..n -------------------
+
+
+def reference_factorization(f):
+    """The final checks as first written: every walk runs over 1..n.
+
+    The cover walks every h-subset of 1..n, regularity every vertex of
+    every factor, and connectivity runs `is_connected` on 1..n plus the
+    factor's edges.  It costs O(C(n, h)), so it serves small documents only.
+    """
+    n, h, lam, r, factors = f.n, f.h, f.lam, f.r, f.factors
+    checks = []
+    bad = None
+    if len(factors) != len(r):
+        bad = ("factor count", len(factors), len(r))
+    else:
+        for i, factor in enumerate(factors, start=1):
+            for e in factor:
+                vs = tuple(e)
+                if len(vs) != h or len(set(vs)) != h or any(not 1 <= v <= n for v in vs):
+                    bad = (i, vs)
+                    break
+            if bad:
+                break
+    checks.append(CheckResult("edge-shapes", bad is None, bad))
+    if bad is not None:
+        checks.append(CheckResult("cover-multiplicity", None, ("shapes failed",)))
+        checks.append(CheckResult("regularity", None, ("shapes failed",)))
+    else:
+        cover = Counter(tuple(sorted(e)) for factor in factors for e in factor)
+        bad = next(((U, cover[U], lam) for U in combinations(range(1, n + 1), h) if cover[U] != lam), None)
+        checks.append(CheckResult("cover-multiplicity", bad is None, bad))
+        bad = None
+        for i, factor in enumerate(factors, start=1):
+            deg = Counter(v for e in factor for v in e)
+            bad = next(((i, v, deg[v], r[i - 1]) for v in range(1, n + 1) if deg[v] != r[i - 1]), None)
+            if bad:
+                break
+        checks.append(CheckResult("regularity", bad is None, bad))
+    if h == 1:
+        checks.append(CheckResult("connectivity", None, ("h=1",)))
+    else:
+        bad = next(
+            ((i,) for i, factor in enumerate(factors, start=1)
+             if i <= len(r) and r[i - 1] >= 2 and not is_connected(range(1, n + 1), factor)),
+            None,
+        )
+        checks.append(CheckResult("connectivity", bad is None, bad))
+    want, got = lam * binom(n - 1, h - 1), sum(r)
+    checks.append(CheckResult("degree-sum", got == want, None if got == want else (got, want)))
+    return VerificationReport("final", tuple(checks), all(c.passed is not False for c in checks))
+
+
+# small constructions: h = 1..4, lam = 1, 2, factors with r_i = 1 and r_i >= 2
+DIFFERENTIAL_SPECS = [
+    (5, 2, 1, (2, 2)),
+    (6, 2, 1, (2, 2, 1)),
+    (7, 2, 1, (2, 2, 2)),
+    (4, 2, 2, (2, 2, 2)),
+    (6, 3, 1, (2, 2, 2, 2, 2)),
+    (6, 3, 1, (6, 4)),
+    (8, 4, 1, (7, 7, 7, 7, 7)),
+    (3, 1, 2, (1, 1)),
+]
+
+
+def _mutated(f, rng):
+    """A copy of `f` after 1-3 seeded edits to its edges or declared parameters.
+
+    Edits: drop, duplicate or move an edge between factors; set a vertex
+    to 0 or n + 1; change n, lambda or one r_i (r_i = 0 included); empty
+    a factor; remove a factor.  Edges stay in input order, unsorted where
+    an edit put them out of order.
+    """
+    n, lam, r = f.n, f.lam, list(f.r)
+    fs = [list(factor) for factor in f.factors]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("drop", "duplicate", "move", "vertex", "n", "lambda", "r", "empty", "remove"))
+        full = [i for i, factor in enumerate(fs) if factor]
+        if kind in ("drop", "duplicate", "move", "vertex") and full:
+            i = rng.choice(full)
+            j = rng.randrange(len(fs[i]))
+            if kind == "drop":
+                fs[i].pop(j)
+            elif kind == "duplicate":
+                fs[i].insert(rng.randrange(len(fs[i]) + 1), fs[i][j])
+            elif kind == "move":
+                fs[rng.randrange(len(fs))].append(fs[i].pop(j))
+            else:
+                e = list(fs[i][j])
+                e[rng.randrange(len(e))] = rng.choice((0, n + 1))
+                fs[i][j] = tuple(e)
+        elif kind == "n":
+            n = max(1, n + rng.choice((-2, -1, 1, 2, 5)))
+        elif kind == "lambda":
+            lam = max(0, lam + rng.choice((-1, 1)))
+        elif kind == "r":
+            i = rng.randrange(len(r))
+            r[i] = rng.choice((0, max(0, r[i] - 1), r[i] + 1))
+        elif kind == "empty":
+            fs[rng.randrange(len(fs))] = []
+        elif kind == "remove" and len(fs) > 1:
+            fs.pop(rng.randrange(len(fs)))
+    return Factorization(n, f.h, lam, tuple(r), tuple(tuple(factor) for factor in fs))
+
+
+def test_cover_witness_for_lambda_at_most_zero():
+    # with lambda = 0 every key is a miss and every absent subset a hit, so
+    # the first miss is the least key, found without walking the C(6002, 2)
+    # subsets (1, a, b) that come before it; with lambda < 0 it is (1, ..., h)
+    factor = tuple((3 * i + 2, 3 * i + 3, 3 * i + 4) for i in range(2000))
+    f = Factorization(10**6, 3, 0, (2,), (factor + factor[:1],))
+    assert verify_factorization(f).checks[1] == CheckResult(
+        "cover-multiplicity", False, ((2, 3, 4), 2, 0)
+    )
+    assert verify_factorization(Factorization(10**6, 3, 0, (2,), ((),))).checks[1].passed
+    g = Factorization(10**6, 3, -1, (2,), (factor,))
+    assert verify_factorization(g).checks[1].witness == ((1, 2, 3), 0, -1)
+
+
+def test_final_checks_match_reference_on_mutated_documents():
+    rng = random.Random("final-differential")
+    bases = [
+        construct(Params(*spec), seed=seed, check_mode="off")
+        for spec in DIFFERENTIAL_SPECS
+        for seed in (0, 1)
+    ]
+    failed = Counter()
+    for t in range(5000):
+        f = bases[t % len(bases)]
+        g = _mutated(f, rng) if t >= len(bases) else f
+        rep, ref = verify_factorization(g), reference_factorization(g)
+        assert rep.checks == ref.checks, (g.n, g.lam, g.r, g.factors)
+        assert rep.to_dict() == ref.to_dict()
+        failed.update(c.name for c in rep.checks if c.passed is False)
+    assert min(failed[name] for name in FINAL_CHECKS) >= 50, failed
