@@ -21,8 +21,12 @@ once its predecessor has one: any coloring can be relabeled within each
 equal-degree run to open classes in index order (and then have duplicate
 copies sorted) without disturbing sizes, degrees, or connectivity, so
 exactly one representative of each relabeling orbit survives.  The
-first-edge restriction to the lowest color of each distinct degree value
-is the depth-zero case of that rule and is kept in the interface.
+first edge may only take the lowest color of each distinct degree value
+(`first_ok`): swapping two equal-degree classes moves the first edge
+into the lower one.  This is not a case of the adjacent rule, which
+never compares equal-degree colors that another degree separates: for
+r = (2, 1, 2), `first_ok` bars color 3 at the first edge while
+`same_prev[3]` is False.
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) ->
         )
     if not 1 <= ell <= p.n - 1:
         raise ParameterError(f"stage {ell} outside 1..{p.n - 1}")
-    ground = G.hinges_at(G.alpha)
+    ground = G.hinges_at()
     decomps = wing_decompositions(G, ground)
     famA = build_wing_family(G, ground, decomps)
     famB = build_cell_family(G, ground)

@@ -11,8 +11,8 @@ exact.  The graph also indexes its amalgam-incident types by their
 amalgam multiplicity p (the counts stay in the one `Counter`):
 `add_edge` inserts a type when it first appears and `move_hinges`
 deletes it when it empties, so a split stage reads its ground from the
-index instead of scanning every type.  `edges()` and `color_class()` expand
-the counts into explicit `Edge` records for the verifier and the output.
+index instead of scanning every type.  `edges()` expands the counts into
+explicit `Edge` records for the verifier and the output.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ class ColoredMultiHypergraph:
             for _ in range(c):
                 yield Edge(next(ids), verts, color)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(self._types.values())
-
-    def color_class(self, color: int) -> list[Edge]:
-        return [e for e in self.edges() if e.color == color]
-
     def find(self, color: int, v: int) -> int:
         """Root of `v`'s component among the ordinary vertices of one color."""
         return self._uf[color].find(v)
@@ -193,41 +186,11 @@ class ColoredMultiHypergraph:
 
     # -- derived quantities ----------------------------------------------
 
-    def degree(self, u: int, color: Optional[int] = None) -> int:
-        """Occurrences of `u` over all edges, or over one color class."""
-        if u not in self.vertices:
-            raise ParameterError(f"vertex {u} not declared")
-        types = self._types.items()
-        return sum(c * vs.count(u) for (i, vs), c in types if color in (None, i))
+    def hinges_at(self) -> dict[tuple, tuple[int, int]]:
+        """Each amalgam-incident type, mapped to (count c, amalgam multiplicity p).
 
-    def multiplicity(self, alpha: int, p: int, U: Iterable[int]) -> int:
-        """Number of edges whose multiset is exactly {alpha^p} + U.
-
-        `U` must not contain `alpha` and p + |U| must equal h.  Counts
-        across all colors.
+        Reads the index of amalgam-incident types that `add_edge` and
+        `move_hinges` keep, so it costs O(amalgam-incident types).
         """
-        Ut = tuple(sorted(U))
-        if alpha in Ut:
-            raise ParameterError(f"U must avoid the pivot vertex {alpha}")
-        if p < 0 or p + len(Ut) != self.h:
-            raise ParameterError(
-                f"need p >= 0 and p + |U| = h, got p={p}, |U|={len(Ut)}, h={self.h}"
-            )
-        key = tuple(sorted((alpha,) * p + Ut))
-        return sum(self._types.get((i, key), 0) for i in range(1, self.k + 1))
-
-    def hinges_at(self, u: int) -> dict[tuple, tuple[int, int]]:
-        """Each edge type holding `u`, mapped to (count c, multiplicity p of `u`).
-
-        For the amalgam this reads the index of amalgam-incident types
-        that `add_edge` and `move_hinges` keep, so it costs
-        O(amalgam-incident types); any other vertex scans every type.
-        """
-        if u not in self.vertices:
-            raise ParameterError(f"vertex {u} not declared")
-        if u == self.alpha:
-            types = self._types
-            return {key: (types[key], p) for key, p in self._at_alpha.items()}
-        return {
-            key: (c, key[1].count(u)) for key, c in self._types.items() if u in key[1]
-        }
+        types = self._types
+        return {key: (types[key], p) for key, p in self._at_alpha.items()}

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import ColoredMultiHypergraph
-from .wings import ClassWings, wing_decompositions
+from .wings import ClassWings
 
 
 def weighted(ground) -> dict:
@@ -56,13 +56,12 @@ class LaminarFamily:
     size are disjoint, so their least elements differ and already decide
     the order without sorting any member; only a family that is not
     laminar can tie on (count, least element), and it is then sorted in
-    full, so the order never depends on the caller's.  Laminarity is checked at construction unless the
-    caller opts out (only tests of malformed input do); the checked
-    forest is kept for selection, and the sizes are summed through it in
-    one pass over the ground.
+    full, so the order never depends on the caller's.  Laminarity is
+    checked at construction; the checked forest is kept for selection,
+    and the sizes are summed through it in one pass over the ground.
     """
 
-    def __init__(self, ground: Iterable, members: Sequence[Member], validate: bool = True):
+    def __init__(self, ground: Iterable, members: Sequence[Member]):
         self.ground = weighted(ground)
         merged: dict[frozenset, Member] = {}
         for mb in members:
@@ -74,11 +73,6 @@ class LaminarFamily:
         if any(key[a] == key[b] for a, b in zip(order, order[1:])):
             order.sort(key=lambda s: (-len(s), sorted(s)))  # not laminar: overlapping ties
         self.members = tuple(merged[s] for s in order)
-        if not validate:
-            self._forest = None
-            weight = {x: c * p for x, (c, p) in self.ground.items()}
-            self.sizes = tuple(sum(weight.get(x, 0) for x in s) for s in order)
-            return
         self._forest = self.forest()
         parent, innermost = self._forest
         sizes = [0] * len(order)
@@ -91,10 +85,10 @@ class LaminarFamily:
         self.sizes = tuple(sizes)
 
     @classmethod
-    def from_sets(cls, ground, sets, tags=None, validate=True):
+    def from_sets(cls, ground, sets, tags=None):
         if tags is None:
             tags = [("set", i) for i in range(len(sets))]
-        return cls(ground, [Member(frozenset(s), (t,)) for s, t in zip(sets, tags)], validate)
+        return cls(ground, [Member(frozenset(s), (t,)) for s, t in zip(sets, tags)])
 
     def forest(self) -> tuple[list[int], dict]:
         """Containment forest: parent index per member (-1 for the root).
@@ -169,7 +163,7 @@ def selection_respects_bounds(
         if not c * lo <= got <= c * hi:
             return ("element", x, got, c * lo, c * hi)
     for fam in (famA, famB):
-        parent, innermost = fam._forest or fam.forest()
+        parent, innermost = fam._forest
         total = [0] * len(fam.members)
         for x, t in amounts.items():
             if innermost.get(x, -1) >= 0:
@@ -190,18 +184,16 @@ def selection_respects_bounds(
 
 def build_wing_family(
     G: ColoredMultiHypergraph,
-    ground: Optional[dict] = None,
-    decomps: Optional[dict[int, ClassWings]] = None,
+    ground: dict,
+    decomps: dict[int, ClassWings],
 ) -> LaminarFamily:
-    """Wing-side family over `ground = G.hinges_at(G.alpha)`.
+    """Wing-side family over `ground = G.hinges_at()` and its wings `decomps`.
 
     Per color: the class's types, the types of its wings with 2+ hinges,
     and each non-loop wing's types; wing lies within class and the union
     is one of whole wings.  Single edges need no member: each element's
     own bounds hold every edge of it.
     """
-    ground = G.hinges_at(G.alpha) if ground is None else ground
-    decomps = wing_decompositions(G, ground) if decomps is None else decomps
     members: list[Member] = []
     for i in range(1, G.k + 1):
         d = decomps[i]
@@ -211,13 +203,12 @@ def build_wing_family(
     return LaminarFamily(ground, members)
 
 
-def build_cell_family(G: ColoredMultiHypergraph, ground: Optional[dict] = None) -> LaminarFamily:
+def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
     """Cell-side family: types of every color grouped by shape (amalgam count, rest).
 
     Cells are pairwise disjoint, so the family is trivially laminar; its
     bounds keep shape multiplicities on schedule across splits.
     """
-    ground = G.hinges_at(G.alpha) if ground is None else ground
     cells: dict[tuple, list] = {}
     for key, (c, p) in ground.items():
         verts = key[1]
@@ -297,8 +288,8 @@ def equalized_select(
     if famA.ground != g or famB.ground != g:
         raise ParameterError("families must share the selection ground set")
 
-    parentA, innerA = famA._forest or famA.forest()
-    parentB, innerB = famB._forest or famB.forest()
+    parentA, innerA = famA._forest
+    parentB, innerB = famB._forest
 
     # Nodes: 0 source, 1 sink, 2 wing-side root, 3 cell-side root, one per
     # member of each family, then the super-source and super-sink.  Index

@@ -18,7 +18,7 @@ hinges to the new vertex is exactly what keeps the class connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .hypercore import ColoredMultiHypergraph, Edge, HingeRef, UnionFind
 
@@ -111,27 +111,23 @@ class ClassWings:
     """Wings of one color class over its amalgam-incident edge types.
 
     `wings` holds the types of each non-loop wing (a loop type stands for
-    c one-edge wings), `big` the types in wings with 2+ hinges, and
-    `delta` the number of hinges in `big`.
+    c one-edge wings) and `big` the types in wings with 2+ hinges.
     """
 
     types: frozenset
     wings: tuple[frozenset, ...]
     big: frozenset
-    delta: int
 
 
 def wing_decompositions(
-    G: ColoredMultiHypergraph, ground: Optional[dict] = None
+    G: ColoredMultiHypergraph, ground: dict
 ) -> dict[int, ClassWings]:
     """Wings of every color class of `G`, keyed by color.
 
-    `ground` is `G.hinges_at(G.alpha)`, computed when not given.  A
-    non-loop type joins the wing of its ordinary vertices' component in
-    the color's union-find; the pass over the ground that groups the
-    types also adds up each wing's hinges.
+    `ground` is `G.hinges_at()`.  A non-loop type joins the wing of its
+    ordinary vertices' component in the color's union-find; the pass over
+    the ground that groups the types also adds up each wing's hinges.
     """
-    ground = G.hinges_at(G.alpha) if ground is None else ground
     alpha, h = G.alpha, G.h
     types = {i: [] for i in range(1, G.k + 1)}
     loops = {i: [] for i in range(1, G.k + 1)}
@@ -151,14 +147,12 @@ def wing_decompositions(
     out = {}
     for i in range(1, G.k + 1):
         big = loops[i] if h >= 2 else []
-        delta = sum(ground[x][0] * h for x in big)
         wings = []
         for w, hinges in comps[i].values():
             wings.append(frozenset(w))
             if hinges >= 2:
                 big += w
-                delta += hinges
-        out[i] = ClassWings(frozenset(types[i]), tuple(wings), frozenset(big), delta)
+        out[i] = ClassWings(frozenset(types[i]), tuple(wings), frozenset(big))
     return out
 
 

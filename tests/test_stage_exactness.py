@@ -4,7 +4,9 @@ At every split stage the selector chooses an amount t per edge type.
 Expanded to hinges (t edges of the type, one hinge each), that choice
 must meet every floor/ceiling bound of the hinge-level wing family
 (class, multi-hinge union, wing, edge) and cell family, built here from
-`G.edges()` with `wing_decomposition` alone.
+`G.edges()` with `wing_decomposition` alone.  The class, multi-hinge
+union and wing members of the count-level wing family must also hold
+the same edge types and hinges as the reference's.
 
 The graph's split state (its amalgam index and the union-finds behind
 the wings) is kept across stages, so at every stage it must also match a
@@ -12,6 +14,7 @@ graph rebuilt from `G.edges()` through `add_edge`.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -25,6 +28,7 @@ from hypfactor import (
     initial_amalgam,
     split_step,
     wing_decomposition,
+    wing_decompositions,
 )
 from hypfactor import detach
 from hypfactor.detach import Params
@@ -83,6 +87,49 @@ def expand(edges, amounts):
     return chosen
 
 
+def wing_family(G):
+    """The count-level wing family a split stage builds on `G`."""
+    ground = G.hinges_at()
+    return build_wing_family(G, ground, wing_decompositions(G, ground))
+
+
+def cell_family(G):
+    return build_cell_family(G, G.hinges_at())
+
+
+def wing_members(fam, type_of, alpha):
+    """A wing family seen by edge type.
+
+    Returns {tag: (types, weight)} for every ("color", i) and
+    ("multiwing", i) tag, and per color the multiset of (types, weight)
+    over its non-loop wings; `type_of` maps an element to its edge type.
+    """
+    tagged, wings = {}, {}
+    for mb, size in zip(fam.members, fam.sizes):
+        types = frozenset(map(type_of, mb.elements))
+        for tag in mb.tags:
+            if tag[0] in ("color", "multiwing"):
+                tagged[tag] = (types, size)
+            elif tag[0] == "wing" and any(set(verts) != {alpha} for _, verts in types):
+                wings.setdefault(tag[1], Counter())[types, size] += 1
+    return tagged, wings
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
+def test_every_stage_has_the_reference_wing_members(spec, seed):
+    # the class, multi-hinge union and wings of every color carry the same
+    # types and hinges as the hinge-level reference
+    p = Params(*spec)
+    G = initial_amalgam(p)
+    for ell in range(1, p.n):
+        edges, _, ref, _ = hinge_reference(G)
+        type_of = {e.id: (e.color, e.verts) for e in edges}
+        want = wing_members(ref, lambda x: type_of[x.edge_id], G.alpha)
+        assert wing_members(wing_family(G), lambda x: x, G.alpha) == want
+        split_step(G, ell, p, seed=seed)
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
 def test_every_stage_is_hinge_exact(spec, seed, monkeypatch):
@@ -127,8 +174,8 @@ def family_shape(fam):
 
 def assert_matches_rebuild(G):
     R = rebuilt(G)
-    assert G.hinges_at(G.alpha) == R.hinges_at(R.alpha)
-    for build in (build_wing_family, build_cell_family):
+    assert G.hinges_at() == R.hinges_at()
+    for build in (wing_family, cell_family):
         assert family_shape(build(G)) == family_shape(build(R))
 
 

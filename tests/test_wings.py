@@ -22,6 +22,11 @@ from conftest import detached_is_connected as _detached_is_connected
 from conftest import random_connected_class as _random_connected_class
 
 
+def _big_hinges(d, ground):
+    """Hinges in the multi-hinge wings of one class: c * p summed over `big`."""
+    return sum(ground[x][0] * ground[x][1] for x in d.big)
+
+
 # -- is_connected -----------------------------------------------------------
 
 
@@ -97,8 +102,8 @@ def test_wings_partition_amalgam_hinges():
     G = initial_amalgam(p)
     for ell in (1, 2):
         split_step(G, ell, p, seed=4)
-    ground = G.hinges_at(G.alpha)
-    decomps = wing_decompositions(G)
+    ground = G.hinges_at()
+    decomps = wing_decompositions(G, ground)
     for i in range(1, p.k + 1):
         d = decomps[i]
         loops = {key for key in d.types if ground[key][1] == G.h}
@@ -109,15 +114,17 @@ def test_wings_partition_amalgam_hinges():
             roots = {G.find(i, next(v for v in key[1] if v != G.alpha)) for key in w}
             assert len(roots) == 1
         assert seen == d.types == {key for key in ground if key[0] == i}
-        assert d.delta == wing_decomposition(G.color_class(i), G.alpha).delta
+        cls = [e for e in G.edges() if e.color == i]
+        assert _big_hinges(d, ground) == wing_decomposition(cls, G.alpha).delta
 
 
 def test_base_amalgam_delta_is_class_degree():
     # every loop carries h >= 2 hinges, so delta equals r_i * n
     G = initial_amalgam(Params(5, 3, 1, (3, 3)))
-    decomps = wing_decompositions(G)
-    assert decomps[1].delta == 3 * 5
-    assert decomps[2].delta == 3 * 5
+    ground = G.hinges_at()
+    decomps = wing_decompositions(G, ground)
+    assert _big_hinges(decomps[1], ground) == 3 * 5
+    assert _big_hinges(decomps[2], ground) == 3 * 5
 
 
 # -- split connectivity criterion -------------------------------------------
