@@ -23,7 +23,7 @@ needs no relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import ColoredMultiHypergraph, binom
@@ -161,13 +161,17 @@ def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) ->
 
 @dataclass
 class Factorization:
-    """Finished result: factor i is a sorted tuple of sorted vertex tuples."""
+    """A factorization: factor i is a sequence of edges, each a sequence of vertices.
+
+    The factors are kept as given; `canonical` sorts every edge and every
+    factor into tuples, as `construct` and the oracle return them.
+    """
 
     n: int
     h: int
     lam: int
     r: tuple[int, ...]
-    factors: tuple
+    factors: Sequence
     report: Optional[VerificationReport] = None
     stage_reports: tuple = field(default_factory=tuple)
 

@@ -225,7 +225,10 @@ def _max_flow(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: in
     """Dinic max flow from `s` to `t`, updating the residual capacities `cap`.
 
     `adj[u]` lists the arcs out of node u; arc a enters `to[a]` and its
-    reverse is arc a ^ 1.  Blocking flows walk an explicit arc stack.
+    reverse is arc a ^ 1.  Each BFS stops once t has its level: a node it
+    leaves unlabelled lies at t's level or beyond, so no shortest path to
+    t uses it, and the blocking flow would only retreat from it.  Blocking
+    flows walk an explicit arc stack.
     """
     n = len(adj)
     total = 0
@@ -239,6 +242,8 @@ def _max_flow(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: in
                 if cap[a] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
+            if level[t] >= 0:  # every node below t's level has its own
+                break
         if level[t] < 0:
             return total
         it = [0] * n

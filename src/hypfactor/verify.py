@@ -6,25 +6,35 @@ or other state of the construction.  Each report has one entry per check
 with a small witness for the first violation found (an edge is named by
 the first id of its type), in the JSON shape the command line emits.
 
-`verify_factorization` costs O((E + 1) * h) time and memory for E edges
-of size h, up to the log factor of sorting, whatever n and lambda the
-document declares: it builds nothing per declared vertex and never walks
-1..n, so a 60-byte document declaring n = 10**8 is rejected in
-milliseconds.  (The + 1 is the cover witness of an empty document, one
-h-subset.)  The one term outside that bound is the exact arithmetic of
-the binomials C(n, h) and C(n - 1, h - 1), whose size is about
-min(h, n - h) * log2(n) bits.
+`verify_factorization` reads the factors as given: the order of the edges
+and of the vertices inside an edge decides no verdict, and only the
+witness of a malformed edge names an edge by its place in that order
+(`Factorization.canonical` sorts a factorization first where that
+witness should not depend on the input order).  It costs O((E + 1) * h)
+time and memory for E edges of size h, up to the log factor of sorting
+each edge, whatever n and lambda the document declares: it builds
+nothing per declared vertex and never walks 1..n, so a 60-byte document
+declaring n = 10**8 is rejected in milliseconds.  (The + 1 is the cover
+witness of an empty document, one h-subset.)  The binomials C(n, h) and
+C(n - 1, h - 1) are computed exactly only up to an estimated
+`_BINOMIAL_BITS` bits; past that, C(N, j) for j = 1, 2, ... is built only
+until it passes the count the document holds, which proves the equality
+false at a cost that follows the document.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse, islice
 from typing import Optional
 
 from .hypercore import ColoredMultiHypergraph, UnionFind, binom
-from .wings import is_connected
+from .wings import joins
+
+# past this estimated size in bits, a binomial is compared with a count
+# without computing it in full (see `_passes`)
+_BINOMIAL_BITS = 2**20
 
 
 @dataclass(frozen=True)
@@ -193,35 +203,51 @@ def _first_bad_edge(factors, h, n) -> Optional[tuple]:
 
 def _least_unseen(seen, n: int, count: int) -> list:
     """The `count` smallest of 1..n missing from `seen`, in O(|seen| + count) steps."""
-    out, v = [], 1
-    while len(out) < count and v <= n:
-        if v not in seen:
-            out.append(v)
-        v += 1
-    return out
+    return list(islice(filterfalse(seen.__contains__, range(1, n + 1)), count))
 
 
-def _connected(factor, n: int) -> bool:
+def _connected(factor, seen, n: int) -> bool:
     """Whether the vertices 1..n and every vertex an edge uses form one component.
 
-    A declared vertex that no edge uses is isolated, so the union-find of
-    `is_connected` runs only when every one of 1..n is seen.
+    `seen` holds the vertices the factor's edges use.  A declared vertex
+    that no edge uses is isolated, so the unions run only when every one
+    of 1..n is seen.
     """
-    seen = set(chain.from_iterable(factor))
     if _least_unseen(seen, n, 1):
         return n == 1 and not seen
-    return is_connected((), factor)
+    return joins(factor, len(seen) - 1)
+
+
+def _passes(N: int, k: int, count: int) -> Optional[int]:
+    """The least j with C(N, j) > `count`, if C(N, k) is too large to compute.
+
+    None when min(k, N - k) * log2(N), an upper estimate of the bits of
+    C(N, k), is at most `_BINOMIAL_BITS`: the caller then computes C(N, k)
+    in full.  Past that, C(N, j) is built for j = 1, 2, ... up to
+    min(k, N - k), where it grows with j and reaches C(N, k), so stopping
+    once it passes `count` proves C(N, k) > `count`.  A count held by a
+    document passes within about log2(count) steps.
+    """
+    top = min(k, N - k)
+    if top * N.bit_length() <= _BINOMIAL_BITS:
+        return None
+    c = 1
+    for j in range(1, top + 1):
+        c = c * (N - j + 1) // j
+        if c > count:
+            return j
+    return None
 
 
 def verify_factorization(f) -> VerificationReport:
     """Full independent check of a finished factorization.
 
     `f` supplies (n, h, lam, r, factors) where factors[i] is a sequence
-    of vertex tuples.  Five checks: edge shapes, cover multiplicity,
-    per-factor regularity, connectivity of factors with r_i >= 2 (for
-    h >= 2), and the declared degree sum.  Cover and regularity are
-    skipped when shapes fail, since their counts are meaningless over
-    malformed edges.
+    of edges, each a sequence of vertices, in any order.  Five checks:
+    edge shapes, cover multiplicity, per-factor regularity, connectivity
+    of factors with r_i >= 2 (for h >= 2), and the declared degree sum.
+    Cover and regularity are skipped when shapes fail, since their counts
+    are meaningless over malformed edges.
 
     Each verdict comes from counts over the edges given (C-level passes);
     a per-edge or per-subset walk runs only on failure, to name the
@@ -233,6 +259,8 @@ def verify_factorization(f) -> VerificationReport:
     n, h, lam, r = f.n, f.h, f.lam, f.r
     factors = f.factors
     checks: list[CheckResult] = []
+    # the vertex degrees of each factor, read by regularity and connectivity
+    degs = [Counter(chain.from_iterable(factor)) for factor in factors]
 
     if len(factors) != len(r):
         bad = ("factor count", len(factors), len(r))
@@ -260,7 +288,11 @@ def verify_factorization(f) -> VerificationReport:
             # every key is a miss and every absent subset a hit
             U = min(cover, default=None)
             bad = None if U is None else (U, cover[U], lam)
-        elif len(cover) != binom(n, h) or not set(cover.values()) <= {lam}:
+        elif (
+            _passes(n, h, len(cover))
+            or len(cover) != binom(n, h)
+            or not set(cover.values()) <= {lam}
+        ):
             # the first miss in lexicographic order uses only seen vertices
             # and the h least unseen ones: trading an unseen vertex for a
             # smaller unseen one gives another miss, and an earlier one.
@@ -275,8 +307,7 @@ def verify_factorization(f) -> VerificationReport:
         checks.append(CheckResult("cover-multiplicity", bad is None, bad))
 
         bad = None
-        for i, (factor, ri) in enumerate(zip(factors, r), start=1):
-            deg = Counter(chain.from_iterable(factor))
+        for i, (deg, ri) in enumerate(zip(degs, r), start=1):
             if set(deg.values()) <= {ri} and (ri == 0 or len(deg) == n):
                 continue
             # the least vertex of wrong degree, seen or (unless r_i = 0) unseen
@@ -292,16 +323,20 @@ def verify_factorization(f) -> VerificationReport:
         checks.append(CheckResult("connectivity", None, ("h=1",)))
     else:
         bad = next(
-            ((i,) for i, (factor, ri) in enumerate(zip(factors, r), start=1)
-             if ri >= 2 and not _connected(factor, n)),
+            ((i,) for i, (factor, deg, ri) in enumerate(zip(factors, degs, r), start=1)
+             if ri >= 2 and not _connected(factor, deg, n)),
             None,
         )
         checks.append(CheckResult("connectivity", bad is None, bad))
 
-    want = lam * binom(n - 1, h - 1)
+    # lambda * C(n - 1, h - 1) == got forces C(n - 1, h - 1) == got // lambda
     got = sum(r)
-    checks.append(
-        CheckResult("degree-sum", got == want, None if got == want else (got, want))
-    )
+    j = _passes(n - 1, h - 1, got // lam) if lam else None
+    if j is not None:
+        bad = (got, f"C(n - 1, h - 1) >= C(n - 1, {j}) > sum(r) // lambda")
+    else:
+        want = lam * binom(n - 1, h - 1)
+        bad = None if got == want else (got, want)
+    checks.append(CheckResult("degree-sum", bad is None, bad))
 
     return _finish("final", checks)

@@ -29,11 +29,19 @@ def is_connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> boo
     Every declared vertex must land in the single component; a declared
     vertex incident with no edge therefore makes the answer False (unless
     it is the only vertex).  Edges may be multisets; repeats are ignored
-    for reachability.  The unions stop as soon as they have joined all
-    vertices, which a full cover reaches long before its last edge.
+    for reachability.
     """
     edges = list(edges)
-    need = len(set(vertices).union(*edges)) - 1  # unions that join two parts
+    return joins(edges, len(set(vertices).union(*edges)) - 1)
+
+
+def joins(edges: Iterable[Sequence[int]], need: int) -> bool:
+    """Whether unions along `edges` join two parts at least `need` times.
+
+    With `need` one less than the number of vertices the edges use, that
+    is whether those vertices form one component.  The unions stop as soon
+    as they reach `need`, which a full cover does long before its last edge.
+    """
     if need <= 0:
         return True
     dsu = UnionFind()

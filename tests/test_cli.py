@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,7 +20,8 @@ from hypfactor.cli import (
     factorization_to_doc,
     main,
 )
-from hypfactor.detach import Params
+from hypfactor.detach import Factorization, Params
+from hypfactor.verify import verify_factorization
 
 
 def run(capsys, *argv):
@@ -299,11 +301,12 @@ def test_verify_bounds_the_witnesses_it_prints(capsys, tmp_path):
     ]
 
 
-@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
-                   reason="C(n - 1, h - 1) of the degree-sum witness is computed in full")
 def test_verify_cost_of_a_huge_binomial(tmp_path):
+    # C(n - 1, h - 1) has about 8.1 million bits and takes 45 s to compute;
+    # C(n - 1, 1) already passes the degree sum, which settles the check
+    doc = {"n": 10**8, "h": 10**6, "lambda": 1, "r": [2], "factors": [[]]}
     path = tmp_path / "huge-binomial.json"
-    path.write_text(json.dumps({"n": 10**8, "h": 10**6, "lambda": 1, "r": [2], "factors": [[]]}))
+    path.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "hypfactor.cli", "verify", str(path)],
@@ -311,6 +314,72 @@ def test_verify_cost_of_a_huge_binomial(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 1
+    witness = (2, "C(n - 1, h - 1) >= C(n - 1, 1) > sum(r) // lambda")
+    assert proc.stdout.splitlines()[2:] == [
+        "regularity: fail  (1, 1, 0, 2)",
+        "connectivity: fail  (1,)",
+        f"degree-sum: fail  {witness}",
+        "overall: INVALID",
+    ]
+    assert len(str(witness)) < 80
+
+
+# -- verify reads a document as written --------------------------------------
+
+
+def _rendered(rep) -> tuple[int, str]:
+    """The exit code and standard output of `verify` for the report `rep`."""
+    lines = [
+        f"{c.name}: {c.status}" + ("" if c.witness is None else f"  {cli._cut(cli._witness_text(c.witness))}")
+        for c in rep.checks
+    ]
+    lines.append(f"overall: {'valid' if rep.overall else 'INVALID'}")
+    return (0 if rep.overall else 1), "\n".join(lines) + "\n"
+
+
+_EDITS = ("none", "repeated vertex", "zeros", "drop", "over-long", "move")
+
+
+def _shuffled(doc: dict, edit: str, rng) -> dict:
+    """`doc` with each factor's edges and each edge's vertices shuffled, then one edit."""
+    n, factors = doc["n"], [[rng.sample(e, len(e)) for e in factor] for factor in doc["factors"]]
+    for factor in factors:
+        rng.shuffle(factor)
+    i = rng.choice([i for i, factor in enumerate(factors) if factor])
+    factor = factors[i]
+    j = rng.randrange(len(factor))
+    if edit == "repeated vertex":
+        factor[j][1] = factor[j][0]
+    elif edit == "zeros":
+        factor[j] = [0] * len(factor[j])
+    elif edit == "drop":
+        factor.pop(j)
+    elif edit == "over-long":
+        factor[j].append(rng.randint(1, n))
+    elif edit == "move":
+        factors[rng.choice([x for x in range(len(factors)) if x != i])].append(factor.pop(j))
+    return {**doc, "factors": factors}
+
+
+def test_verify_as_written_matches_the_canonical_report(capsys, tmp_path):
+    specs = [
+        (5, 2, 1, (2, 2)), (6, 2, 1, (2, 2, 1)), (7, 2, 1, (2, 2, 2)), (4, 2, 2, (2, 2, 2)),
+        (6, 3, 1, (2, 2, 2, 2, 2)), (6, 3, 1, (6, 4)), (8, 4, 1, (7, 7, 7, 7, 7)),
+    ]
+    docs = [
+        factorization_to_doc(construct(Params(*spec), seed=seed, check_mode="off"))
+        for spec in specs for seed in (0, 1, 2)
+    ]
+    rng = random.Random("verify-as-written")
+    path = tmp_path / "doc.json"
+    for t in range(30 * len(docs)):
+        edit = _EDITS[t // len(docs) % len(_EDITS)]
+        doc = _shuffled(docs[t % len(docs)], edit, rng)
+        path.write_text(json.dumps(doc))
+        rc = main(["verify", str(path)])
+        canonical = Factorization.canonical(doc["n"], doc["h"], doc["lambda"], doc["r"], doc["factors"])
+        assert (rc, capsys.readouterr().out) == _rendered(verify_factorization(canonical)), doc
+        assert rc == (edit != "none")
 
 
 # -- verify on fuzzed documents ---------------------------------------------
@@ -334,11 +403,12 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12,
 )
-# n and h are each set extreme or left alone.  The arithmetic checks
-# compute C(n, h) and C(n - 1, h - 1) exactly, about min(h, n - h) * log2(n)
-# bits each; a pair past 2**20 bits, such as n = 10**8 with h = 10**6 (45 s
-# per binomial), would time math.comb alone, so `fuzzed_documents` leaves
-# such pairs out and `test_verify_cost_of_a_huge_binomial` keeps that cost in view.
+# n and h are each set extreme or left alone.  Past an estimated 2**20
+# bits, min(h, n - h) * log2(n), the arithmetic checks no longer compute
+# C(n, h) and C(n - 1, h - 1) in full, but the cover witness of a document
+# that lacks an h-subset is that h-subset, built whatever its size (0.7 s
+# and 100 MiB at h = 10**6).  So `fuzzed_documents` still leaves such pairs
+# out, and `test_verify_cost_of_a_huge_binomial` runs one of them.
 _EXTREMES = {
     "n": (10**8, 10**12, 10**18, 10**100),
     "h": (50, 10**6, 10**12, 10**100),

@@ -15,14 +15,18 @@ from hypfactor import (
     binom,
     build_cell_family,
     build_wing_family,
+    check_feasibility,
+    construct,
     equalized_select,
     exhaustive_select,
     initial_amalgam,
     split_step,
     wing_decompositions,
 )
+from hypfactor import laminar
 from hypfactor.detach import Params
 from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
+from test_acceptance import _fixture_vectors
 
 EMPTY = LaminarFamily.from_sets(frozenset(), [])
 
@@ -324,3 +328,102 @@ def test_containment_in_exhaustive_space():
         assert space, "laminar instance admits no selection"
         sel = equalized_select(ground, famA, famB, m, seed=trial)
         assert sel.chosen in space
+
+
+# -- max flow against a full-BFS reference ---------------------------------
+
+
+def reference_max_flow(adj, to, cap, s, t):
+    """Dinic as first written: each BFS labels every node it can reach."""
+    n = len(adj)
+    total = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return total
+        it = [0] * n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                f = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                total += f
+                path.clear()
+                u = s
+            for i in range(it[u], len(adj[u])):
+                a = adj[u][i]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    it[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                if not path:
+                    break
+                it[u] = len(adj[u])
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+
+
+@pytest.fixture()
+def flows_checked(monkeypatch):
+    """Run every `_max_flow` call next to the reference on a copy of its network.
+
+    Both must route the same total and leave the same residual capacities,
+    so every augmenting path is the same.  Yields the list of checked calls.
+    """
+    fast, calls = laminar._max_flow, []
+
+    def both(adj, to, cap, s, t):
+        ref_cap = list(cap)
+        want = reference_max_flow(adj, to, ref_cap, s, t)
+        got = fast(adj, to, cap, s, t)
+        assert (got, cap) == (want, ref_cap)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(laminar, "_max_flow", both)
+    yield calls
+
+
+def test_max_flow_matches_full_bfs_on_the_acceptance_grid(flows_checked):
+    grid = [
+        Params(n, h, lam, r)
+        for h in (2, 3, 4)
+        for n in range(h + 1, 11)
+        for lam in (1, 2)
+        for r in _fixture_vectors(n, h, lam)
+        if check_feasibility(Params(n, h, lam, r)).ok
+    ]
+    for p in grid:
+        construct(p, seed=0, check_mode="off")
+    assert len(grid) == 115 and len(flows_checked) == sum(p.n - 1 for p in grid)
+
+
+def test_max_flow_matches_full_bfs_on_random_networks(flows_checked):
+    rng = random.Random("max-flow")
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        adj, to, cap = [[] for _ in range(n)], [], []
+        for _ in range(rng.randint(0, 4 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            for x, y, c in ((u, v, rng.choice((0, 1, 2, 5, 1 << 60))), (v, u, 0)):
+                adj[x].append(len(to))
+                to.append(y)
+                cap.append(c)
+        laminar._max_flow(adj, to, cap, 0, n - 1)
+    for trial in range(200):
+        ground, famA, famB = random_laminar_pair(rng, rng.randint(1, 24))
+        equalized_select(ground, famA, famB, rng.randint(2, 6), seed=trial)
+    assert len(flows_checked) == 2200 and any(flows_checked)

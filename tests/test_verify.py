@@ -1,6 +1,7 @@
 """Tests for stage-invariant and final-factorization verification."""
 
 import json
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -466,6 +467,23 @@ def test_cover_witness_for_lambda_at_most_zero():
     assert verify_factorization(Factorization(10**6, 3, 0, (2,), ((),))).checks[1].passed
     g = Factorization(10**6, 3, -1, (2,), (factor,))
     assert verify_factorization(g).checks[1].witness == ((1, 2, 3), 0, -1)
+
+
+def test_degree_sum_past_the_binomial_estimate():
+    # C(n - 1, h - 1) past the 2**20-bit estimate is built up as C(n - 1, j),
+    # j = 1, 2, ..., until it passes sum(r) // lambda; a sum it never passes
+    # is compared with the binomial itself
+    stop = "C(n - 1, h - 1) >= C(n - 1, {}) > sum(r) // lambda"
+    n, h = 2**20 + 2, 2**20 // 21 + 2
+    for r, lam, j in [((10**6 - 2,), 1, 1), ((n * n,), 2, 3), ((-5,), 1, 1), ((n,), -1, 1)]:
+        rep = verify_factorization(Factorization(n, h, lam, r, ((),)))
+        assert rep.checks[-1] == CheckResult("degree-sum", False, (r[0], stop.format(j)))
+        json.dumps(rep.to_dict())
+    n = 2 ** (2**19) + 1  # C(n - 1, 2) has about 2**20 bits, over an estimate just past 2**20
+    want = math.comb(n - 1, 2)
+    for got, witness in [(want, None), (want - 1, stop.format(2)), (want + 1, want)]:
+        check = verify_factorization(Factorization(n, 3, 1, (got,), ((),))).checks[-1]
+        assert check == CheckResult("degree-sum", got == want, None if got == want else (got, witness))
 
 
 def test_final_checks_match_reference_on_mutated_documents():
