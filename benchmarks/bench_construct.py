@@ -1,16 +1,19 @@
 """Wall time and peak memory of `construct` on a fixed ladder of instances.
 
-Times `construct(p, seed=1, check_mode="off")` on each instance, keeps the
-best of a few runs, and for instances of at most 5,000 edges takes the
-tracemalloc peak of one more run (tracemalloc slows a run several times
-over, so larger instances skip it).  Prints one line per instance and
-appends one row per instance to BENCH_construct.json at the root of the
-checkout, so the file keeps the rows of every measured commit.  Each row
-records the commit checked out, whether `src/` differed from it, the
-Python version, the CPU count and `src_tree`: the git tree id of `src/`
-as measured, computed from the files.  It equals `git rev-parse C:src`
-for every commit C that holds the same code, so rows measured on an
-uncommitted change name the commit that later holds it.
+Times `construct(p, seed=1, check_mode="off")` on each instance and keeps
+the best of a few runs.  For instances of at most 5,000 edges it also
+keeps the best of as many runs with `check_mode="full"` (`full_wall_s`:
+the construction plus `verify_stage` at every stage and the final check)
+and takes the tracemalloc peak of one more unchecked run (tracemalloc
+slows a run several times over, so larger instances skip it).  Prints
+one line per instance and appends one row per instance to
+BENCH_construct.json at the root of the checkout, so the file keeps the
+rows of every measured commit.  Each row records the commit checked out,
+whether `src/` differed from it, the Python version, the CPU count and
+`src_tree`: the git tree id of `src/` as measured, computed from the
+files.  It equals `git rev-parse C:src` for every commit C that holds the
+same code, so rows measured on an uncommitted change name the commit
+that later holds it.
 
 The package is imported from `src/` of the checkout this script sits in.
 
@@ -94,11 +97,11 @@ def src_tree_id() -> str:
     return tree(root["src"]).hex()
 
 
-def best_wall(p: Params, repeat: int) -> float:
+def best_wall(p: Params, repeat: int, check_mode: str = "off") -> float:
     best = math.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
-        construct(p, seed=SEED, check_mode="off")
+        construct(p, seed=SEED, check_mode=check_mode)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -127,17 +130,23 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
     }
     rows = []
-    print(f"{'instance':<34}  {'edges':>6}  {'construct':>10}  {'peak MiB':>8}")
+    print(f"{'instance':<34}  {'edges':>6}  {'construct':>10}  {'checked':>10}"
+          f"  {'peak MiB':>8}")
     for r_label, p in LADDER:
         edges = p.lam * math.comb(p.n, p.h)
         wall = best_wall(p, args.repeat)
-        peak = tracemalloc_peak_mib(p) if edges <= MEMORY_MAX_EDGES else None
+        small = edges <= MEMORY_MAX_EDGES
+        full = best_wall(p, args.repeat, "full") if small else None
+        peak = tracemalloc_peak_mib(p) if small else None
         label = f"n={p.n} h={p.h} lam={p.lam} r={r_label}"
         rows.append({**common, "instance": label, "edges": edges, "repeat": args.repeat,
                      "wall_s": round(wall, 4),
+                     "full_wall_s": None if full is None else round(full, 4),
                      "tracemalloc_peak_mib": None if peak is None else round(peak, 3)})
+        full_text = "-" if full is None else f"{full:.3f}s"
         peak_text = "-" if peak is None else f"{peak:.2f}"
-        print(f"{label:<34}  {edges:>6}  {wall:>9.3f}s  {peak_text:>8}", flush=True)
+        print(f"{label:<34}  {edges:>6}  {wall:>9.3f}s  {full_text:>10}  {peak_text:>8}",
+              flush=True)
 
     old = []
     if os.path.exists(OUT):

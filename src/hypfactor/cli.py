@@ -26,13 +26,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from itertools import chain
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import binom
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
-from .verify import verify_factorization
+from .verify import _first_bad_edge, verify_factorization
 
 GENERATE_EDGE_GUARD = 10**6
 
@@ -91,10 +92,9 @@ def doc_to_factorization(doc) -> Factorization:
     """Validate a parsed document and wrap it as a factorization.
 
     The factors are the document's lists as written, neither sorted nor
-    copied; `Factorization.canonical` sorts them where order matters.
-    Raises ParameterError naming the offending field on any structural
-    problem, or on declared parameters `Params` rejects; the caller maps
-    that to the parse-failure exit code.
+    copied.  Raises ParameterError naming the offending field on any
+    structural problem, or on declared parameters `Params` rejects; the
+    caller maps that to the parse-failure exit code.
     """
     if not isinstance(doc, dict):
         raise ParameterError("document root must be a JSON object")
@@ -215,10 +215,16 @@ def cmd_verify(args) -> int:
         print(f"parse failure: {e}", file=sys.stderr)
         return 4
     # no verdict depends on the order of edges or vertices; the one witness
-    # that does, the first malformed edge, is named in canonical order
+    # that does, the first malformed edge, is named in canonical order.
+    # Sorting keeps the factor order, so that edge is the least malformed
+    # one, each edge sorted, of the factor the report names.
     rep = verify_factorization(f)
-    if not rep.checks[0].passed:  # edge-shapes
-        rep = verify_factorization(Factorization.canonical(f.n, f.h, f.lam, f.r, f.factors))
+    shapes = rep.checks[0]
+    if not shapes.passed and shapes.witness[0] != "factor count":
+        i = shapes.witness[0]
+        edges = sorted(map(tuple, map(sorted, f.factors[i - 1])))
+        shapes = replace(shapes, witness=(i, _first_bad_edge([edges], f.h, f.n)[1]))
+        rep = replace(rep, checks=(shapes,) + rep.checks[1:])
     for c in rep.checks:
         extra = "" if c.witness is None else f"  {_cut(_witness_text(c.witness))}"
         print(f"{c.name}: {c.status}{extra}")

@@ -1,16 +1,17 @@
 """Independent verification of pipeline stages and finished factorizations.
 
 Everything is recomputed from the explicit edge list: `verify_stage`
-recounts `G.edges()` by type (color, verts) and reads no count, union-find
-or other state of the construction.  Each report has one entry per check
-with a small witness for the first violation found (an edge is named by
-the first id of its type), in the JSON shape the command line emits.
+counts `G.edges()` once by type (color, verts), reads no state of the
+construction, and walks the types or edges only to name the witness of
+a failed check.  Each report has one entry per check with a small
+witness for the first violation found (an edge is named by the first id
+of its type), in the JSON shape the command line emits.
 
 `verify_factorization` reads the factors as given: the order of the edges
 and of the vertices inside an edge decides no verdict, and only the
 witness of a malformed edge names an edge by its place in that order
-(`Factorization.canonical` sorts a factorization first where that
-witness should not depend on the input order).  It costs O((E + 1) * h)
+(the command line sorts the factor it names, so that its witness does
+not depend on the input order).  It costs O((E + 1) * h)
 time and memory for E edges of size h, up to the log factor of sorting
 each edge, whatever n and lambda the document declares: it builds
 nothing per declared vertex and never walks 1..n, so a 60-byte document
@@ -27,9 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, filterfalse, islice
+from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .hypercore import ColoredMultiHypergraph, UnionFind, binom
+from .hypercore import ColoredMultiHypergraph, binom
 from .wings import joins
 
 # past this estimated size in bits, a binomial is compared with a count
@@ -83,27 +85,38 @@ def _finish(stage, checks) -> VerificationReport:
     return VerificationReport(stage, tuple(checks), overall)
 
 
-def _class_wings(types, alpha, split_verts) -> tuple[bool, int]:
-    """Connectivity and `delta` of one color class given as (verts, count) types.
+def _first_id(G, key) -> int:
+    """Id of the first explicit edge of type `key`, (color, verts)."""
+    return next(e.id for e in G.edges() if (e.color, e.verts) == key)
 
-    The wings are the components of the ordinary vertices, plus one per loop
-    edge; connected iff every component meets the amalgam (vacuous if none).
+
+def _wings(ends, nodes: int) -> tuple[bool, int]:
+    """Connectivity and non-loop `delta` of one class.
+
+    The class has `nodes` split and ordinary vertices, and `ends` holds
+    (ordinary vertices, amalgam occurrences) of each of its types.  Unions
+    along them leave nodes - joins components, the wings; the class is
+    connected iff each carries a hinge.
     """
-    uf, loops, ends = UnionFind({v: v for v in split_verts}), 0, []
-    for verts, c in types:
-        rest = [v for v in verts if v != alpha]
-        q = len(verts) - len(rest)
-        if rest:
-            for v in rest[1:]:
-                uf.union(v, rest[0])
-            ends.append((rest[0], c * q))
-        elif q >= 2:
-            loops += c * q
-    hinges = Counter()
-    for u, x in ends:
-        hinges[uf.find(u)] += x
-    connected = all(hinges[uf.find(v)] for v in list(uf.parent))
-    return connected, loops + sum(x for x in hinges.values() if x >= 2)
+    parent, joins = {}, 0  # non-roots only
+    for rest, _ in ends:
+        a = rest[0]
+        while a in parent:
+            a = parent[a]
+        for v in rest[1:]:
+            while v in parent:
+                v = parent[v]
+            if v != a:
+                parent[v] = a
+                joins += 1
+    hinges: dict = {}
+    for rest, x in ends:
+        if x:
+            a = rest[0]
+            while a in parent:
+                a = parent[a]
+            hinges[a] = hinges.get(a, 0) + x
+    return len(hinges) == nodes - joins, sum(x for x in hinges.values() if x >= 2)
 
 
 def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
@@ -111,64 +124,70 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
 
     `G` must be the intermediate object with `ell` vertices; `p` supplies
     (n, h, lam, r).  Checks: per-color degrees, shape multiplicities over
-    every cell including forced-zero ones, per-edge amalgam bound,
-    connectivity of classes with r_i >= 2, and the multi-hinge wing
+    every cell including forced-zero ones (a shape outside every cell,
+    such as an edge on an undeclared vertex, fails), per-edge amalgam
+    bound, connectivity of classes with r_i >= 2, and the multi-hinge wing
     balance.  Connectivity-flavored checks are skipped for h = 1, where
     no spanning connected 1-uniform hypergraph on 2+ vertices exists.
+
+    One count of the edges by type feeds every check, and each verdict
+    compares whole dicts; a walk names the witness once a check fails.
     """
     n, h, lam, r = p.n, p.h, p.lam, p.r
     alpha = G.alpha
     m = n - ell + 1
+    split_verts = sorted(G.vertices - {alpha})
     checks: list[CheckResult] = []
 
-    # one pass over the explicit edges: each type (color, verts) with its
-    # count; its first edge id is the witness when a check fails on the type
-    ids: dict[tuple, list] = {}
-    for e in G.edges():
-        ids.setdefault((e.color, e.verts), []).append(e.id)
-    types = {key: len(v) for key, v in ids.items()}
-    classes: dict[int, list] = {i: [] for i in range(1, G.k + 1)}
-    deg = Counter()
+    # first-seen order: the first edge of the first bad type is the first
+    # bad edge; one pass over the types gives degrees, shapes and wings
+    types = Counter(map(attrgetter("color", "verts"), G.edges()))
+    degs: dict[int, dict] = {i: {} for i in range(1, G.k + 1)}
+    ends: dict[int, list] = {i: [] for i in degs}
+    loops = dict.fromkeys(degs, 0)
+    shape: dict[tuple, int] = {}
     for (color, verts), c in types.items():
-        classes[color].append((verts, c))
+        deg = degs[color]
         for v in verts:
-            deg[color, v] += c
+            deg[v] = deg.get(v, 0) + c
+        q = verts.count(alpha)
+        rest = tuple(filter(alpha.__ne__, verts)) if q else verts
+        shape[q, rest] = shape.get((q, rest), 0) + c
+        if rest:
+            ends[color].append((rest, c * q))
+        elif q >= 2:
+            loops[color] += c * q
 
     # degrees: amalgam carries r_i * m, every split vertex exactly r_i
-    want = {u: m if u == alpha else 1 for u in sorted(G.vertices)}
-    bad = next(
-        ((i, u, deg[i, u], r[i - 1] * w) for i in range(1, G.k + 1)
-         for u, w in want.items() if deg[i, u] != r[i - 1] * w),
-        None,
-    )
-    checks.append(CheckResult("degrees", bad is None, bad))
-
-    # shape multiplicities: m(alpha^q, U) = lam * C(m, q) for every cell
-    split_verts = sorted(G.vertices - {alpha})
-    shape = Counter()
     bad = None
-    for (color, verts), c in types.items():
-        rest = tuple(v for v in verts if v != alpha)
-        if len(set(rest)) != len(rest):
-            bad = ("repeated ordinary vertex", ids[color, verts][0], verts)
-            break
-        shape[(len(verts) - len(rest), rest)] += c
-    if bad is None:
-        for q in range(0, h + 1):
-            if h - q > len(split_verts):
-                continue
-            want = lam * binom(m, q)
-            for U in combinations(split_verts, h - q):
-                got = shape.get((q, U), 0)
-                if got != want:
-                    bad = ("cell", q, U, got, want)
-                    break
+    for i, deg in degs.items():
+        want = {**dict.fromkeys(split_verts, r[i - 1]), alpha: r[i - 1] * m}
+        if deg != want:
+            bad = next(((i, u, deg.get(u, 0), w) for u, w in sorted(want.items())
+                        if deg.get(u, 0) != w), None)
             if bad:
                 break
+    checks.append(CheckResult("degrees", bad is None, bad))
+
+    # shape multiplicities: m(alpha^q, U) = lam * C(m, q) for every cell;
+    # a repeated ordinary vertex makes a shape outside every cell
+    wants = [lam * binom(m, q) for q in range(h + 1)]
+    cells = {(q, U): w for q, w in enumerate(wants) if w for U in combinations(split_verts, h - q)}
+    bad = None
+    if shape != cells:  # name the first repeat, else missed cell, else stray shape
+        repeats = (("repeated ordinary vertex", _first_id(G, (color, vs)), vs)
+                   for color, vs in types if len(set(vs) - {alpha}) < len(vs) - vs.count(alpha))
+        misses = (("cell", q, U, shape.get((q, U), 0), w) for q, w in enumerate(wants)
+                  for U in combinations(split_verts, h - q) if shape.get((q, U), 0) != w)
+        strays = (("cell", q, U, shape[q, U], 0) for q, U in sorted(shape.keys() - cells.keys()))
+        bad = next(chain(repeats, misses, strays))
     checks.append(CheckResult("multiplicities", bad is None, bad))
 
     # no edge may hold more amalgam occurrences than splits remaining + 1
-    bad = next(((ids[k][0], k[1].count(alpha), m) for k in types if k[1].count(alpha) > m), None)
+    bad = None
+    if max(map(itemgetter(0), shape), default=0) > m:
+        bad = next((_first_id(G, (color, vs)), vs.count(alpha), m) for color, vs in types
+                   if vs.count(alpha) > m)
     checks.append(CheckResult("edge-amalgam-bound", bad is None, bad))
 
     # connectivity of every class that must stay connected
@@ -176,13 +195,14 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
         checks.append(CheckResult("connectivity", None, ("h=1",)))
         checks.append(CheckResult("wing-balance", None, ("h=1",)))
     else:
+        # a class spans the declared vertices and those its edges use
         needed = [i for i in range(1, G.k + 1) if r[i - 1] >= 2]
-        wings = {i: _class_wings(classes[i], alpha, split_verts) for i in needed}
+        wings = {i: _wings(ends[i], len(G.vertices.union(degs[i])) - 1) for i in needed}
         bad = next(((i,) for i in needed if not wings[i][0]), None)
         checks.append(CheckResult("connectivity", bad is None, bad))
 
         if ell <= n - 1:
-            deltas = ((i, wings[i][1]) for i in needed)
+            deltas = ((i, loops[i] + wings[i][1]) for i in needed)
             bad = next(((i, d, r[i - 1] * m) for i, d in deltas if d != r[i - 1] * m), None)
             checks.append(CheckResult("wing-balance", bad is None, bad))
         else:

@@ -22,6 +22,8 @@ from hypfactor import (
     wing_decomposition,
 )
 from hypfactor.detach import Factorization, Params
+from hypfactor.hypercore import UnionFind
+from hypfactor.verify import _finish
 from test_stage_exactness import GRID
 
 STAGE_CHECKS = ["degrees", "multiplicities", "edge-amalgam-bound", "connectivity", "wing-balance"]
@@ -179,6 +181,24 @@ def test_final_stage_skips_wing_balance():
     assert rep.overall
 
 
+def test_edge_on_undeclared_vertices_fails_multiplicities():
+    # the cells lie over the declared split vertices 1 and 2, so an edge
+    # (4, 5) falls outside all of them; its class needs no connectivity
+    # (r_3 = 1) or fails it too (r_1 = 2)
+    p = Params(6, 2, 1, (2, 2, 1))
+    G = initial_amalgam(p)
+    for ell in (1, 2):
+        split_step(G, ell, p, seed=0)
+    assert G.vertices == {1, 2, G.alpha} and verify_stage(G, 3, p).overall
+    for color, also in ((3, {}), (1, {"connectivity": "fail"})):
+        edges = [*G.edges(), SimpleNamespace(id=99, verts=(4, 5), color=color)]
+        stub = SimpleNamespace(vertices=G.vertices, alpha=G.alpha, k=G.k, edges=lambda: iter(edges))
+        rep = verify_stage(stub, 3, p)
+        want = {**dict.fromkeys(STAGE_CHECKS, "pass"), "multiplicities": "fail", **also}
+        assert _statuses(rep) == want
+        assert rep.checks[1].witness == ("cell", 0, (4, 5), 1, 0)
+
+
 # -- stage verification against a hinge-level reference ---------------------
 
 
@@ -223,14 +243,15 @@ def reference_stage(G, ell, p):
     return out
 
 
-def _stage_variants(G, rng):
+def _stage_variants(G, rng, kinds=("recolour", "replace", "drop")):
     """`G`, seeded corruptions of it, and one corruption in shuffled edge order.
 
-    Each corruption makes 1-3 edits to the edge list (recolour an edge,
-    replace one vertex occurrence, drop an edge) and rebuilds the graph.
-    The shuffled copy exposes only `vertices`, `alpha`, `k` and `edges()`,
-    so edges of one type are no longer adjacent and no construction state
-    is there to be read.
+    Each corruption makes 1-3 edits of the given `kinds` to the edge list
+    (recolour an edge, replace one vertex occurrence with a declared
+    vertex, drop an edge, duplicate an edge, add an edge on declared
+    vertices) and rebuilds the graph.  The shuffled copy exposes only
+    `vertices`, `alpha`, `k` and `edges()`, so edges of one type are no
+    longer adjacent and no construction state is there to be read.
     """
     variants = [("stage", G)]
     edges = [(e.color, e.verts) for e in G.edges()]
@@ -238,13 +259,18 @@ def _stage_variants(G, rng):
         es = list(edges)
         for _ in range(rng.randint(1, 3)):
             color, verts = es.pop(rng.randrange(len(es)))
-            kind = rng.choice(("recolour", "replace", "drop"))
+            kind = rng.choice(kinds)
             if kind == "recolour":
                 es.append((rng.choice([c for c in range(1, G.k + 1) if c != color] or [color]), verts))
             elif kind == "replace":
                 vs = list(verts)
                 vs[rng.randrange(len(vs))] = rng.choice(sorted(G.vertices))
                 es.append((color, tuple(sorted(vs))))
+            elif kind == "duplicate":
+                es += [(color, verts)] * 2
+            elif kind == "add":
+                new = tuple(sorted(rng.choices(sorted(G.vertices), k=len(verts))))
+                es += [(color, verts), (rng.randint(1, G.k), new)]
         variants.append((f"tampered {t}", _rebuilt(G, es)))
     shuffled = list(variants[-1][1].edges())
     rng.shuffle(shuffled)
@@ -275,6 +301,144 @@ def test_stage_checks_match_hinge_level_reference():
                         assert c.witness == ref[c.name], where
                         failed[c.name] += c.status == "fail"
     assert failed["connectivity"] >= 1 and failed["wing-balance"] >= 1, failed
+
+
+# -- stage verification against the per-edge verifier ------------------------
+
+
+def _per_edge_class_wings(types, alpha, split_verts) -> tuple[bool, int]:
+    """Connectivity and `delta` of one color class given as (verts, count) types.
+
+    The wings are the components of the ordinary vertices, plus one per loop
+    edge; connected iff every component meets the amalgam (vacuous if none).
+    """
+    uf, loops, ends = UnionFind({v: v for v in split_verts}), 0, []
+    for verts, c in types:
+        rest = [v for v in verts if v != alpha]
+        q = len(verts) - len(rest)
+        if rest:
+            for v in rest[1:]:
+                uf.union(v, rest[0])
+            ends.append((rest[0], c * q))
+        elif q >= 2:
+            loops += c * q
+    hinges = Counter()
+    for u, x in ends:
+        hinges[uf.find(u)] += x
+    connected = all(hinges[uf.find(v)] for v in list(uf.parent))
+    return connected, loops + sum(x for x in hinges.values() if x >= 2)
+
+
+def per_edge_verify_stage(G, ell, p):
+    """`verify_stage` as first written, kept as the reference.
+
+    It keeps an id list per edge type, scans for a witness in every check
+    and finds the root of every vertex; it does not fail a shape outside
+    every cell, which the corruptions below never make.
+
+    `G` must be the intermediate object with `ell` vertices; `p` supplies
+    (n, h, lam, r).  Checks: per-color degrees, shape multiplicities over
+    every cell including forced-zero ones, per-edge amalgam bound,
+    connectivity of classes with r_i >= 2, and the multi-hinge wing
+    balance.  Connectivity-flavored checks are skipped for h = 1, where
+    no spanning connected 1-uniform hypergraph on 2+ vertices exists.
+    """
+    n, h, lam, r = p.n, p.h, p.lam, p.r
+    alpha = G.alpha
+    m = n - ell + 1
+    checks: list[CheckResult] = []
+
+    # one pass over the explicit edges: each type (color, verts) with its
+    # count; its first edge id is the witness when a check fails on the type
+    ids: dict[tuple, list] = {}
+    for e in G.edges():
+        ids.setdefault((e.color, e.verts), []).append(e.id)
+    types = {key: len(v) for key, v in ids.items()}
+    classes: dict[int, list] = {i: [] for i in range(1, G.k + 1)}
+    deg = Counter()
+    for (color, verts), c in types.items():
+        classes[color].append((verts, c))
+        for v in verts:
+            deg[color, v] += c
+
+    # degrees: amalgam carries r_i * m, every split vertex exactly r_i
+    want = {u: m if u == alpha else 1 for u in sorted(G.vertices)}
+    bad = next(
+        ((i, u, deg[i, u], r[i - 1] * w) for i in range(1, G.k + 1)
+         for u, w in want.items() if deg[i, u] != r[i - 1] * w),
+        None,
+    )
+    checks.append(CheckResult("degrees", bad is None, bad))
+
+    # shape multiplicities: m(alpha^q, U) = lam * C(m, q) for every cell
+    split_verts = sorted(G.vertices - {alpha})
+    shape = Counter()
+    bad = None
+    for (color, verts), c in types.items():
+        rest = tuple(v for v in verts if v != alpha)
+        if len(set(rest)) != len(rest):
+            bad = ("repeated ordinary vertex", ids[color, verts][0], verts)
+            break
+        shape[(len(verts) - len(rest), rest)] += c
+    if bad is None:
+        for q in range(0, h + 1):
+            if h - q > len(split_verts):
+                continue
+            want = lam * binom(m, q)
+            for U in combinations(split_verts, h - q):
+                got = shape.get((q, U), 0)
+                if got != want:
+                    bad = ("cell", q, U, got, want)
+                    break
+            if bad:
+                break
+    checks.append(CheckResult("multiplicities", bad is None, bad))
+
+    # no edge may hold more amalgam occurrences than splits remaining + 1
+    bad = next(((ids[k][0], k[1].count(alpha), m) for k in types if k[1].count(alpha) > m), None)
+    checks.append(CheckResult("edge-amalgam-bound", bad is None, bad))
+
+    # connectivity of every class that must stay connected
+    if h == 1:
+        checks.append(CheckResult("connectivity", None, ("h=1",)))
+        checks.append(CheckResult("wing-balance", None, ("h=1",)))
+    else:
+        needed = [i for i in range(1, G.k + 1) if r[i - 1] >= 2]
+        wings = {i: _per_edge_class_wings(classes[i], alpha, split_verts) for i in needed}
+        bad = next(((i,) for i in needed if not wings[i][0]), None)
+        checks.append(CheckResult("connectivity", bad is None, bad))
+
+        if ell <= n - 1:
+            deltas = ((i, wings[i][1]) for i in needed)
+            bad = next(((i, d, r[i - 1] * m) for i, d in deltas if d != r[i - 1] * m), None)
+            checks.append(CheckResult("wing-balance", bad is None, bad))
+        else:
+            checks.append(CheckResult("wing-balance", None, ("final stage",)))
+
+    return _finish(ell, checks)
+
+
+def test_stage_checks_match_the_per_edge_verifier():
+    # the stage verifier as first written, with an id list per edge type and
+    # a find for every vertex, must give the same report on every stage of
+    # the grid and on corruptions of it that use declared vertices only
+    kinds = ("recolour", "replace", "drop", "duplicate", "add")
+    failed = Counter()
+    for spec in GRID:
+        p = Params(*spec)
+        for seed in (0, 5):
+            rng = random.Random(f"per-edge/{spec}/{seed}")
+            G = initial_amalgam(p)
+            for ell in range(1, p.n + 1):
+                if ell > 1:
+                    split_step(G, ell - 1, p, seed=seed)
+                for name, H in _stage_variants(G, rng, kinds):
+                    rep = verify_stage(H, ell, p)
+                    where = (spec, seed, ell, name)
+                    assert rep.to_dict() == per_edge_verify_stage(H, ell, p).to_dict(), where
+                    failed.update(c.name for c in rep.checks if c.passed is False)
+    print("failed checks:", dict(failed))
+    assert min(failed[name] for name in STAGE_CHECKS) >= 1, failed
 
 
 # -- final verification -----------------------------------------------------
