@@ -13,8 +13,7 @@ import time
 from itertools import combinations
 
 from hypfactor import Params
-from hypfactor._search_py import solve
-from hypfactor.oracle import kernel_inputs
+from hypfactor.oracle import solve
 
 # a small-overhead row, two connectivity-heavy rows, one high-multiplicity
 # row, one substantial full search, and one instance that always hits the
@@ -28,16 +27,16 @@ INSTANCES = [
 ]
 
 
-def time_solve(inputs: tuple, repeat: int, max_nodes: int) -> tuple:
+def time_solve(p: Params, edges: list, repeat: int, max_nodes: int) -> tuple:
     """Best wall time over `repeat` runs, with the node count.
 
-    The kernel is deterministic, so every repeat visits the same nodes.
+    The search is deterministic, so every repeat visits the same nodes.
     """
     best = float("inf")
     nodes = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        _, _, nodes = solve(*inputs, max_nodes, 300.0)
+        _, _, nodes = solve(p, edges, True, max_nodes, 300.0)
         best = min(best, time.perf_counter() - t0)
     return best, nodes
 
@@ -54,8 +53,7 @@ def main(argv=None) -> int:
     print(f"{'instance':<{width}}  {'nodes':>9}  {'best':>11}  {'nodes/s':>10}")
     for p in INSTANCES:
         edges = [e for e in combinations(range(1, p.n + 1), p.h) for _ in range(p.lam)]
-        best, nodes = time_solve(kernel_inputs(p, edges, connected=True),
-                                 args.repeat, args.max_nodes)
+        best, nodes = time_solve(p, edges, args.repeat, args.max_nodes)
         print(f"{str(p):<{width}}  {nodes:>9}  {best * 1000:>9.2f}ms  "
               f"{nodes / best:>10.0f}")
     return 0

@@ -142,9 +142,9 @@ def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) ->
     than m), and moves those hinges onto the new vertex `ell`.  Mutates
     `G` in place and returns it.
     """
-    if G.n_current != ell:
+    if len(G.vertices) != ell:
         raise ParameterError(
-            f"stage mismatch: graph has {G.n_current} vertices, caller says {ell}"
+            f"stage mismatch: graph has {len(G.vertices)} vertices, caller says {ell}"
         )
     if not 1 <= ell <= p.n - 1:
         raise ParameterError(f"stage {ell} outside 1..{p.n - 1}")

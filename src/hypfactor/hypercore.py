@@ -106,10 +106,6 @@ class ColoredMultiHypergraph:
 
     # -- basic accessors -------------------------------------------------
 
-    @property
-    def n_current(self) -> int:
-        return len(self.vertices)
-
     def edges(self) -> Iterator[Edge]:
         """Explicit edges, `count` records per type, ids fresh in iteration order."""
         ids = count()

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import starmap
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
@@ -74,15 +76,7 @@ class LaminarFamily:
             order.sort(key=lambda s: (-len(s), sorted(s)))  # not laminar: overlapping ties
         self.members = tuple(merged[s] for s in order)
         self._forest = self.forest()
-        parent, innermost = self._forest
-        sizes = [0] * len(order)
-        for x, (c, p) in self.ground.items():
-            if innermost[x] >= 0:
-                sizes[innermost[x]] += c * p
-        for i in range(len(sizes) - 1, -1, -1):  # parents precede their children
-            if parent[i] >= 0:
-                sizes[parent[i]] += sizes[i]
-        self.sizes = tuple(sizes)
+        self.sizes = tuple(self.totals(zip(self.ground, starmap(mul, self.ground.values()))))
 
     @classmethod
     def from_sets(cls, ground, sets, tags=None):
@@ -119,6 +113,17 @@ class LaminarFamily:
             parent.append(seen.pop() if seen else -1)
             innermost.update(dict.fromkeys(mb.elements, idx))
         return parent, innermost
+
+    def totals(self, pairs: Iterable) -> list[int]:
+        """Per member, the sum of the amounts in (element, amount) `pairs` it holds."""
+        parent, innermost = self._forest
+        total = [0] * (len(self.members) + 1)  # index -1: outside every member
+        for x, t in pairs:
+            total[innermost.get(x, -1)] += t
+        for i in range(len(self.members) - 1, -1, -1):  # parents precede their children
+            total[parent[i]] += total[i]
+        total.pop()
+        return total
 
 
 @dataclass(frozen=True)
@@ -163,16 +168,7 @@ def selection_respects_bounds(
         if not c * lo <= got <= c * hi:
             return ("element", x, got, c * lo, c * hi)
     for fam in (famA, famB):
-        parent, innermost = fam._forest
-        total = [0] * len(fam.members)
-        for x, t in amounts.items():
-            if innermost.get(x, -1) >= 0:
-                total[innermost[x]] += t
-        # parents precede their children in the canonical member order
-        for i in range(len(total) - 1, -1, -1):
-            if parent[i] >= 0:
-                total[parent[i]] += total[i]
-        for mb, size, got in zip(fam.members, fam.sizes, total):
+        for mb, size, got in zip(fam.members, fam.sizes, fam.totals(amounts.items())):
             lo, hi = bounds_for(size, m)
             if not lo <= got <= hi:
                 return (mb.tags, got, lo, hi)

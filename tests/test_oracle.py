@@ -120,6 +120,26 @@ def test_search_is_deterministic():
     assert a.nodes == b.nodes
 
 
+def test_search_order_is_pinned():
+    # exact node counts fix the candidate order, the pruning and the
+    # restart schedule: the first case lands on attempt 1 after attempt 0
+    # spends its FINDER_NODE_CAP
+    cases = [
+        ((7, 4, 1, (4,) * 5), False, None, "found", 250_176),
+        ((7, 4, 1, (8, 4, 4, 4)), False, None, "found", 311_322),
+        ((6, 3, 2, (2,) * 10), False, None, "found", 441),
+        ((4, 2, 6, (3, 3, 3, 3, 2, 2, 1, 1)), False, None, "found", 159),
+        ((6, 2, 1, (2, 2, 1)), False, None, "found", 39),
+        ((6, 2, 1, (2, 2, 1)), True, None, "found", 39),
+        ((6, 3, 1, (2,) * 5), False, 5, "unknown", 6),
+        ((6, 3, 1, (2,) * 5), True, 2000, "found", 75),
+    ]
+    for args, connected, max_nodes, status, nodes in cases:
+        budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+        res = brute_force_factorize(Params(*args), require_connected=connected, budget=budget)
+        assert (res.status, res.nodes) == (status, nodes), (args, connected, max_nodes)
+
+
 def test_found_factors_are_canonically_ordered():
     res = brute_force_factorize(Params(5, 2, 1, (2, 2)))
     for factor in res.factorization.factors:
