@@ -154,68 +154,47 @@ def solve(p: Params, edges: list, connected: bool, max_nodes: int, time_limit: f
     first_ok = [r.index(ri) == c for c, ri in enumerate(r)]
     same_prev = [c > 0 and r[c] == r[c - 1] for c in range(k)]
     dup_prev = [i > 0 and edges[i] == edges[i - 1] for i in range(E)]
-    res = [[ri] * (n + 1) for ri in r]  # residual degree per color and vertex
-    # histogram of residual values per color and its running maximum,
-    # for the needs-versus-slots rejection
-    hist = [[0] * ri + [n] for ri in r]
-    maxres = list(r)
+    # residual degree per color and vertex; index 0 names no vertex and
+    # holds 0, so max(rc) is the largest residual of class c
+    res = [[0] + [ri] * n for ri in r]
     cnt = [0] * k
     color = [0] * E
-    nxt = [0] * E
     nodes = 0
     deadline = time.monotonic() + time_limit
 
     def release(c, e):
         cnt[c] -= 1
-        rc, hc, mr = res[c], hist[c], maxres[c]
+        rc = res[c]
         for v in e:
-            t = rc[v]
-            hc[t] -= 1
-            hc[t + 1] += 1
-            rc[v] = t + 1
-            if t >= mr:
-                mr = t + 1
-        maxres[c] = mr
+            rc[v] += 1
 
-    pos = 0
+    pos = c = 0  # c: the next color to try at pos
     while True:
         if pos == E:
             return "found", color, nodes
-        c = nxt[pos]
         if dup_prev[pos] and c < color[pos - 1]:
             c = color[pos - 1]
         e = edges[pos]
         while c < k:
             nodes += 1
-            if nodes > max_nodes:
-                return "unknown", None, nodes
-            if nodes % 65536 == 0 and time.monotonic() > deadline:
+            if nodes > max_nodes or (nodes % 65536 == 0 and time.monotonic() > deadline):
                 return "unknown", None, nodes
             if ((pos or first_ok[c]) and cnt[c] < sizes[c]
                     and (cnt[c] or not same_prev[c] or cnt[c - 1])
                     and all(map(res[c].__getitem__, e))):
                 cnt[c] += 1
-                rc, hc = res[c], hist[c]
+                rc = res[c]
                 for v in e:
-                    t = rc[v]
-                    hc[t] -= 1
-                    hc[t - 1] += 1
-                    rc[v] = t - 1
-                mr = maxres[c]
-                while mr and hc[mr] == 0:
-                    mr -= 1
-                maxres[c] = mr
+                    rc[v] -= 1
                 slots = sizes[c] - cnt[c]
-                if mr > slots or (
+                if max(rc) > slots or (
                     conn[c] and not _class_completable(edges, color, pos, c, n, h, rc, slots)
                 ):
                     release(c, e)
                 else:
                     color[pos] = c
-                    nxt[pos] = c + 1
                     pos += 1
-                    if pos < E:
-                        nxt[pos] = 0
+                    c = 0
                     break
             c += 1
         else:  # no color fits: undo the previous edge and try its next color
@@ -223,6 +202,7 @@ def solve(p: Params, edges: list, connected: bool, max_nodes: int, time_limit: f
             if pos < 0:
                 return "none", None, nodes
             release(color[pos], edges[pos])
+            c = color[pos] + 1
 
 
 def _witness(p: Params, edges: list, colors: list) -> tuple[Factorization, VerificationReport]:
@@ -281,14 +261,13 @@ def brute_force_factorize(
 
     distinct = list(combinations(range(1, n + 1), h))
     deadline = time.monotonic() + budget.time_limit
-    nodes_left = budget.max_nodes
     nodes_used = 0
 
     # finder phase: always ask for the strong (connected) witness, which
     # exists whenever any factorization does
     for attempt in range(FINDER_RESTARTS):
         time_left = deadline - time.monotonic()
-        if nodes_left <= 0 or time_left <= 0:
+        if nodes_used >= budget.max_nodes or time_left <= 0:
             break
         order = distinct
         if attempt > 0:
@@ -296,10 +275,9 @@ def brute_force_factorize(
             random.Random(attempt).shuffle(order)
         edges = [e for e in order for _ in range(lam)]
         status, colors, nodes = solve(
-            p, edges, True, min(FINDER_NODE_CAP, nodes_left), time_left
+            p, edges, True, min(FINDER_NODE_CAP, budget.max_nodes - nodes_used), time_left
         )
         nodes_used += nodes
-        nodes_left -= nodes
         if status == "found":
             f, report = _witness(p, edges, colors)
             if not report.overall:
@@ -311,10 +289,12 @@ def brute_force_factorize(
 
     # exhaustive phase in canonical order
     time_left = deadline - time.monotonic()
-    if nodes_left <= 0 or time_left <= 0:
+    if nodes_used >= budget.max_nodes or time_left <= 0:
         return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")
     edges = [e for e in distinct for _ in range(lam)]
-    status, colors, nodes = solve(p, edges, require_connected, nodes_left, time_left)
+    status, colors, nodes = solve(
+        p, edges, require_connected, budget.max_nodes - nodes_used, time_left
+    )
     nodes_used += nodes
     if status == "unknown":
         return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")

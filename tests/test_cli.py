@@ -545,6 +545,15 @@ def test_oracle_budget_exhaustion_exit_code(capsys):
     assert "budget exhausted" in out
 
 
+def test_oracle_time_limit_exit_code(capsys):
+    rc, out, _ = run(
+        capsys, "oracle", "--n", "7", "--h", "4", "--lambda", "1",
+        "--r", "4,4,4,4,4", "--time-limit", "0",
+    )
+    assert rc == 5
+    assert "budget exhausted" in out
+
+
 # -- one parser for every call ----------------------------------------------
 
 

@@ -4,9 +4,9 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
-import hypfactor
 from hypfactor import (
     Params,
     SearchBudget,
@@ -15,7 +15,7 @@ from hypfactor import (
     search_backend,
     verify_factorization,
 )
-from hypfactor.oracle import MAX_ORACLE_EDGES
+from hypfactor.oracle import MAX_ORACLE_EDGES, solve
 
 
 def _degrees(factor, n):
@@ -151,11 +151,18 @@ def test_backend_name_is_reported():
     assert search_backend() == "pure-python"
 
 
+def test_time_limit_stops_search_at_deadline_check():
+    # the deadline is read every 65,536 nodes, so a zero time limit stops
+    # a search that runs long enough at exactly that node
+    p = Params(7, 4, 1, (4,) * 5)
+    edges = list(combinations(range(1, 8), 4))
+    assert solve(p, edges, True, 10**9, 0.0) == ("unknown", None, 65536)
+
+
 def test_kernel_bench_runs():
+    # run from the checkout as documented: the script finds `src/` itself
     root = Path(__file__).resolve().parent.parent
-    src = str(Path(hypfactor.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_search.py"),
          "--repeat", "1", "--max-nodes", "2000"],
