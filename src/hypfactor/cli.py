@@ -27,13 +27,13 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, islice
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import binom
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
-from .verify import _first_bad_edge, verify_factorization
+from .verify import LeastSubset, _first_bad_edge, verify_factorization
 
 GENERATE_EDGE_GUARD = 10**6
 
@@ -68,8 +68,8 @@ def _witness_text(w) -> str:
     the first 81 items of a tuple are shown: they already fill more than
     the 80 characters `_cut` keeps, so the printed text is the same.
     """
-    if isinstance(w, tuple):
-        parts = [_witness_text(x) for x in w[:81]]
+    if isinstance(w, (tuple, LeastSubset)):
+        parts = [_witness_text(x) for x in islice(w, 81)]
         return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
     if isinstance(w, int) and w.bit_length() > 256:
         return f"<{w.bit_length()}-bit integer>"

@@ -15,19 +15,21 @@ For laminar inputs such a selection always exists: the bounds form a
 flow problem on the two forests (source, down one forest, across one arc
 per element, up the other, sink) with a totally unimodular constraint
 matrix, and weight/m everywhere is fractionally feasible.  The selector
-wires that network straight from the forests and, after the usual
+wires that network in bulk from the forests and, after the usual
 excess-node reduction, runs one iterative Dinic max-flow of no depth
-limit.  The seed only permutes the order in which element arcs are
-wired, so it never affects validity.
+limit; an arc whose bounds are equal only books its excess.  The seed
+only permutes the order in which element arcs are wired, so it never
+affects validity.  The builders' families are valid by construction,
+unchecked; each selection is re-checked against every bound, and the
+stage tests compare every stage's families with a generic rebuild.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import starmap
-from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, compress, count, repeat, starmap
+from operator import add, mul, ne, sub
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import ColoredMultiHypergraph
@@ -39,8 +41,7 @@ def weighted(ground) -> dict:
     return dict(ground) if isinstance(ground, Mapping) else dict.fromkeys(ground, (1, 1))
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """One family set plus the provenance tags that produced it."""
 
     elements: frozenset
@@ -61,6 +62,7 @@ class LaminarFamily:
     full, so the order never depends on the caller's.  Laminarity is
     checked at construction; the checked forest is kept for selection,
     and the sizes are summed through it in one pass over the ground.
+    The stage builders skip all of this through `_known`.
     """
 
     def __init__(self, ground: Iterable, members: Sequence[Member]):
@@ -83,6 +85,30 @@ class LaminarFamily:
         if tags is None:
             tags = [("set", i) for i in range(len(sets))]
         return cls(ground, [Member(frozenset(s), (t,)) for s, t in zip(sets, tags)])
+
+    @classmethod
+    def _known(cls, ground: dict, entries) -> "LaminarFamily":
+        """A family whose builder knows its containment; nothing is checked.
+
+        `entries` holds (group, tag, parent group or None), a group being
+        (elements, size, least element).  In a laminar family the key
+        (-len, least element) names the set: it orders members, equal sets
+        merge their tags, and each element's last member is its innermost.
+        """
+        nodes: dict = {}
+        for (xs, size, least), tag, up in entries:
+            node = nodes.setdefault((-len(xs), least), [xs, (), size, up and (-len(up[0]), up[2])])
+            node[1] += (tag,)
+        order = sorted(nodes)
+        index = dict(zip(order, count()))
+        picked = list(map(nodes.__getitem__, order))
+        fam = cls.__new__(cls)
+        fam.ground = ground  # kept, not copied
+        fam.members = tuple([Member(xs, tags) for xs, tags, _, _ in picked])
+        fam.sizes = tuple([size for _, _, size, _ in picked])
+        innermost = chain.from_iterable(zip(nd[0], repeat(i)) for i, nd in enumerate(picked))
+        fam._forest = ([index.get(up, -1) for _, _, _, up in picked], dict(innermost))
+        return fam
 
     def forest(self) -> tuple[list[int], dict]:
         """Containment forest: parent index per member (-1 for the root).
@@ -126,8 +152,7 @@ class LaminarFamily:
         return total
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """The amount chosen of each element (only nonzero ones) and the divisor."""
 
     amounts: dict
@@ -185,24 +210,23 @@ def build_wing_family(
 ) -> LaminarFamily:
     """Wing-side family over `ground = G.hinges_at()` and its wings `decomps`.
 
-    Per color: the class's types, the types of its wings with 2+ hinges,
-    and each non-loop wing's types; wing lies within class and the union
-    is one of whole wings.  Single edges need no member: each element's
-    own bounds hold every edge of it.
+    Per color: the class's types, the union of its wings with 2+ hinges,
+    and each non-loop wing's types; a wing with 2+ hinges lies in the
+    union, any other in the class, and that nesting is the forest.  Single
+    edges need no member: each element's own bounds hold every edge of it.
     """
-    members: list[Member] = []
+    entries = []
     for i in range(1, G.k + 1):
-        d = decomps[i]
-        members.append(Member(d.types, (("color", i),)))
-        members.append(Member(d.big, (("multiwing", i),)))
-        members.extend(Member(w, (("wing", i, j),)) for j, w in enumerate(d.wings))
-    return LaminarFamily(ground, members)
+        whole, wings, big = decomps[i]
+        entries += [(whole, ("color", i), None), (big, ("multiwing", i), whole if big[0] else None)]
+        entries += [(w, ("wing", i, j), big if w[1] >= 2 else whole) for j, w in enumerate(wings)]
+    return LaminarFamily._known(ground, entries)
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
     """Cell-side family: types of every color grouped by shape (amalgam count, rest).
 
-    Cells are pairwise disjoint, so the family is trivially laminar; its
+    Cells are pairwise disjoint, so the family is laminar and flat; its
     bounds keep shape multiplicities on schedule across splits.
     """
     cells: dict[tuple, list] = {}
@@ -210,8 +234,10 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
         verts = key[1]
         i = verts.index(G.alpha)  # the sorted verts hold p alphas from i on
         cells.setdefault((p, verts[:i] + verts[i + p:]), []).append(key)
-    members = [Member(frozenset(ts), (("cell",) + key,)) for key, ts in cells.items()]
-    return LaminarFamily(ground, members)
+    groups = [(tuple(ts), p * sum(ground[x][0] for x in ts), min(ts))
+              for (p, _), ts in cells.items()]
+    entries = [(g, ("cell",) + shape, None) for g, shape in zip(groups, cells)]
+    return LaminarFamily._known(ground, entries)
 
 
 # -- max-flow machinery --------------------------------------------------
@@ -285,12 +311,11 @@ def equalized_select(
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
-    g = weighted(ground)
-    if famA.ground != g or famB.ground != g:
+    g = ground if famA.ground is ground is famB.ground else weighted(ground)
+    if g is not ground and not famA.ground == g == famB.ground:
         raise ParameterError("families must share the selection ground set")
 
-    parentA, innerA = famA._forest
-    parentB, innerB = famB._forest
+    (parentA, innerA), (parentB, innerB) = famA._forest, famB._forest
 
     # Nodes: 0 source, 1 sink, 2 wing-side root, 3 cell-side root, one per
     # member of each family, then the super-source and super-sink.  Index
@@ -299,46 +324,44 @@ def equalized_select(
     n = offB + len(famB.members)
     nodeA = [*range(4, offB), 2]
     nodeB = [*range(offB, n), 3]
-    adj: list[list[int]] = [[] for _ in range(n + 2)]
-    to: list[int] = []
-    cap: list[int] = []
-    excess = [0] * (n + 2)
 
-    def arc(u, v, lo, hi):
-        """Arc u->v carrying [lo, hi]: capacity hi - lo, with lo booked as excess."""
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(hi - lo)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-        excess[v] += lo
-        excess[u] -= lo
-
-    lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
-    arc(0, 2, lo, hi)
-    arc(3, 1, lo, hi)
-    for i, size in enumerate(famA.sizes):
-        arc(nodeA[parentA[i]], nodeA[i], *bounds_for(size, m))
-    for i, size in enumerate(famB.sizes):
-        arc(nodeB[i], nodeB[parentB[i]], *bounds_for(size, m))
-
+    # Arcs tails -> heads carrying [lows, highs], floor and ceiling over m,
+    # in wiring order: ground total, members, then one arc per element.
+    sizes = [sum(c * p for c, p in g.values())] * 2 + [*famA.sizes, *famB.sizes]
+    tails = [0, 3, *map(nodeA.__getitem__, parentA), *range(offB, n)]
+    heads = [2, 1, *range(4, offB), *map(nodeB.__getitem__, parentB)]
     order = sorted(g)
     random.Random(seed).shuffle(order)
-    first_element_arc = len(to)
-    amounts = {}
-    for x in order:
-        c, p = g[x]
-        lo, hi = bounds_for(p, m)
-        arc(nodeA[innerA[x]], nodeB[innerB[x]], c * lo, c * hi)
-        amounts[x] = c * lo
-    arc(1, 0, 0, 1 << 60)  # close the circulation
+    tails += map(nodeA.__getitem__, map(innerA.__getitem__, order))
+    heads += map(nodeB.__getitem__, map(innerB.__getitem__, order))
+    items = list(map(g.__getitem__, order))
+    base = [c * (p // m) for c, p in items]
+    lows = [s // m for s in sizes] + base
+    highs = [-(-s // m) for s in sizes] + [c * -(-p // m) for c, p in items]
+    excess = [0] * (n + 2)
+    for u, v, low in compress(zip(tails, heads, lows), lows):
+        excess[u] -= low
+        excess[v] += low
+    # an arc with lo == hi never has residual capacity, so it books excess
+    # only: without its arc pair Dinic finds the same augmenting paths
+    live = list(map(ne, lows, highs))
+    first = sum(live[:len(sizes)])  # live arcs before the element arcs
+    caps = list(map(sub, compress(highs, live), compress(lows, live)))
+    tails, heads = list(compress(tails, live)), list(compress(heads, live))
+    # append column by column the arc 1 -> 0 that closes the circulation,
+    # then one arc feeding or draining each node's excess
+    extra = [(n, v, e) if e > 0 else (v, n + 1, -e) for v, e in enumerate(excess[:n]) if e]
+    for column, more in zip((tails, heads, caps), zip((1, 0, 1 << 60), *extra)):
+        column += more
     need = sum(e for e in excess if e > 0)
-    for v in range(n):
-        if excess[v] > 0:
-            arc(n, v, 0, excess[v])
-        elif excess[v] < 0:
-            arc(v, n + 1, 0, -excess[v])
+
+    # arc a is residual arc 2a, its reverse 2a + 1
+    to = list(chain.from_iterable(zip(heads, tails)))
+    cap = list(chain.from_iterable(zip(caps, repeat(0))))
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
+    for a, u, v in zip(count(0, 2), tails, heads):
+        adj[u].append(a)
+        adj[v].append(a + 1)
 
     if _max_flow(adj, to, cap, n, n + 1) != need:
         raise InternalInvariantError(
@@ -346,10 +369,11 @@ def equalized_select(
             "or do not cover a common ground",
             witness=(len(g), m),
         )
-    # pushed units sit on each element arc's reverse, above its lower bound
-    for j, x in enumerate(order):
-        amounts[x] += cap[first_element_arc + 2 * j + 1]
-    amounts = {x: f for x, f in amounts.items() if f}
+    # units pushed along a live element arc sit on its reverse, above the base
+    keep, flows = live[len(sizes):], cap[2 * first + 1::2]
+    amounts = dict(zip(order, base))
+    amounts.update(zip(compress(order, keep), map(add, compress(base, keep), flows)))
+    amounts = dict(compress(amounts.items(), amounts.values()))
     bad = selection_respects_bounds(amounts, g, famA, famB, m)
     if bad is not None:
         raise InternalInvariantError("selection violates a family bound", witness=bad)

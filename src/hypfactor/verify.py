@@ -11,12 +11,12 @@ of its type), in the JSON shape the command line emits.
 and of the vertices inside an edge decides no verdict, and only the
 witness of a malformed edge names an edge by its place in that order
 (the command line sorts the factor it names, so that its witness does
-not depend on the input order).  It costs O((E + 1) * h)
-time and memory for E edges of size h, up to the log factor of sorting
-each edge, whatever n and lambda the document declares: it builds
-nothing per declared vertex and never walks 1..n, so a 60-byte document
-declaring n = 10**8 is rejected in milliseconds.  (The + 1 is the cover
-witness of an empty document, one h-subset.)  The binomials C(n, h) and
+not depend on the input order).  It costs O(E * h) time and memory
+for E edges of size h, up to the log factor of sorting each edge,
+whatever n, h and lambda the document declares: it builds nothing per
+declared vertex and never walks 1..n, so a 60-byte document declaring
+n = 10**8 is rejected in milliseconds; an edgeless document's cover
+witness (1, ..., h) is a `LeastSubset`.  The binomials C(n, h) and
 C(n - 1, h - 1) are computed exactly only up to an estimated
 `_BINOMIAL_BITS` bits; past that, C(N, j) for j = 1, 2, ... is built only
 until it passes the count the document holds, which proves the equality
@@ -72,8 +72,23 @@ class VerificationReport:
         }
 
 
+class LeastSubset:
+    """The h-subset (1, ..., h), equal to that tuple but never built."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __iter__(self):
+        return iter(range(1, self.h + 1))
+
+    def __eq__(self, other):
+        if isinstance(other, LeastSubset):
+            return self.h == other.h
+        return isinstance(other, tuple) and len(other) == self.h and tuple(self) == other
+
+
 def _jsonable(x):
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple, LeastSubset)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (frozenset, set)):
         return sorted(_jsonable(v) for v in x)
@@ -308,6 +323,8 @@ def verify_factorization(f) -> VerificationReport:
             # every key is a miss and every absent subset a hit
             U = min(cover, default=None)
             bad = None if U is None else (U, cover[U], lam)
+        elif not cover and h <= n:
+            bad = (LeastSubset(h), 0, lam)  # the first h-subset is a miss
         elif (
             _passes(n, h, len(cover))
             or len(cover) != binom(n, h)

@@ -17,6 +17,7 @@ hinges to the new vertex is exactly what keeps the class connected.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,17 +115,10 @@ def wing_decomposition(edges: Sequence[Edge], alpha: int) -> WingDecomposition:
     return WingDecomposition(tuple(wings), big)
 
 
-@dataclass(frozen=True)
-class ClassWings:
-    """Wings of one color class over its amalgam-incident edge types.
-
-    `wings` holds the types of each non-loop wing (a loop type stands for
-    c one-edge wings) and `big` the types in wings with 2+ hinges.
-    """
-
-    types: frozenset
-    wings: tuple[frozenset, ...]
-    big: frozenset
+# One color class as (types, hinges, least type) groups: the `whole` class,
+# its `wings` (each non-loop wing; a loop type stands for c one-edge wings)
+# and `big`, the types in wings with 2+ hinges.
+ClassWings = namedtuple("ClassWings", "whole wings big")
 
 
 def wing_decompositions(
@@ -138,13 +132,13 @@ def wing_decompositions(
     """
     alpha, h = G.alpha, G.h
     types = {i: [] for i in range(1, G.k + 1)}
-    loops = {i: [] for i in range(1, G.k + 1)}
+    loops = dict.fromkeys(range(1, G.k + 1), ((), 0))  # the one loop type, its hinges
     comps = {i: {} for i in range(1, G.k + 1)}  # root -> [types, hinges]
     for key, (c, p) in ground.items():
         color, verts = key
         types[color].append(key)
         if p == h:
-            loops[color].append(key)
+            loops[color] = ((key,), c * p)
             continue
         # the sorted verts hold p alphas in a row, so one of these is ordinary
         u = verts[0] if verts[0] != alpha else verts[p]
@@ -154,13 +148,18 @@ def wing_decompositions(
 
     out = {}
     for i in range(1, G.k + 1):
-        big = loops[i] if h >= 2 else []
+        loop, hinges = loops[i]
+        big = list(loop) if h >= 2 else []
+        total, held = hinges, hinges if big else 0  # hinges of the class and of `big`
         wings = []
-        for w, hinges in comps[i].values():
-            wings.append(frozenset(w))
-            if hinges >= 2:
+        for w, x in comps[i].values():
+            wings.append((tuple(w), x, min(w)))
+            total += x
+            if x >= 2:
                 big += w
-        out[i] = ClassWings(frozenset(types[i]), tuple(wings), frozenset(big))
+                held += x
+        whole = (tuple(types[i]), total, min(types[i], default=None))
+        out[i] = ClassWings(whole, tuple(wings), (tuple(big), held, min(big, default=None)))
     return out
 
 

@@ -11,7 +11,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypfactor import cli, construct
 from hypfactor.cli import (
@@ -403,17 +403,14 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12,
 )
-# n and h are each set extreme or left alone.  Past an estimated 2**20
-# bits, min(h, n - h) * log2(n), the arithmetic checks no longer compute
-# C(n, h) and C(n - 1, h - 1) in full, but the cover witness of a document
-# that lacks an h-subset is that h-subset, built whatever its size (0.7 s
-# and 100 MiB at h = 10**6).  So `fuzzed_documents` still leaves such pairs
-# out, and `test_verify_cost_of_a_huge_binomial` runs one of them.
+# n and h are each set extreme or left alone, including the pairs past an
+# estimated 2**20 bits, min(h, n - h) * log2(n), where the arithmetic
+# checks no longer compute C(n, h) and C(n - 1, h - 1) in full and the
+# cover witness of an edgeless document is named without being built.
 _EXTREMES = {
     "n": (10**8, 10**12, 10**18, 10**100),
     "h": (50, 10**6, 10**12, 10**100),
 }
-_BINOMIAL_BITS = 2**20
 
 
 def _paths(node, path=()):
@@ -452,9 +449,6 @@ def fuzzed_documents(draw):
         for field, values in _EXTREMES.items():
             if draw(st.integers(0, 2)) == 0:
                 doc[field] = draw(st.sampled_from(values))
-        n, h = doc.get("n"), doc.get("h")
-        if type(n) is int and type(h) is int and n > h >= 1:
-            assume(min(h, n - h) * n.bit_length() <= _BINOMIAL_BITS)
     return doc
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laminar_pair
+from conftest import random_laminar_family, random_laminar_pair
 from hypfactor import (
     InternalInvariantError,
     LaminarFamily,
@@ -23,7 +23,7 @@ from hypfactor import (
     split_step,
     wing_decompositions,
 )
-from hypfactor import laminar
+from hypfactor import detach, laminar
 from hypfactor.detach import Params
 from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
 from test_acceptance import _fixture_vectors
@@ -176,8 +176,9 @@ def test_cell_family_members_disjoint():
     fam = build_cell_family(G, G.hinges_at())
     seen = set()
     for m in fam.members:
-        assert not (seen & m.elements)
-        seen |= m.elements
+        elements = frozenset(m.elements)
+        assert not (seen & elements)
+        seen |= elements
 
 
 # -- equalized selection ----------------------------------------------------
@@ -427,3 +428,125 @@ def test_max_flow_matches_full_bfs_on_random_networks(flows_checked):
         ground, famA, famB = random_laminar_pair(rng, rng.randint(1, 24))
         equalized_select(ground, famA, famB, rng.randint(2, 6), seed=trial)
     assert len(flows_checked) == 2200 and any(flows_checked)
+
+
+# -- bulk wiring against the closure-wired selector -------------------------
+
+
+def reference_select(ground, famA, famB, m, seed=0):
+    """The selector as wired before bulk wiring: one `arc` call per arc.
+
+    Every arc gets a residual pair, lo == hi or not.  Returns the amounts,
+    in the order the selector builds them, and the number of arcs with
+    lo == hi, which bulk wiring books as excess only.
+    """
+    g = laminar.weighted(ground)
+    parentA, innerA = famA._forest
+    parentB, innerB = famB._forest
+    offB = 4 + len(famA.members)
+    n = offB + len(famB.members)
+    nodeA = [*range(4, offB), 2]
+    nodeB = [*range(offB, n), 3]
+    adj = [[] for _ in range(n + 2)]
+    to, cap, excess, fixed = [], [], [0] * (n + 2), []
+
+    def arc(u, v, lo, hi):
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(hi - lo)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        excess[v] += lo
+        excess[u] -= lo
+        fixed.append(lo == hi)
+
+    lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
+    arc(0, 2, lo, hi)
+    arc(3, 1, lo, hi)
+    for i, size in enumerate(famA.sizes):
+        arc(nodeA[parentA[i]], nodeA[i], *bounds_for(size, m))
+    for i, size in enumerate(famB.sizes):
+        arc(nodeB[i], nodeB[parentB[i]], *bounds_for(size, m))
+    order = sorted(g)
+    random.Random(seed).shuffle(order)
+    first_element_arc = len(to)
+    amounts = {}
+    for x in order:
+        c, p = g[x]
+        lo, hi = bounds_for(p, m)
+        arc(nodeA[innerA[x]], nodeB[innerB[x]], c * lo, c * hi)
+        amounts[x] = c * lo
+    fixed_arcs = sum(fixed)
+    arc(1, 0, 0, 1 << 60)
+    need = sum(e for e in excess if e > 0)
+    for v in range(n):
+        if excess[v] > 0:
+            arc(n, v, 0, excess[v])
+        elif excess[v] < 0:
+            arc(v, n + 1, 0, -excess[v])
+    assert laminar._max_flow(adj, to, cap, n, n + 1) == need
+    for j, x in enumerate(order):
+        amounts[x] += cap[first_element_arc + 2 * j + 1]
+    return [(x, f) for x, f in amounts.items() if f], fixed_arcs
+
+
+def assert_wired_as_reference(ground, famA, famB, m, seed=0) -> int:
+    """Same amounts in the same order as `reference_select`; returns its lo == hi arcs."""
+    want, fixed = reference_select(ground, famA, famB, m, seed)
+    assert list(equalized_select(ground, famA, famB, m, seed).amounts.items()) == want
+    return fixed
+
+
+def test_wiring_matches_reference_on_criterion_5_pairs():
+    rng = random.Random(20260822)  # criterion 5's instances
+    for i in range(1000):
+        gsize = rng.randint(3, 12) if i % 2 == 0 else rng.randint(3, 40)
+        ground, famA, famB = random_laminar_pair(rng, gsize)
+        assert_wired_as_reference(ground, famA, famB, rng.randint(2, 6), seed=i)
+
+
+def test_wiring_matches_reference_when_m_divides_sizes():
+    # weighted grounds, and m a divisor of some member or item size, so
+    # some arcs have lo == hi and get no residual pair
+    rng = random.Random("wiring-divisors")
+    fixed = 0
+    for trial in range(400):
+        ground = {x: (rng.randint(1, 3), rng.randint(1, 6)) for x in range(rng.randint(1, 24))}
+        famA, famB = random_laminar_family(rng, ground), random_laminar_family(rng, ground)
+        sizes = [s for s in famA.sizes + famB.sizes if s >= 2] + [p for _, p in ground.values() if p >= 2]
+        m = rng.choice([d for s in sizes for d in range(2, s + 1) if s % d == 0] or [2])
+        fixed += assert_wired_as_reference(ground, famA, famB, m, seed=trial)
+    assert fixed >= 400
+
+
+def test_wiring_matches_reference_at_m_one():
+    # every bound is exact, so no element or member arc gets a residual pair
+    rng = random.Random("wiring-m-one")
+    for trial in range(100):
+        ground = {x: (rng.randint(1, 3), rng.randint(1, 4)) for x in range(rng.randint(0, 16))}
+        famA, famB = random_laminar_family(rng, ground), random_laminar_family(rng, ground)
+        fixed = assert_wired_as_reference(ground, famA, famB, 1, seed=trial)
+        assert fixed == 2 + len(famA.members) + len(famB.members) + len(ground)
+
+
+def test_wiring_matches_reference_on_the_acceptance_grid(monkeypatch):
+    select, calls = detach.equalized_select, []
+
+    def both(ground, famA, famB, m, seed=0):
+        calls.append(assert_wired_as_reference(ground, famA, famB, m, seed))
+        return select(ground, famA, famB, m, seed)
+
+    monkeypatch.setattr(detach, "equalized_select", both)
+    grid = [
+        Params(n, h, lam, r)
+        for h in (2, 3, 4)
+        for n in range(h + 1, 11)
+        for lam in (1, 2)
+        for r in _fixture_vectors(n, h, lam)
+        if check_feasibility(Params(n, h, lam, r)).ok
+    ]
+    for p in grid:
+        for seed in (0, 5):
+            construct(p, seed=seed, check_mode="off")
+    assert len(calls) == 2 * sum(p.n - 1 for p in grid) and sum(calls) > 0

@@ -188,3 +188,51 @@ def test_every_stage_matches_a_rebuild(spec, seed):
         assert_matches_rebuild(G)
         split_step(G, ell, p, seed=seed)
     assert_matches_rebuild(G)
+
+
+def generic_wing_family(G, ground, decomps):
+    """The wing family as `LaminarFamily` builds it from unordered members."""
+    members = []
+    for i in range(1, G.k + 1):
+        d = decomps[i]
+        members.append(Member(frozenset(d.whole[0]), (("color", i),)))
+        members.append(Member(frozenset(d.big[0]), (("multiwing", i),)))
+        members += [Member(frozenset(w), (("wing", i, j),)) for j, (w, _, _) in enumerate(d.wings)]
+    return LaminarFamily(ground, members)
+
+
+def generic_cell_family(G, ground):
+    """The cell family as `LaminarFamily` builds it, cells keyed by (p, ordinary vertices)."""
+    cells = {}
+    for key, (_, p) in ground.items():
+        rest = tuple(v for v in key[1] if v != G.alpha)
+        cells.setdefault((p, rest), set()).add(key)
+    return LaminarFamily(ground, [Member(frozenset(ts), (("cell",) + k,)) for k, ts in cells.items()])
+
+
+def assert_same_family(fam, ref):
+    """Member order and merged tags, sizes, parent per member and innermost member per type."""
+    for mb in fam.members:
+        assert len(set(mb.elements)) == len(mb.elements)  # a tuple holds no element twice
+    assert [(frozenset(mb.elements), mb.tags) for mb in fam.members] == list(ref.members)
+    assert fam.sizes == ref.sizes
+    assert fam._forest == ref._forest
+    assert fam.forest() == ref._forest  # the generic laminarity check passes too
+
+
+# at h = 1 every type is a loop, no class has a multi-hinge member, and
+# all colours share the one empty multiwing member
+H1 = [(3, 1, 1, (1,)), (5, 1, 2, (1, 1)), (6, 1, 3, (2, 1))]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("spec", GRID + H1, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
+def test_every_stage_builds_the_generic_families(spec, seed):
+    p = Params(*spec)
+    G = initial_amalgam(p)
+    for ell in range(1, p.n):
+        ground = G.hinges_at()
+        decomps = wing_decompositions(G, ground)
+        assert_same_family(build_wing_family(G, ground, decomps), generic_wing_family(G, ground, decomps))
+        assert_same_family(build_cell_family(G, ground), generic_cell_family(G, ground))
+        split_step(G, ell, p, seed=seed)

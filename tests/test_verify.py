@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from hypfactor import (
 )
 from hypfactor.detach import Factorization, Params
 from hypfactor.hypercore import UnionFind
-from hypfactor.verify import _finish
+from hypfactor.verify import LeastSubset, _finish
 from test_stage_exactness import GRID
 
 STAGE_CHECKS = ["degrees", "multiplicities", "edge-amalgam-bound", "connectivity", "wing-balance"]
@@ -631,6 +632,25 @@ def test_cover_witness_for_lambda_at_most_zero():
     assert verify_factorization(Factorization(10**6, 3, 0, (2,), ((),))).checks[1].passed
     g = Factorization(10**6, 3, -1, (2,), (factor,))
     assert verify_factorization(g).checks[1].witness == ((1, 2, 3), 0, -1)
+
+
+def test_edgeless_cover_witness_is_named_not_built():
+    # (1, ..., h) is the first missing h-subset of an edgeless document: it
+    # equals that tuple and serializes as that list, and naming it costs
+    # nothing whatever h is; with h > n there is no h-subset to miss
+    rep = verify_factorization(Factorization(5, 3, 1, (6,), ((),)))
+    assert rep.checks[1] == CheckResult("cover-multiplicity", False, ((1, 2, 3), 0, 1))
+    assert rep.to_dict()["checks"][1]["witness"] == [[1, 2, 3], 0, 1]
+    assert LeastSubset(3) == LeastSubset(3) != LeastSubset(2)
+    assert all(LeastSubset(3) != t for t in ((1, 2, 4), (1, 2), (1, 2, 3, 4), [1, 2, 3]))
+    tracemalloc.start()
+    try:
+        huge = verify_factorization(Factorization(10**12 + 1, 10**12, 1, (10**12,), ((),)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge.checks[1].witness == (LeastSubset(10**12), 0, 1) and peak < 2**20
+    assert verify_factorization(Factorization(2, 3, 1, (1,), ((),))).checks[1].passed
 
 
 def test_degree_sum_past_the_binomial_estimate():

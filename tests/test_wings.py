@@ -24,7 +24,7 @@ from conftest import random_connected_class as _random_connected_class
 
 def _big_hinges(d, ground):
     """Hinges in the multi-hinge wings of one class: c * p summed over `big`."""
-    return sum(ground[x][0] * ground[x][1] for x in d.big)
+    return sum(ground[x][0] * ground[x][1] for x in d.big[0])
 
 
 # -- is_connected -----------------------------------------------------------
@@ -106,14 +106,15 @@ def test_wings_partition_amalgam_hinges():
     decomps = wing_decompositions(G, ground)
     for i in range(1, p.k + 1):
         d = decomps[i]
-        loops = {key for key in d.types if ground[key][1] == G.h}
+        loops = {key for key in d.whole[0] if ground[key][1] == G.h}
         seen = set(loops)
-        for w in d.wings:
-            assert not (seen & w)
-            seen |= w
+        for w, _, _ in d.wings:
+            assert not (seen & set(w))
+            seen |= set(w)
             roots = {G.find(i, next(v for v in key[1] if v != G.alpha)) for key in w}
             assert len(roots) == 1
-        assert seen == d.types == {key for key in ground if key[0] == i}
+        assert len(d.whole[0]) == len(seen) == len(set(d.whole[0]))
+        assert seen == set(d.whole[0]) == {key for key in ground if key[0] == i}
         cls = [e for e in G.edges() if e.color == i]
         assert _big_hinges(d, ground) == wing_decomposition(cls, G.alpha).delta
 
