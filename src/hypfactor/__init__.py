@@ -18,7 +18,7 @@ from .detach import (
     split_step,
 )
 from .errors import InternalInvariantError, InvalidHingeError, ParameterError
-from .hypercore import ColoredMultiHypergraph, Edge, HingeRef, binom
+from .hypercore import ColoredMultiHypergraph, Edge, HingeRef, binom, wing_decompositions
 from .laminar import (
     LaminarFamily,
     Selection,
@@ -40,7 +40,6 @@ from .wings import (
     is_connected,
     split_is_connected,
     wing_decomposition,
-    wing_decompositions,
 )
 
 __version__ = "0.1.0"

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import ColoredMultiHypergraph, binom
+from .hypercore import ColoredMultiHypergraph, binom, wing_decompositions
 from .laminar import build_cell_family, build_wing_family, equalized_select
 from .verify import VerificationReport, verify_factorization, verify_stage
-from .wings import wing_decompositions
 
 CHECK_MODES = ("full", "final", "off")
 

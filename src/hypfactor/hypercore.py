@@ -11,8 +11,9 @@ exact.  The graph also indexes its amalgam-incident types by their
 amalgam multiplicity p (the counts stay in the one `Counter`):
 `add_edge` inserts a type when it first appears and `move_hinges`
 deletes it when it empties, so a split stage reads its ground from the
-index instead of scanning every type.  `edges()` expands the counts into
-explicit `Edge` records for the verifier and the output.
+index instead of scanning every type; `wing_decompositions` groups that
+ground into wings through the union-finds.  `edges()` expands the counts
+into explicit `Edge` records for the verifier and the output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import count
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidHingeError, ParameterError
 
@@ -59,8 +60,8 @@ class Edge:
 class UnionFind:
     """Union-find over arbitrary hashable items, with path halving."""
 
-    def __init__(self, parent: Optional[dict] = None):
-        self.parent = dict(parent or {})
+    def __init__(self):
+        self.parent: dict = {}
 
     def find(self, x):
         p = self.parent.setdefault(x, x)
@@ -112,10 +113,6 @@ class ColoredMultiHypergraph:
         for (color, verts), c in self._types.items():
             for _ in range(c):
                 yield Edge(next(ids), verts, color)
-
-    def find(self, color: int, v: int) -> int:
-        """Root of `v`'s component among the ordinary vertices of one color."""
-        return self._uf[color].find(v)
 
     # -- mutation --------------------------------------------------------
 
@@ -190,3 +187,27 @@ class ColoredMultiHypergraph:
         """
         types = self._types
         return {key: (types[key], p) for key, p in self._at_alpha.items()}
+
+
+def wing_decompositions(G: ColoredMultiHypergraph, ground: dict) -> dict[int, tuple]:
+    """Per color of `G`: its loop type (or None) and its other wings as [types, hinges].
+
+    `ground` is `G.hinges_at()`.  A non-loop type joins the wing of its
+    ordinary vertices' component in the color's union-find; the one pass
+    over the ground that groups the types also adds up each wing's hinges.
+    """
+    alpha, h = G.alpha, G.h
+    finds = {i: uf.find for i, uf in G._uf.items()}
+    loops = dict.fromkeys(finds)
+    comps = {i: {} for i in finds}  # root -> [types, hinges]
+    for key, (c, p) in ground.items():
+        color, verts = key
+        if p == h:
+            loops[color] = key
+            continue
+        # the sorted verts hold p alphas in a row, so one of these is ordinary
+        u = verts[0] if verts[0] != alpha else verts[p]
+        wing = comps[color].setdefault(finds[color](u), [[], 0])
+        wing[0].append(key)
+        wing[1] += c * p
+    return {i: (loops[i], comps[i].values()) for i in finds}

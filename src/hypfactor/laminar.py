@@ -33,7 +33,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import ColoredMultiHypergraph
-from .wings import ClassWings
 
 
 def weighted(ground) -> dict:
@@ -42,9 +41,9 @@ def weighted(ground) -> dict:
 
 
 class Member(NamedTuple):
-    """One family set plus the provenance tags that produced it."""
+    """One family set (a frozenset, or a tuple from the stage builders) and its tags."""
 
-    elements: frozenset
+    elements: frozenset | tuple
     tags: tuple
 
 
@@ -90,21 +89,23 @@ class LaminarFamily:
     def _known(cls, ground: dict, entries) -> "LaminarFamily":
         """A family whose builder knows its containment; nothing is checked.
 
-        `entries` holds (group, tag, parent group or None), a group being
-        (elements, size, least element).  In a laminar family the key
-        (-len, least element) names the set: it orders members, equal sets
-        merge their tags, and each element's last member is its innermost.
+        `entries` holds (elements, size, tag, parent entry index or -1).
+        In a laminar family the key (-len, least element) names the set: it
+        orders members, equal sets merge their tags, and each element's
+        last member is its innermost.
         """
+        keys = [(-len(xs), min(xs) if xs else None) for xs, _, _, _ in entries]
+        keys.append(None)  # index -1: no parent
         nodes: dict = {}
-        for (xs, size, least), tag, up in entries:
-            node = nodes.setdefault((-len(xs), least), [xs, (), size, up and (-len(up[0]), up[2])])
+        for key, (xs, size, tag, up) in zip(keys, entries):
+            node = nodes.setdefault(key, [xs, (), size, keys[up]])
             node[1] += (tag,)
         order = sorted(nodes)
         index = dict(zip(order, count()))
         picked = list(map(nodes.__getitem__, order))
         fam = cls.__new__(cls)
         fam.ground = ground  # kept, not copied
-        fam.members = tuple([Member(xs, tags) for xs, tags, _, _ in picked])
+        fam.members = tuple([Member(tuple(xs), tags) for xs, tags, _, _ in picked])
         fam.sizes = tuple([size for _, _, size, _ in picked])
         innermost = chain.from_iterable(zip(nd[0], repeat(i)) for i, nd in enumerate(picked))
         fam._forest = ([index.get(up, -1) for _, _, _, up in picked], dict(innermost))
@@ -203,23 +204,37 @@ def selection_respects_bounds(
 # -- family builders ----------------------------------------------------
 
 
-def build_wing_family(
-    G: ColoredMultiHypergraph,
-    ground: dict,
-    decomps: dict[int, ClassWings],
-) -> LaminarFamily:
+def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) -> LaminarFamily:
     """Wing-side family over `ground = G.hinges_at()` and its wings `decomps`.
 
-    Per color: the class's types, the union of its wings with 2+ hinges,
-    and each non-loop wing's types; a wing with 2+ hinges lies in the
-    union, any other in the class, and that nesting is the forest.  Single
-    edges need no member: each element's own bounds hold every edge of it.
+    `decomps` is `hypercore.wing_decompositions(G, ground)`.  Per color:
+    the class's types, the union of its wings with 2+ hinges, and each
+    non-loop wing's types; a wing with 2+ hinges lies in the union, any
+    other in the class, and that nesting is the forest.  Single edges
+    need no member: each element's own bounds hold every edge of it.
     """
+    h = G.h
     entries = []
     for i in range(1, G.k + 1):
-        whole, wings, big = decomps[i]
-        entries += [(whole, ("color", i), None), (big, ("multiwing", i), whole if big[0] else None)]
-        entries += [(w, ("wing", i, j), big if w[1] >= 2 else whole) for j, w in enumerate(wings)]
+        loop, wings = decomps[i]
+        top = len(entries)  # the class's entry; its multi-hinge union's is next
+        entries += [None, None]
+        # (tag, types, hinges of one wing, hinges): a loop type of c edges
+        # is c one-edge wings of h hinges each, with no member of their own
+        rows = [(None, [loop], h, ground[loop][0] * h)] if loop else []
+        rows += [(("wing", i, j), w, x, x) for j, (w, x) in enumerate(wings)]
+        whole, big, total, held = [], [], 0, 0
+        for tag, w, one, x in rows:
+            multi = one >= 2
+            whole += w
+            total += x
+            if multi:
+                big += w
+                held += x
+            if tag:
+                entries.append((w, x, tag, top + multi))
+        entries[top] = (whole, total, ("color", i), -1)
+        entries[top + 1] = (big, held, ("multiwing", i), top if big else -1)
     return LaminarFamily._known(ground, entries)
 
 
@@ -234,9 +249,8 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
         verts = key[1]
         i = verts.index(G.alpha)  # the sorted verts hold p alphas from i on
         cells.setdefault((p, verts[:i] + verts[i + p:]), []).append(key)
-    groups = [(tuple(ts), p * sum(ground[x][0] for x in ts), min(ts))
-              for (p, _), ts in cells.items()]
-    entries = [(g, ("cell",) + shape, None) for g, shape in zip(groups, cells)]
+    entries = [(ts, shape[0] * sum(ground[x][0] for x in ts), ("cell",) + shape, -1)
+               for shape, ts in cells.items()]
     return LaminarFamily._known(ground, entries)
 
 

@@ -41,6 +41,7 @@ still sees, so they are sound under any edge order:
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ from typing import Optional
 from .detach import Factorization, Params
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import binom
-from .laminar import LaminarFamily, Selection, bounds_for
+from .laminar import LaminarFamily, Selection, bounds_for, weighted
 from .verify import VerificationReport, verify_factorization
 
 
@@ -78,6 +79,14 @@ class SearchBudget:
 
     max_nodes: int = 500_000_000
     time_limit: float = 120.0
+
+    def __post_init__(self):
+        _check_time_limit(self.time_limit)
+
+
+def _check_time_limit(time_limit: float) -> None:
+    if math.isnan(time_limit):  # a NaN deadline would never expire
+        raise ParameterError("time limit must be a number of seconds, got NaN")
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,7 @@ def solve(p: Params, edges: list, connected: bool, max_nodes: int, time_limit: f
     otherwise.  `connected` demands connectivity of every class with
     r_i >= 2 when h >= 2.
     """
+    _check_time_limit(time_limit)
     n, h, k, r = p.n, p.h, p.k, p.r
     E = len(edges)
     sizes = [ri * n // h for ri in r]
@@ -320,10 +330,13 @@ def exhaustive_select(
     """Every subset of `ground` meeting all floor/ceiling bounds.
 
     Bounds cover each member of both families plus the ground set, the
-    same constraint set the flow selector enforces.  Refuses grounds over
-    MAX_EXHAUSTIVE_GROUND elements.  Returns selections in a
-    deterministic order.
+    same constraint set the flow selector enforces.  Refuses weighted
+    elements and grounds over MAX_EXHAUSTIVE_GROUND elements.  Returns
+    selections in a deterministic order.
     """
+    for x, w in weighted(ground).items():
+        if w != (1, 1):
+            raise ParameterError(f"exhaustive selection takes unit elements; {x!r} weighs {w}")
     items = sorted(ground)
     g = len(items)
     if g > MAX_EXHAUSTIVE_GROUND:

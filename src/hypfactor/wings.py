@@ -8,20 +8,19 @@ amalgam's occurrences from every edge and taking connected components of
 what remains; every component, together with the class edges meeting it,
 is one wing, and every all-amalgam loop edge is a wing of its own.
 
-`wing_decomposition` works on explicit edges and hinge refs, for the
+`wing_decomposition` is the explicit-edge reference, for the
 split-connectivity rule, criterion 7 and the tests (the verifier counts
 wings itself): moving a strict, nonempty part of some multi-hinge wing's
-hinges to the new vertex is exactly what keeps the class connected.
-`wing_decompositions` is the construction's view over edge types.
+hinges to the new vertex is exactly what keeps the class connected.  The
+construction's view over edge types is `hypercore.wing_decompositions`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hypercore import ColoredMultiHypergraph, Edge, HingeRef, UnionFind
+from .hypercore import Edge, HingeRef, UnionFind
 
 
 def is_connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
@@ -113,54 +112,6 @@ def wing_decomposition(edges: Sequence[Edge], alpha: int) -> WingDecomposition:
     wings.sort(key=lambda w: min(w.edge_ids))
     big = frozenset().union(*(w.hinges for w in wings if w.d_alpha >= 2))
     return WingDecomposition(tuple(wings), big)
-
-
-# One color class as (types, hinges, least type) groups: the `whole` class,
-# its `wings` (each non-loop wing; a loop type stands for c one-edge wings)
-# and `big`, the types in wings with 2+ hinges.
-ClassWings = namedtuple("ClassWings", "whole wings big")
-
-
-def wing_decompositions(
-    G: ColoredMultiHypergraph, ground: dict
-) -> dict[int, ClassWings]:
-    """Wings of every color class of `G`, keyed by color.
-
-    `ground` is `G.hinges_at()`.  A non-loop type joins the wing of its
-    ordinary vertices' component in the color's union-find; the pass over
-    the ground that groups the types also adds up each wing's hinges.
-    """
-    alpha, h = G.alpha, G.h
-    types = {i: [] for i in range(1, G.k + 1)}
-    loops = dict.fromkeys(range(1, G.k + 1), ((), 0))  # the one loop type, its hinges
-    comps = {i: {} for i in range(1, G.k + 1)}  # root -> [types, hinges]
-    for key, (c, p) in ground.items():
-        color, verts = key
-        types[color].append(key)
-        if p == h:
-            loops[color] = ((key,), c * p)
-            continue
-        # the sorted verts hold p alphas in a row, so one of these is ordinary
-        u = verts[0] if verts[0] != alpha else verts[p]
-        wing = comps[color].setdefault(G.find(color, u), [[], 0])
-        wing[0].append(key)
-        wing[1] += c * p
-
-    out = {}
-    for i in range(1, G.k + 1):
-        loop, hinges = loops[i]
-        big = list(loop) if h >= 2 else []
-        total, held = hinges, hinges if big else 0  # hinges of the class and of `big`
-        wings = []
-        for w, x in comps[i].values():
-            wings.append((tuple(w), x, min(w)))
-            total += x
-            if x >= 2:
-                big += w
-                held += x
-        whole = (tuple(types[i]), total, min(types[i], default=None))
-        out[i] = ClassWings(whole, tuple(wings), (tuple(big), held, min(big, default=None)))
-    return out
 
 
 def split_is_connected(decomp: WingDecomposition, A: Iterable[HingeRef]) -> bool:

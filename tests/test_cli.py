@@ -548,6 +548,16 @@ def test_oracle_time_limit_exit_code(capsys):
     assert "budget exhausted" in out
 
 
+def test_oracle_nan_time_limit_exit_code(capsys):
+    rc, out, err = run(
+        capsys, "oracle", "--n", "7", "--h", "4", "--lambda", "1",
+        "--r", "4,4,4,4,4", "--time-limit", "nan",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "parameter error" in err and "NaN" in err
+
+
 # -- one parser for every call ----------------------------------------------
 
 

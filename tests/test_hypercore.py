@@ -178,10 +178,10 @@ def test_moves_merge_color_components():
     G.add_edge((0, 1), 1)
     G.add_edge((0, 2), 1)
     G.add_edge((0, 0), 2)
-    assert G.find(1, 1) != G.find(1, 2)
+    assert G._uf[1].find(1) != G._uf[1].find(2)
     G.move_hinges({(1, (0, 1)): 1, (1, (0, 2)): 1, (2, (0, 0)): 1}, 3)
-    assert G.find(1, 1) == G.find(1, 2) == G.find(1, 3)
-    assert G.find(2, 3) != G.find(2, 1)
+    assert G._uf[1].find(1) == G._uf[1].find(2) == G._uf[1].find(3)
+    assert G._uf[2].find(3) != G._uf[2].find(1)
 
 
 # -- construction and validation --------------------------------------------

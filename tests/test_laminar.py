@@ -314,6 +314,18 @@ def test_exhaustive_two_subsets():
     assert all(len(s.chosen) == 2 for s in out)
 
 
+def test_exhaustive_refuses_weighted_ground():
+    # a weighted ground would be enumerated as unit elements, and every
+    # selection would then break the ground total
+    ground = {"a": (3, 2), "b": (1, 1)}
+    fam = _empty_over(ground)
+    with pytest.raises(ParameterError):
+        exhaustive_select(ground, fam, fam, m=2)
+    unit = dict.fromkeys("ab", (1, 1))
+    fam = _empty_over(unit)
+    assert [s.amounts for s in exhaustive_select(unit, fam, fam, m=2)] == [{"a": 1}, {"b": 1}]
+
+
 def test_exhaustive_refuses_large_ground():
     ground = frozenset(range(21))
     with pytest.raises(ParameterError):

@@ -7,7 +7,10 @@ from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from hypfactor import (
+    ParameterError,
     Params,
     SearchBudget,
     brute_force_factorize,
@@ -157,6 +160,17 @@ def test_time_limit_stops_search_at_deadline_check():
     p = Params(7, 4, 1, (4,) * 5)
     edges = list(combinations(range(1, 8), 4))
     assert solve(p, edges, True, 10**9, 0.0) == ("unknown", None, 65536)
+
+
+def test_nan_time_limit_is_refused():
+    # a NaN deadline never expires: the search would run to its node cap
+    nan = float("nan")
+    with pytest.raises(ParameterError):
+        SearchBudget(time_limit=nan)
+    p = Params(7, 4, 1, (4,) * 5)
+    with pytest.raises(ParameterError):
+        solve(p, list(combinations(range(1, 8), 4)), True, 200_000, nan)
+    assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
 
 
 def test_kernel_bench_runs():

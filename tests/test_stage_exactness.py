@@ -191,13 +191,22 @@ def test_every_stage_matches_a_rebuild(spec, seed):
 
 
 def generic_wing_family(G, ground, decomps):
-    """The wing family as `LaminarFamily` builds it from unordered members."""
+    """The wing family as `LaminarFamily` builds it from unordered members.
+
+    Only the wings' types come from `decomps`.  The class and multi-hinge
+    members are built here from `ground`: a loop type's edges are wings of
+    h hinges each, a non-loop wing holds the c * p hinges of its types,
+    and a wing with 2+ hinges joins the multi-hinge union.
+    """
     members = []
     for i in range(1, G.k + 1):
-        d = decomps[i]
-        members.append(Member(frozenset(d.whole[0]), (("color", i),)))
-        members.append(Member(frozenset(d.big[0]), (("multiwing", i),)))
-        members += [Member(frozenset(w), (("wing", i, j),)) for j, (w, _, _) in enumerate(d.wings)]
+        wings = [frozenset(w) for w, _ in decomps[i][1]]
+        whole = {key for key in ground if key[0] == i}
+        big = {key for key in whole if ground[key][1] == G.h >= 2}
+        big.update(*(w for w in wings if sum(c * p for c, p in map(ground.get, w)) >= 2))
+        members.append(Member(frozenset(whole), (("color", i),)))
+        members.append(Member(frozenset(big), (("multiwing", i),)))
+        members += [Member(w, (("wing", i, j),)) for j, w in enumerate(wings)]
     return LaminarFamily(ground, members)
 
 

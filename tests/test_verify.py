@@ -313,7 +313,9 @@ def _per_edge_class_wings(types, alpha, split_verts) -> tuple[bool, int]:
     The wings are the components of the ordinary vertices, plus one per loop
     edge; connected iff every component meets the amalgam (vacuous if none).
     """
-    uf, loops, ends = UnionFind({v: v for v in split_verts}), 0, []
+    uf, loops, ends = UnionFind(), 0, []
+    for v in split_verts:
+        uf.find(v)  # every split vertex starts as its own root
     for verts, c in types:
         rest = [v for v in verts if v != alpha]
         q = len(verts) - len(rest)

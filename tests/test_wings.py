@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypfactor import (
     HingeRef,
     binom,
+    build_wing_family,
     initial_amalgam,
     is_connected,
     split_is_connected,
@@ -22,9 +23,14 @@ from conftest import detached_is_connected as _detached_is_connected
 from conftest import random_connected_class as _random_connected_class
 
 
-def _big_hinges(d, ground):
-    """Hinges in the multi-hinge wings of one class: c * p summed over `big`."""
-    return sum(ground[x][0] * ground[x][1] for x in d.big[0])
+def _member(fam, tag):
+    """The elements of the wing-family member carrying `tag`."""
+    return next(mb.elements for mb in fam.members if tag in mb.tags)
+
+
+def _big_hinges(fam, i, ground):
+    """Hinges in the multi-hinge wings of class i: c * p summed over its multiwing member."""
+    return sum(ground[x][0] * ground[x][1] for x in _member(fam, ("multiwing", i)))
 
 
 # -- is_connected -----------------------------------------------------------
@@ -104,28 +110,31 @@ def test_wings_partition_amalgam_hinges():
         split_step(G, ell, p, seed=4)
     ground = G.hinges_at()
     decomps = wing_decompositions(G, ground)
+    fam = build_wing_family(G, ground, decomps)
     for i in range(1, p.k + 1):
-        d = decomps[i]
-        loops = {key for key in d.whole[0] if ground[key][1] == G.h}
+        loop, wings = decomps[i]
+        whole = _member(fam, ("color", i))
+        loops = {key for key in whole if ground[key][1] == G.h}
+        assert loops == ({loop} if loop else set())
         seen = set(loops)
-        for w, _, _ in d.wings:
+        for w, _ in wings:
             assert not (seen & set(w))
             seen |= set(w)
-            roots = {G.find(i, next(v for v in key[1] if v != G.alpha)) for key in w}
+            roots = {G._uf[i].find(next(v for v in key[1] if v != G.alpha)) for key in w}
             assert len(roots) == 1
-        assert len(d.whole[0]) == len(seen) == len(set(d.whole[0]))
-        assert seen == set(d.whole[0]) == {key for key in ground if key[0] == i}
+        assert len(whole) == len(seen) == len(set(whole))
+        assert seen == set(whole) == {key for key in ground if key[0] == i}
         cls = [e for e in G.edges() if e.color == i]
-        assert _big_hinges(d, ground) == wing_decomposition(cls, G.alpha).delta
+        assert _big_hinges(fam, i, ground) == wing_decomposition(cls, G.alpha).delta
 
 
 def test_base_amalgam_delta_is_class_degree():
     # every loop carries h >= 2 hinges, so delta equals r_i * n
     G = initial_amalgam(Params(5, 3, 1, (3, 3)))
     ground = G.hinges_at()
-    decomps = wing_decompositions(G, ground)
-    assert _big_hinges(decomps[1], ground) == 3 * 5
-    assert _big_hinges(decomps[2], ground) == 3 * 5
+    fam = build_wing_family(G, ground, wing_decompositions(G, ground))
+    assert _big_hinges(fam, 1, ground) == 3 * 5
+    assert _big_hinges(fam, 2, ground) == 3 * 5
 
 
 # -- split connectivity criterion -------------------------------------------
