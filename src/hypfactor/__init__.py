@@ -18,7 +18,7 @@ from .detach import (
     split_step,
 )
 from .errors import InternalInvariantError, InvalidHingeError, ParameterError
-from .hypercore import ColoredMultiHypergraph, Edge, HingeRef, binom, wing_decompositions
+from .hypercore import ColoredMultiHypergraph, Edge, binom, wing_decompositions
 from .laminar import (
     LaminarFamily,
     Selection,
@@ -35,6 +35,7 @@ from .oracle import (
 )
 from .verify import CheckResult, VerificationReport, verify_factorization, verify_stage
 from .wings import (
+    HingeRef,
     Wing,
     WingDecomposition,
     is_connected,

@@ -31,7 +31,7 @@ from itertools import chain, islice
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import binom
+from .hypercore import binom_over
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
 from .verify import LeastSubset, _first_bad_edge, verify_factorization
 
@@ -180,8 +180,8 @@ def cmd_generate(args) -> int:
             if not ok:
                 print(f"infeasible: {name}: {detail}", file=sys.stderr)
         return 2
-    total = p.lam * binom(p.n, p.h)
-    if total > GENERATE_EDGE_GUARD and not args.force:
+    total = binom_over(p.lam, p.n, p.h, GENERATE_EDGE_GUARD)
+    if total and not args.force:
         print(
             f"refusing to build {total} edges (guard {GENERATE_EDGE_GUARD}); "
             "pass --force to override",
@@ -248,8 +248,8 @@ def cmd_feasible(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = _params_from(args)
-    total = p.lam * binom(p.n, p.h)
-    if total > MAX_ORACLE_EDGES:
+    total = binom_over(p.lam, p.n, p.h, MAX_ORACLE_EDGES)
+    if total:
         print(
             f"oracle guard: instance has {total} edges, cap is {MAX_ORACLE_EDGES}",
             file=sys.stderr,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import ColoredMultiHypergraph, binom, wing_decompositions
+from .hypercore import ColoredMultiHypergraph, binom, binom_passes, int_text, wing_decompositions
 from .laminar import build_cell_family, build_wing_family, equalized_select
 from .verify import VerificationReport, verify_factorization, verify_stage
 
@@ -90,22 +90,14 @@ def check_feasibility(p: Params) -> FeasibilityReport:
     conditions = []
     for i, ri in enumerate(p.r, start=1):
         ok = (ri * p.n) % p.h == 0
-        conditions.append(
-            (
-                f"divisibility[{i}]",
-                ok,
-                f"h={p.h} {'divides' if ok else 'does not divide'} r_{i}*n={ri * p.n}",
-            )
-        )
-    want = p.lam * binom(p.n - 1, p.h - 1)
+        divides = "divides" if ok else "does not divide"
+        conditions.append((f"divisibility[{i}]", ok, f"h={p.h} {divides} r_{i}*n={ri * p.n}"))
+    # a lam * C(n-1, h-1) too large to compute is only shown to exceed sum(r)
     got = sum(p.r)
-    conditions.append(
-        (
-            "degree-sum",
-            got == want,
-            f"sum(r)={got}, lam*C(n-1,h-1)={want}",
-        )
-    )
+    j = binom_passes(p.n - 1, p.h - 1, got // p.lam)
+    want = None if j else p.lam * binom(p.n - 1, p.h - 1)
+    rhs = f">{got}" if j else f"={int_text(want)}"
+    conditions.append(("degree-sum", got == want, f"sum(r)={got}, lam*C(n-1,h-1){rhs}"))
     ok = all(c[1] for c in conditions)
     guaranteed = tuple(ri >= 2 and p.h >= 2 for ri in p.r)
     return FeasibilityReport(ok, tuple(conditions), guaranteed)
@@ -211,8 +203,8 @@ def construct(p: Params, seed: int = 0, check_mode: Optional[str] = None) -> Fac
                 )
 
     factors = [[] for _ in range(p.k)]
-    for e in G.edges():
-        factors[e.color - 1].append(e.verts)
+    for color, verts in G.edges():
+        factors[color - 1].append(verts)
     fact = Factorization.canonical(
         p.n, p.h, p.lam, p.r, factors, stage_reports=tuple(stage_reports)
     )

@@ -12,16 +12,17 @@ amalgam multiplicity p (the counts stay in the one `Counter`):
 `add_edge` inserts a type when it first appears and `move_hinges`
 deletes it when it empties, so a split stage reads its ground from the
 index instead of scanning every type; `wing_decompositions` groups that
-ground into wings through the union-finds.  `edges()` expands the counts
-into explicit `Edge` records for the verifier and the output.
+ground into wings through the union-finds.  `edges()` repeats each
+type's one `Edge(color, verts)` record `count` times, for the verifier
+and the output; an edge's id is its position in that stream.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import count
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidHingeError, ParameterError
 
@@ -35,26 +36,53 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class HingeRef(NamedTuple):
-    """One occurrence of the amalgam in one explicit edge (`slot` is 1-based).
+# past this estimated size in bits, a binomial is compared with a count
+# without computing it in full (see `binom_passes`)
+BINOMIAL_BITS = 2**20
 
-    The hinge-level view used to state and check the split-connectivity
-    rule; the construction itself works on counts.
+
+def binom_passes(N: int, k: int, count: int) -> Optional[int]:
+    """The least j with C(N, j) > `count`, if C(N, k) is too large to compute.
+
+    None when min(k, N - k) * log2(N), an upper estimate of the bits of
+    C(N, k), is at most `BINOMIAL_BITS`: the caller then computes C(N, k)
+    in full.  Past that, C(N, j) is built for j = 1, 2, ... up to
+    min(k, N - k), where it grows with j and reaches C(N, k), so stopping
+    once it passes `count` proves C(N, k) > `count`.  A count held by a
+    document passes within about log2(count) steps.
     """
+    top = min(k, N - k)
+    if top * N.bit_length() <= BINOMIAL_BITS:
+        return None
+    c = 1
+    for j in range(1, top + 1):
+        c = c * (N - j + 1) // j
+        if c > count:
+            return j
+    return None
 
-    edge_id: int
-    slot: int
+
+def int_text(x: int) -> str:
+    """`str(x)`, or the bit length of an integer with too many digits for `str`."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
 
 
-class Edge:
-    """A single colored edge record; `verts` is a sorted vertex multiset."""
+def binom_over(lam: int, N: int, k: int, cap: int) -> Optional[str]:
+    """lam * C(N, k) as text when it exceeds `cap` (lam >= 1), else None."""
+    if binom_passes(N, k, cap // lam) is not None:
+        return f"more than {cap}"
+    total = lam * binom(N, k)
+    return int_text(total) if total > cap else None
 
-    __slots__ = ("id", "verts", "color")
 
-    def __init__(self, edge_id: int, verts: tuple[int, ...], color: int):
-        self.id = edge_id
-        self.verts = verts
-        self.color = color
+class Edge(NamedTuple):
+    """One colored edge; `verts` is a sorted vertex multiset."""
+
+    color: int
+    verts: tuple
 
 
 class UnionFind:
@@ -108,11 +136,9 @@ class ColoredMultiHypergraph:
     # -- basic accessors -------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        """Explicit edges, `count` records per type, ids fresh in iteration order."""
-        ids = count()
-        for (color, verts), c in self._types.items():
-            for _ in range(c):
-                yield Edge(next(ids), verts, color)
+        """Explicit edges: one `Edge` per type, repeated `count` times, in insertion order."""
+        types = self._types
+        return chain.from_iterable(map(repeat, map(Edge._make, types), types.values()))
 
     # -- mutation --------------------------------------------------------
 

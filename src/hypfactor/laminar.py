@@ -177,10 +177,10 @@ def selection_respects_bounds(
     `chosen` maps elements to amounts, or is a plain iterable taking each
     element once.  Checked in order: strays outside the ground, the ground
     total, each element, then every member, whose totals are gathered in
-    one pass over the amounts.
+    one pass over the amounts.  A dict `ground` is read in place.
     """
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
-    g = weighted(ground)
+    g = ground if isinstance(ground, Mapping) else weighted(ground)
     for x in amounts:
         if x not in g:
             return ("stray", x)

@@ -50,7 +50,7 @@ from typing import Optional
 
 from .detach import Factorization, Params
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import binom
+from .hypercore import binom, binom_over
 from .laminar import LaminarFamily, Selection, bounds_for, weighted
 from .verify import VerificationReport, verify_factorization
 
@@ -250,11 +250,12 @@ def brute_force_factorize(
     if budget is None:
         budget = SearchBudget()
     n, h, lam, r = p.n, p.h, p.lam, p.r
-    total = lam * binom(n, h)
-    if total > MAX_ORACLE_EDGES:
+    over = binom_over(lam, n, h, MAX_ORACLE_EDGES)
+    if over:
         return OracleResult(
-            "unknown", reason=f"instance has {total} edges, guard is {MAX_ORACLE_EDGES}"
+            "unknown", reason=f"instance has {over} edges, guard is {MAX_ORACLE_EDGES}"
         )
+    total = lam * binom(n, h)
 
     # root refutations by degree counting
     for i, ri in enumerate(r, start=1):

@@ -4,8 +4,9 @@ Everything is recomputed from the explicit edge list: `verify_stage`
 counts `G.edges()` once by type (color, verts), reads no state of the
 construction, and walks the types or edges only to name the witness of
 a failed check.  Each report has one entry per check with a small
-witness for the first violation found (an edge is named by the first id
-of its type), in the JSON shape the command line emits.
+witness for the first violation found (an edge is named by its position
+in `G.edges()`, the first of its type), in the JSON shape the command
+line emits.
 
 `verify_factorization` reads the factors as given: the order of the edges
 and of the vertices inside an edge decides no verdict, and only the
@@ -18,9 +19,9 @@ declared vertex and never walks 1..n, so a 60-byte document declaring
 n = 10**8 is rejected in milliseconds; an edgeless document's cover
 witness (1, ..., h) is a `LeastSubset`.  The binomials C(n, h) and
 C(n - 1, h - 1) are computed exactly only up to an estimated
-`_BINOMIAL_BITS` bits; past that, C(N, j) for j = 1, 2, ... is built only
-until it passes the count the document holds, which proves the equality
-false at a cost that follows the document.
+`hypercore.BINOMIAL_BITS` bits; past that, `binom_passes` builds C(N, j)
+for j = 1, 2, ... only until it passes the count the document holds,
+which proves the equality false at a cost that follows the document.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, filterfalse, islice
-from operator import attrgetter, itemgetter
+from operator import indexOf, itemgetter
 from typing import Optional
 
-from .hypercore import ColoredMultiHypergraph, binom
+from .hypercore import ColoredMultiHypergraph, binom, binom_passes
 from .wings import joins
-
-# past this estimated size in bits, a binomial is compared with a count
-# without computing it in full (see `_passes`)
-_BINOMIAL_BITS = 2**20
 
 
 @dataclass(frozen=True)
@@ -100,11 +97,6 @@ def _finish(stage, checks) -> VerificationReport:
     return VerificationReport(stage, tuple(checks), overall)
 
 
-def _first_id(G, key) -> int:
-    """Id of the first explicit edge of type `key`, (color, verts)."""
-    return next(e.id for e in G.edges() if (e.color, e.verts) == key)
-
-
 def _wings(ends, nodes: int) -> tuple[bool, int]:
     """Connectivity and non-loop `delta` of one class.
 
@@ -156,7 +148,7 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
 
     # first-seen order: the first edge of the first bad type is the first
     # bad edge; one pass over the types gives degrees, shapes and wings
-    types = Counter(map(attrgetter("color", "verts"), G.edges()))
+    types = Counter(G.edges())
     degs: dict[int, dict] = {i: {} for i in range(1, G.k + 1)}
     ends: dict[int, list] = {i: [] for i in degs}
     loops = dict.fromkeys(degs, 0)
@@ -190,7 +182,7 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     cells = {(q, U): w for q, w in enumerate(wants) if w for U in combinations(split_verts, h - q)}
     bad = None
     if shape != cells:  # name the first repeat, else missed cell, else stray shape
-        repeats = (("repeated ordinary vertex", _first_id(G, (color, vs)), vs)
+        repeats = (("repeated ordinary vertex", indexOf(G.edges(), (color, vs)), vs)
                    for color, vs in types if len(set(vs) - {alpha}) < len(vs) - vs.count(alpha))
         misses = (("cell", q, U, shape.get((q, U), 0), w) for q, w in enumerate(wants)
                   for U in combinations(split_verts, h - q) if shape.get((q, U), 0) != w)
@@ -201,7 +193,7 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     # no edge may hold more amalgam occurrences than splits remaining + 1
     bad = None
     if max(map(itemgetter(0), shape), default=0) > m:
-        bad = next((_first_id(G, (color, vs)), vs.count(alpha), m) for color, vs in types
+        bad = next((indexOf(G.edges(), (color, vs)), vs.count(alpha), m) for color, vs in types
                    if vs.count(alpha) > m)
     checks.append(CheckResult("edge-amalgam-bound", bad is None, bad))
 
@@ -251,27 +243,6 @@ def _connected(factor, seen, n: int) -> bool:
     if _least_unseen(seen, n, 1):
         return n == 1 and not seen
     return joins(factor, len(seen) - 1)
-
-
-def _passes(N: int, k: int, count: int) -> Optional[int]:
-    """The least j with C(N, j) > `count`, if C(N, k) is too large to compute.
-
-    None when min(k, N - k) * log2(N), an upper estimate of the bits of
-    C(N, k), is at most `_BINOMIAL_BITS`: the caller then computes C(N, k)
-    in full.  Past that, C(N, j) is built for j = 1, 2, ... up to
-    min(k, N - k), where it grows with j and reaches C(N, k), so stopping
-    once it passes `count` proves C(N, k) > `count`.  A count held by a
-    document passes within about log2(count) steps.
-    """
-    top = min(k, N - k)
-    if top * N.bit_length() <= _BINOMIAL_BITS:
-        return None
-    c = 1
-    for j in range(1, top + 1):
-        c = c * (N - j + 1) // j
-        if c > count:
-            return j
-    return None
 
 
 def verify_factorization(f) -> VerificationReport:
@@ -326,7 +297,7 @@ def verify_factorization(f) -> VerificationReport:
         elif not cover and h <= n:
             bad = (LeastSubset(h), 0, lam)  # the first h-subset is a miss
         elif (
-            _passes(n, h, len(cover))
+            binom_passes(n, h, len(cover))
             or len(cover) != binom(n, h)
             or not set(cover.values()) <= {lam}
         ):
@@ -368,7 +339,7 @@ def verify_factorization(f) -> VerificationReport:
 
     # lambda * C(n - 1, h - 1) == got forces C(n - 1, h - 1) == got // lambda
     got = sum(r)
-    j = _passes(n - 1, h - 1, got // lam) if lam else None
+    j = binom_passes(n - 1, h - 1, got // lam) if lam else None
     if j is not None:
         bad = (got, f"C(n - 1, h - 1) >= C(n - 1, {j}) > sum(r) // lambda")
     else:

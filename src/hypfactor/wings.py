@@ -11,16 +11,24 @@ is one wing, and every all-amalgam loop edge is a wing of its own.
 `wing_decomposition` is the explicit-edge reference, for the
 split-connectivity rule, criterion 7 and the tests (the verifier counts
 wings itself): moving a strict, nonempty part of some multi-hinge wing's
-hinges to the new vertex is exactly what keeps the class connected.  The
+hinges to the new vertex is exactly what keeps the class connected.  It
+names an edge by its position in the class's edge list.  The
 construction's view over edge types is `hypercore.wing_decompositions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .hypercore import Edge, HingeRef, UnionFind
+from .hypercore import Edge, UnionFind
+
+
+class HingeRef(NamedTuple):
+    """One amalgam occurrence: its edge's position in the edge list, and a 1-based slot."""
+
+    edge_id: int
+    slot: int
 
 
 def is_connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
@@ -58,7 +66,7 @@ def joins(edges: Iterable[Sequence[int]], need: int) -> bool:
 
 @dataclass(frozen=True)
 class Wing:
-    """One wing: its amalgam hinges, edge ids, and vertex set (amalgam included)."""
+    """One wing: its amalgam hinges, edge positions, and vertex set (amalgam included)."""
 
     hinges: frozenset
     edge_ids: frozenset
@@ -98,17 +106,17 @@ def wing_decomposition(edges: Sequence[Edge], alpha: int) -> WingDecomposition:
         for v in rest:
             dsu.union(v, rest[0])
     groups: dict = {}
-    for e, rest in zip(edges, rests):
-        groups.setdefault(dsu.find(rest[0]) if rest else ("loop", e.id), []).append(e)
+    for i, rest in enumerate(rests):
+        groups.setdefault(dsu.find(rest[0]) if rest else ("loop", i), []).append(i)
 
     wings = []
     for members in groups.values():
         hinges = frozenset(
-            HingeRef(e.id, s) for e in members for s in range(1, e.verts.count(alpha) + 1)
+            HingeRef(i, s) for i in members for s in range(1, edges[i].verts.count(alpha) + 1)
         )
         if hinges:
-            verts = frozenset({alpha}.union(*(e.verts for e in members)))
-            wings.append(Wing(hinges, frozenset(e.id for e in members), verts))
+            verts = frozenset({alpha}.union(*(edges[i].verts for i in members)))
+            wings.append(Wing(hinges, frozenset(members), verts))
     wings.sort(key=lambda w: min(w.edge_ids))
     big = frozenset().union(*(w.hinges for w in wings if w.d_alpha >= 2))
     return WingDecomposition(tuple(wings), big)

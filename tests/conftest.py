@@ -1,6 +1,7 @@
 """Shared helpers: random laminar instances and perturbation fixtures."""
 
 import random
+from typing import NamedTuple
 
 from hypfactor import LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
@@ -211,16 +212,17 @@ BETA = -1
 def detached_is_connected(edges, alpha, A):
     """Direct oracle: move hinge set A to a fresh vertex, test connectivity.
 
-    The fresh vertex exists whether or not it receives hinges, mirroring
-    the split step which always creates it.
+    A hinge names its edge by the edge's position in `edges`.  The fresh
+    vertex exists whether or not it receives hinges, mirroring the split
+    step which always creates it.
     """
     from hypfactor import is_connected
 
     chosen = set(A)
     new_edges = []
     verts = {alpha, BETA}
-    for e in edges:
-        take = sum(1 for ref in chosen if ref.edge_id == e.id)
+    for i, e in enumerate(edges):
+        take = sum(1 for ref in chosen if ref.edge_id == i)
         p = e.verts.count(alpha)
         vs = [v for v in e.verts if v != alpha]
         vs.extend([BETA] * take)
@@ -230,10 +232,17 @@ def detached_is_connected(edges, alpha, A):
     return is_connected(verts, new_edges)
 
 
+class ClassEdge(NamedTuple):
+    """An explicit edge of a random class; `id` is its position in the class."""
+
+    id: int
+    verts: tuple
+    color: int
+
+
 def random_connected_class(rng, n_verts, n_edges, h):
     """A connected color class touching the amalgam, by construction."""
     from hypfactor import is_connected
-    from hypfactor.hypercore import Edge
 
     alpha = 0
     verts = list(range(1, n_verts + 1))
@@ -245,7 +254,7 @@ def random_connected_class(rng, n_verts, n_edges, h):
         base += [rng.choice(pool) for _ in range(h - 1)]
         if eid < 2 and alpha not in base:
             base[-1] = alpha
-        edges.append(Edge(eid, tuple(sorted(base)), 1))
+        edges.append(ClassEdge(eid, tuple(sorted(base)), 1))
         reached.update(base)
     if not is_connected(reached, [e.verts for e in edges]):
         return None

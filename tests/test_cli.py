@@ -497,6 +497,20 @@ def test_feasible_exit_code_on_violation(capsys):
     assert "feasible: no" in out
 
 
+@pytest.mark.parametrize("n, h", [(10**5, 5 * 10**4), (10**6, 5 * 10**5), (10**8, 10**6)])
+@pytest.mark.parametrize("command, code", [("feasible", 2), ("generate", 2), ("oracle", 5)])
+def test_huge_binomials_get_their_exit_code_quickly(capsys, command, code, n, h):
+    # C(n, h) is past the int-to-str digit limit of Python, or past what is
+    # computed in full; each command answers in a fraction of a second,
+    # where building the binomial in full takes minutes
+    start = time.perf_counter()
+    rc, out, err = run(capsys, command, "--n", str(n), "--h", str(h), "--r", "1")
+    assert rc == code
+    assert time.perf_counter() - start < 2.0
+    assert ("oracle guard" if command == "oracle" else "degree-sum") in out + err
+    assert ("bit integer" in out + err) == (n == 10**5)
+
+
 # -- oracle -----------------------------------------------------------------
 
 

@@ -80,6 +80,20 @@ def test_infeasible_by_degree_sum():
     assert failed == ["degree-sum"]
 
 
+def test_degree_sum_of_a_huge_binomial():
+    # lam * C(n - 1, h - 1) is past the int-to-str digit limit of Python in
+    # the first instance, and past what is computed in full in the second
+    for n, h, text in (
+        (10**5, 5 * 10**4, "sum(r)=1, lam*C(n-1,h-1)=<99991-bit integer>"),
+        (10**8, 10**6, "sum(r)=1, lam*C(n-1,h-1)>1"),
+    ):
+        p = Params(n, h, 1, (1,))
+        rep = check_feasibility(p)
+        assert not rep.ok and rep.conditions[-1] == ("degree-sum", False, text)
+        with pytest.raises(ParameterError, match="degree-sum"):
+            construct(p)
+
+
 def test_feasible_two_factorization():
     assert check_feasibility(Params(6, 3, 1, (2, 2, 2, 2, 2))).ok
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypfactor import (
     ColoredMultiHypergraph,
+    Edge,
     InvalidHingeError,
     ParameterError,
     binom,
@@ -96,7 +97,20 @@ def test_hinges_at_lists_types_with_counts():
         G.add_edge(verts, color)
     assert G.hinges_at() == {(1, (0, 0, 1)): (2, 2), (2, (0, 0, 1)): (1, 2)}
     assert _edge_count(G) == 4
-    assert [e.id for e in G.edges()] == [0, 1, 2, 3]
+
+
+def test_edges_repeat_each_type_count_times():
+    # each type in the order it first appeared, `count` times, as one
+    # `Edge` record that equals the plain (color, verts) tuple
+    G = ColoredMultiHypergraph([0, 1, 2], alpha=0, h=2, k=2)
+    G.add_edge((2, 1), 2, mult=2)
+    G.add_edge((0, 1), 1)
+    G.add_edge((1, 2), 2)
+    edges = list(G.edges())
+    assert edges == [(2, (1, 2))] * 3 + [(1, (0, 1))]
+    assert all(type(e) is Edge for e in edges)
+    assert [(e.color, e.verts) for e in edges] == edges
+    assert edges[0] is edges[2]  # one record per type
 
 
 # -- hinge moves ------------------------------------------------------------

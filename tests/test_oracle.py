@@ -64,6 +64,15 @@ def test_instance_guard_returns_unknown():
     assert str(MAX_ORACLE_EDGES) in res.reason
 
 
+def test_instance_guard_bounds_huge_binomials():
+    # one edge count is past the int-to-str digit limit, one past what is
+    # computed in full
+    for n, h, count in ((10**5, 5 * 10**4, "<99992-bit integer>"), (10**8, 10**6, "more than 40")):
+        res = brute_force_factorize(Params(n, h, 1, (1,)))
+        assert res.status == "unknown"
+        assert res.reason == f"instance has {count} edges, guard is {MAX_ORACLE_EDGES}"
+
+
 def test_budget_exhaustion_returns_unknown():
     res = brute_force_factorize(
         Params(6, 3, 1, (2, 2, 2, 2, 2)), budget=SearchBudget(max_nodes=5)

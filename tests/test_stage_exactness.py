@@ -56,23 +56,33 @@ GRID = [
 
 
 def hinge_reference(G):
-    """Explicit edges, the hinge ground and both hinge-level families."""
+    """Explicit edges, the hinge ground and both hinge-level families.
+
+    A hinge names its edge by the edge's position in `G.edges()`.
+    """
     alpha = G.alpha
     edges = list(G.edges())
-    hinges = {e.id: [HingeRef(e.id, s) for s in range(1, e.verts.count(alpha) + 1)] for e in edges}
-    ground = frozenset(x for hs in hinges.values() for x in hs)
+    hinges = [
+        [HingeRef(x, s) for s in range(1, e.verts.count(alpha) + 1)] for x, e in enumerate(edges)
+    ]
+    ground = frozenset(x for hs in hinges for x in hs)
     wing_side, cells = [], {}
     for i in range(1, G.k + 1):
-        cls = [e for e in edges if e.color == i]
-        d = wing_decomposition(cls, alpha)
-        wing_side.append(Member(frozenset(x for e in cls for x in hinges[e.id]), (("color", i),)))
-        wing_side.append(Member(d.big_hinges, (("multiwing", i),)))
-        wing_side += [Member(w.hinges, (("wing", i, j),)) for j, w in enumerate(d.wings)]
-    for e in edges:
-        if hinges[e.id]:
-            wing_side.append(Member(frozenset(hinges[e.id]), (("edge", e.id),)))
+        # the class's edges by position; `wing_decomposition` numbers them 0, 1, ...
+        at = [x for x, e in enumerate(edges) if e.color == i]
+        d = wing_decomposition([edges[x] for x in at], alpha)
+
+        def placed(refs):
+            return frozenset(HingeRef(at[ref.edge_id], ref.slot) for ref in refs)
+
+        wing_side.append(Member(frozenset(x for e in at for x in hinges[e]), (("color", i),)))
+        wing_side.append(Member(placed(d.big_hinges), (("multiwing", i),)))
+        wing_side += [Member(placed(w.hinges), (("wing", i, j),)) for j, w in enumerate(d.wings)]
+    for x, e in enumerate(edges):
+        if hinges[x]:
+            wing_side.append(Member(frozenset(hinges[x]), (("edge", x),)))
             rest = tuple(v for v in e.verts if v != alpha)
-            cells.setdefault((len(hinges[e.id]), rest), set()).update(hinges[e.id])
+            cells.setdefault((len(hinges[x]), rest), set()).update(hinges[x])
     cell_side = [Member(frozenset(hs), (("cell",) + key,)) for key, hs in cells.items()]
     return edges, ground, LaminarFamily(ground, wing_side), LaminarFamily(ground, cell_side)
 
@@ -80,10 +90,10 @@ def hinge_reference(G):
 def expand(edges, amounts):
     """t edges of each type, one hinge each."""
     chosen = []
-    for (color, verts), t in amounts.items():
-        of_type = [e for e in edges if e.color == color and e.verts == verts]
+    for key, t in amounts.items():
+        of_type = [x for x, e in enumerate(edges) if e == key]
         assert t <= len(of_type)
-        chosen += [HingeRef(e.id, 1) for e in of_type[:t]]
+        chosen += [HingeRef(x, 1) for x in of_type[:t]]
     return chosen
 
 
@@ -124,8 +134,7 @@ def test_every_stage_has_the_reference_wing_members(spec, seed):
     G = initial_amalgam(p)
     for ell in range(1, p.n):
         edges, _, ref, _ = hinge_reference(G)
-        type_of = {e.id: (e.color, e.verts) for e in edges}
-        want = wing_members(ref, lambda x: type_of[x.edge_id], G.alpha)
+        want = wing_members(ref, lambda x: edges[x.edge_id], G.alpha)
         assert wing_members(wing_family(G), lambda x: x, G.alpha) == want
         split_step(G, ell, p, seed=seed)
 

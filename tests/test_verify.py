@@ -12,6 +12,7 @@ from conftest import perturbation_fixtures
 from hypfactor import (
     CheckResult,
     ColoredMultiHypergraph,
+    Edge,
     VerificationReport,
     binom,
     construct,
@@ -130,11 +131,10 @@ def test_overfull_edge_fails_amalgam_bound():
 
 
 def test_witnesses_name_the_first_bad_edge_in_iteration_order():
-    # edges of one type need not be adjacent; the first bad one seen is named
-    edges = [
-        SimpleNamespace(id=i, verts=verts, color=1)
-        for i, verts in ((7, (1, 2, 9)), (3, (9, 9, 9)), (5, (1, 1, 9)), (1, (9, 9, 9)), (4, (1, 1, 9)))
-    ]
+    # edges of one type need not be adjacent; the first bad one seen is
+    # named by its position
+    order = [(1, 2, 9)] * 3 + [(9, 9, 9), (1, 2, 9), (1, 1, 9), (9, 9, 9), (1, 1, 9)]
+    edges = [Edge(1, verts) for verts in order]
     G = SimpleNamespace(vertices={1, 2, 9}, alpha=9, k=1, edges=lambda: iter(edges))
     p = Params(4, 3, 1, (3,))
     witness = {c.name: c.witness for c in verify_stage(G, 3, p).checks}
@@ -192,7 +192,7 @@ def test_edge_on_undeclared_vertices_fails_multiplicities():
         split_step(G, ell, p, seed=0)
     assert G.vertices == {1, 2, G.alpha} and verify_stage(G, 3, p).overall
     for color, also in ((3, {}), (1, {"connectivity": "fail"})):
-        edges = [*G.edges(), SimpleNamespace(id=99, verts=(4, 5), color=color)]
+        edges = [*G.edges(), Edge(color, (4, 5))]
         stub = SimpleNamespace(vertices=G.vertices, alpha=G.alpha, k=G.k, edges=lambda: iter(edges))
         rep = verify_stage(stub, 3, p)
         want = {**dict.fromkeys(STAGE_CHECKS, "pass"), "multiplicities": "fail", **also}
@@ -220,7 +220,8 @@ def reference_stage(G, ell, p):
 
     rests = [(e, tuple(v for v in e.verts if v != alpha)) for e in edges]
     bad = next(
-        (("repeated ordinary vertex", e.id, e.verts) for e, rest in rests if len(set(rest)) != len(rest)),
+        (("repeated ordinary vertex", x, e.verts) for x, (e, rest) in enumerate(rests)
+         if len(set(rest)) != len(rest)),
         None,
     )
     if bad is None:
@@ -231,7 +232,8 @@ def reference_stage(G, ell, p):
         bad = next((("cell", q, U, shape[q, U], want_q[q]) for q, U in cells if shape[q, U] != want_q[q]), None)
     out["multiplicities"] = bad
     out["edge-amalgam-bound"] = next(
-        ((e.id, e.verts.count(alpha), m) for e in edges if e.verts.count(alpha) > m), None
+        ((x, e.verts.count(alpha), m) for x, e in enumerate(edges) if e.verts.count(alpha) > m),
+        None,
     )
 
     needed = [i for i in classes if p.r[i - 1] >= 2]
@@ -352,10 +354,10 @@ def per_edge_verify_stage(G, ell, p):
     checks: list[CheckResult] = []
 
     # one pass over the explicit edges: each type (color, verts) with its
-    # count; its first edge id is the witness when a check fails on the type
+    # count; its first edge's position is the witness when a check fails on the type
     ids: dict[tuple, list] = {}
-    for e in G.edges():
-        ids.setdefault((e.color, e.verts), []).append(e.id)
+    for x, e in enumerate(G.edges()):
+        ids.setdefault((e.color, e.verts), []).append(x)
     types = {key: len(v) for key, v in ids.items()}
     classes: dict[int, list] = {i: [] for i in range(1, G.k + 1)}
     deg = Counter()

@@ -61,7 +61,7 @@ def test_single_vertex_no_edges_is_connected():
 
 
 def test_single_edge_forms_one_small_wing():
-    e = Edge(0, (1, 2, 5), color=1)
+    e = Edge(1, (1, 2, 5))
     d = wing_decomposition([e], alpha=5)
     assert len(d.wings) == 1
     w = d.wings[0]
@@ -72,7 +72,7 @@ def test_single_edge_forms_one_small_wing():
 
 
 def test_each_loop_is_its_own_wing():
-    loops = [Edge(i, (9, 9, 9), color=1) for i in range(4)]
+    loops = [Edge(1, (9, 9, 9))] * 4
     d = wing_decomposition(loops, alpha=9)
     assert len(d.wings) == 4
     assert all(w.d_alpha == 3 for w in d.wings)
@@ -84,10 +84,10 @@ def test_mixed_class_wing_decomposition():
     # and a lone edge wing (1 hinge)
     alpha = 9
     edges = [
-        Edge(0, (alpha, alpha, alpha), 1),
-        Edge(1, (1, 2, alpha), 1),
-        Edge(2, (2, 3, alpha), 1),
-        Edge(3, (4, 5, alpha), 1),
+        Edge(1, (alpha, alpha, alpha)),
+        Edge(1, (1, 2, alpha)),
+        Edge(1, (2, 3, alpha)),
+        Edge(1, (4, 5, alpha)),
     ]
     d = wing_decomposition(edges, alpha)
     assert len(d.wings) == 3
@@ -141,14 +141,14 @@ def test_base_amalgam_delta_is_class_degree():
 
 
 def test_split_empty_selection_disconnects():
-    e = Edge(0, (9, 9, 9), 1)
+    e = Edge(1, (9, 9, 9))
     d = wing_decomposition([e], alpha=9)
     assert not split_is_connected(d, [])
     assert not _detached_is_connected([e], 9, [])
 
 
 def test_split_whole_wing_disconnects():
-    e = Edge(0, (9, 9, 9), 1)
+    e = Edge(1, (9, 9, 9))
     d = wing_decomposition([e], alpha=9)
     all_hinges = [HingeRef(0, 1), HingeRef(0, 2), HingeRef(0, 3)]
     assert not split_is_connected(d, all_hinges)
@@ -157,7 +157,7 @@ def test_split_whole_wing_disconnects():
 
 def test_split_proper_part_of_loop_stays_connected():
     # taking one of the three loop hinges leaves an edge joining both sides
-    e = Edge(0, (9, 9, 9), 1)
+    e = Edge(1, (9, 9, 9))
     d = wing_decomposition([e], alpha=9)
     assert split_is_connected(d, [HingeRef(0, 1)])
     assert _detached_is_connected([e], 9, [HingeRef(0, 1)])
@@ -166,7 +166,7 @@ def test_split_proper_part_of_loop_stays_connected():
 def test_split_needs_a_straddled_big_wing():
     # two single-hinge wings: every selection grabs whole wings, so the
     # split always disconnects
-    edges = [Edge(0, (1, 2, 9), 1), Edge(1, (3, 4, 9), 1)]
+    edges = [Edge(1, (1, 2, 9)), Edge(1, (3, 4, 9))]
     d = wing_decomposition(edges, alpha=9)
     for refs in ([HingeRef(0, 1)], [HingeRef(1, 1)], [HingeRef(0, 1), HingeRef(1, 1)]):
         assert not split_is_connected(d, refs)
@@ -183,8 +183,8 @@ def test_split_criterion_matches_detachment_oracle(seed):
     alpha = 0
     d = wing_decomposition(edges, alpha)
     ground = [
-        HingeRef(e.id, s)
-        for e in edges
+        HingeRef(i, s)
+        for i, e in enumerate(edges)
         for s in range(1, e.verts.count(alpha) + 1)
     ]
     # a handful of random subsets plus all singletons and the extremes
@@ -201,9 +201,9 @@ def test_wing_count_one_when_alpha_not_cut():
     # a class connected after deleting the amalgam has exactly one wing
     alpha = 9
     edges = [
-        Edge(0, (1, 2, alpha), 1),
-        Edge(1, (2, 3, alpha), 1),
-        Edge(2, (3, 4, alpha), 1),
+        Edge(1, (1, 2, alpha)),
+        Edge(1, (2, 3, alpha)),
+        Edge(1, (3, 4, alpha)),
     ]
     d = wing_decomposition(edges, alpha)
     assert len(d.wings) == 1
@@ -214,7 +214,7 @@ def test_wing_count_one_when_alpha_not_cut():
 def test_loop_hinge_count_matches_subsets():
     # derived check: for the single 3-loop, exactly the 6 proper nonempty
     # subsets of its hinges keep the split connected
-    e = Edge(0, (9, 9, 9), 1)
+    e = Edge(1, (9, 9, 9))
     d = wing_decomposition([e], alpha=9)
     ground = [HingeRef(0, s) for s in (1, 2, 3)]
     good = 0
