@@ -31,7 +31,7 @@ from itertools import chain, islice
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import binom_over
+from .hypercore import binom_over, int_text
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
 from .verify import LeastSubset, _first_bad_edge, verify_factorization
 
@@ -61,7 +61,7 @@ def _cut(text: str) -> str:
 
 
 def _witness_text(w) -> str:
-    """`str(w)` for a witness tuple, but an int past 256 bits shows its bit length.
+    """`str(w)` for a witness tuple, but each int is shown by `int_text`.
 
     A witness such as the degree sum λ·C(n - 1, h - 1) of a document that
     declares a huge n can pass the int-to-str digit limit of Python.  Only
@@ -71,9 +71,7 @@ def _witness_text(w) -> str:
     if isinstance(w, (tuple, LeastSubset)):
         parts = [_witness_text(x) for x in islice(w, 81)]
         return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
-    if isinstance(w, int) and w.bit_length() > 256:
-        return f"<{w.bit_length()}-bit integer>"
-    return repr(w)
+    return int_text(w) if isinstance(w, int) else repr(w)
 
 
 def _reject_first_malformed(factors) -> None:

@@ -205,8 +205,10 @@ def construct(p: Params, seed: int = 0, check_mode: Optional[str] = None) -> Fac
     factors = [[] for _ in range(p.k)]
     for color, verts in G.edges():
         factors[color - 1].append(verts)
-    fact = Factorization.canonical(
-        p.n, p.h, p.lam, p.r, factors, stage_reports=tuple(stage_reports)
+    # each `verts` is already sorted, so only the factors need sorting
+    fact = Factorization(
+        p.n, p.h, p.lam, p.r, tuple(map(tuple, map(sorted, factors))),
+        stage_reports=tuple(stage_reports),
     )
 
     if check_mode != "off":

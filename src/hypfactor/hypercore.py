@@ -63,11 +63,12 @@ def binom_passes(N: int, k: int, count: int) -> Optional[int]:
 
 
 def int_text(x: int) -> str:
-    """`str(x)`, or the bit length of an integer with too many digits for `str`."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{x.bit_length()}-bit integer>"
+    """`str(x)`, or `<N-bit integer>` past 256 bits.
+
+    The cut is fixed, so the text never depends on the interpreter's
+    int-to-str digit limit.
+    """
+    return str(x) if x.bit_length() <= 256 else f"<{x.bit_length()}-bit integer>"
 
 
 def binom_over(lam: int, N: int, k: int, cap: int) -> Optional[str]:

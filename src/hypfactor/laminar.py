@@ -9,7 +9,11 @@ the selector picks how many of its edges give up a hinge, within
 [c*floor(p/m), c*ceil(p/m)].  The wing family (color class, multi-hinge
 wing union, wing) and the cell family (amalgam multiplicity plus
 ordinary vertex set) group the types; each member gets the floor/ceiling
-of its weight over m.  A plain iterable ground means unit elements.
+of its weight over m.  Both builders know each member's size and
+parent, so `LaminarFamily` has one constructor, which takes exactly
+that and checks nothing; `forest()` recomputes the forest with the
+laminarity and ground checks, for tests and audits.  Selection and its
+re-check also take a plain iterable ground of unit elements.
 
 For laminar inputs such a selection always exists: the bounds form a
 flow problem on the two forests (source, down one forest, across one arc
@@ -19,17 +23,16 @@ wires that network in bulk from the forests and, after the usual
 excess-node reduction, runs one iterative Dinic max-flow of no depth
 limit; an arc whose bounds are equal only books its excess.  The seed
 only permutes the order in which element arcs are wired, so it never
-affects validity.  The builders' families are valid by construction,
-unchecked; each selection is re-checked against every bound, and the
-stage tests compare every stage's families with a generic rebuild.
+affects validity.  Each selection is re-checked against every bound,
+and the stage tests compare every stage's families with a generic rebuild.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, compress, count, repeat, starmap
-from operator import add, mul, ne, sub
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import chain, compress, count, repeat
+from operator import add, ne, sub
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import ColoredMultiHypergraph
@@ -41,59 +44,54 @@ def weighted(ground) -> dict:
 
 
 class Member(NamedTuple):
-    """One family set (a frozenset, or a tuple from the stage builders) and its tags."""
+    """One family set, as the collection its builder made, and its merged tags."""
 
-    elements: frozenset | tuple
+    elements: Collection
     tags: tuple
 
 
-class LaminarFamily:
-    """A laminar family of subsets of a common ground set.
+def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list[int], dict]:
+    """Containment forest of `members`: parent index per member (-1 for a root).
 
-    `ground` maps elements to (c, p) or is a plain iterable of unit
-    elements; `sizes[i]` is member i's total weight.  Members are
-    deduplicated (equal sets merge their provenance tags) and kept in a
-    canonical order: decreasing element count, then lexicographic on the
-    sorted elements.  In a laminar family two distinct members of one
-    size are disjoint, so their least elements differ and already decide
-    the order without sorting any member; only a family that is not
-    laminar can tie on (count, least element), and it is then sorted in
-    full, so the order never depends on the caller's.  Laminarity is
-    checked at construction; the checked forest is kept for selection,
-    and the sizes are summed through it in one pass over the ground.
-    The stage builders skip all of this through `_known`.
+    Also returns the innermost member index per ground element (-1 when
+    an element lies in no member).  Raises on any laminarity or ground
+    violation.  Works in one pass over members in decreasing size order:
+    when a set arrives, every element it contains must currently sit in
+    one and the same innermost set, which becomes the parent.
+    """
+    innermost: dict = dict.fromkeys(ground, -1)
+    parent = []
+    for idx, mb in enumerate(members):
+        try:
+            seen = {innermost[x] for x in mb.elements}
+        except KeyError as exc:
+            x = exc.args[0]
+            raise InternalInvariantError(
+                f"member {idx} contains {x!r} outside the ground set",
+                witness=(mb.tags, x),
+            ) from None
+        if len(seen) > 1:
+            raise InternalInvariantError(
+                f"family is not laminar: member {idx} straddles {sorted(seen)}",
+                witness=(mb.tags, sorted(seen)),
+            )
+        parent.append(seen.pop() if seen else -1)
+        innermost.update(dict.fromkeys(mb.elements, idx))
+    return parent, innermost
+
+
+class LaminarFamily:
+    """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
+
+    `entries` holds (elements, size, tag, parent entry index or -1);
+    nothing is checked.  In a laminar family the key (-len, least element)
+    names the set: it orders the members, equal sets merge their tags, and
+    each element's last member is its innermost.  The ground and each
+    entry's elements are kept, not copied; an element outside every member
+    has no innermost member.  `forest()` is the laminarity and ground check.
     """
 
-    def __init__(self, ground: Iterable, members: Sequence[Member]):
-        self.ground = weighted(ground)
-        merged: dict[frozenset, Member] = {}
-        for mb in members:
-            prev = merged.get(mb.elements)
-            merged[mb.elements] = mb if prev is None else Member(mb.elements, prev.tags + mb.tags)
-        # only one member can be empty, so its missing least element is never compared
-        key = {s: (-len(s), min(s, default=None)) for s in merged}
-        order = sorted(merged, key=key.__getitem__)
-        if any(key[a] == key[b] for a, b in zip(order, order[1:])):
-            order.sort(key=lambda s: (-len(s), sorted(s)))  # not laminar: overlapping ties
-        self.members = tuple(merged[s] for s in order)
-        self._forest = self.forest()
-        self.sizes = tuple(self.totals(zip(self.ground, starmap(mul, self.ground.values()))))
-
-    @classmethod
-    def from_sets(cls, ground, sets, tags=None):
-        if tags is None:
-            tags = [("set", i) for i in range(len(sets))]
-        return cls(ground, [Member(frozenset(s), (t,)) for s, t in zip(sets, tags)])
-
-    @classmethod
-    def _known(cls, ground: dict, entries) -> "LaminarFamily":
-        """A family whose builder knows its containment; nothing is checked.
-
-        `entries` holds (elements, size, tag, parent entry index or -1).
-        In a laminar family the key (-len, least element) names the set: it
-        orders members, equal sets merge their tags, and each element's
-        last member is its innermost.
-        """
+    def __init__(self, ground: dict, entries: Sequence[tuple]):
         keys = [(-len(xs), min(xs) if xs else None) for xs, _, _, _ in entries]
         keys.append(None)  # index -1: no parent
         nodes: dict = {}
@@ -103,43 +101,15 @@ class LaminarFamily:
         order = sorted(nodes)
         index = dict(zip(order, count()))
         picked = list(map(nodes.__getitem__, order))
-        fam = cls.__new__(cls)
-        fam.ground = ground  # kept, not copied
-        fam.members = tuple([Member(tuple(xs), tags) for xs, tags, _, _ in picked])
-        fam.sizes = tuple([size for _, _, size, _ in picked])
+        self.ground = ground
+        self.members = tuple([Member(xs, tags) for xs, tags, _, _ in picked])
+        self.sizes = tuple([size for _, _, size, _ in picked])
         innermost = chain.from_iterable(zip(nd[0], repeat(i)) for i, nd in enumerate(picked))
-        fam._forest = ([index.get(up, -1) for _, _, _, up in picked], dict(innermost))
-        return fam
+        self._forest = ([index.get(up, -1) for _, _, _, up in picked], dict(innermost))
 
     def forest(self) -> tuple[list[int], dict]:
-        """Containment forest: parent index per member (-1 for the root).
-
-        Also returns the innermost member index per ground element (-1
-        when an element lies in no member).  Raises on any laminarity or
-        ground violation.  Works in one pass over members in decreasing
-        size order: when a set arrives, every element it contains must
-        currently sit in one and the same innermost set, which becomes
-        the parent.
-        """
-        innermost: dict = dict.fromkeys(self.ground, -1)
-        parent = []
-        for idx, mb in enumerate(self.members):
-            try:
-                seen = {innermost[x] for x in mb.elements}
-            except KeyError as exc:
-                x = exc.args[0]
-                raise InternalInvariantError(
-                    f"member {idx} contains {x!r} outside the ground set",
-                    witness=(mb.tags, x),
-                ) from None
-            if len(seen) > 1:
-                raise InternalInvariantError(
-                    f"family is not laminar: member {idx} straddles {sorted(seen)}",
-                    witness=(mb.tags, sorted(seen)),
-                )
-            parent.append(seen.pop() if seen else -1)
-            innermost.update(dict.fromkeys(mb.elements, idx))
-        return parent, innermost
+        """The containment forest recomputed from the members; see `containment_forest`."""
+        return containment_forest(self.ground, self.members)
 
     def totals(self, pairs: Iterable) -> list[int]:
         """Per member, the sum of the amounts in (element, amount) `pairs` it holds."""
@@ -235,7 +205,7 @@ def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) ->
                 entries.append((w, x, tag, top + multi))
         entries[top] = (whole, total, ("color", i), -1)
         entries[top + 1] = (big, held, ("multiwing", i), top if big else -1)
-    return LaminarFamily._known(ground, entries)
+    return LaminarFamily(ground, entries)
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
@@ -251,7 +221,7 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
         cells.setdefault((p, verts[:i] + verts[i + p:]), []).append(key)
     entries = [(ts, shape[0] * sum(ground[x][0] for x in ts), ("cell",) + shape, -1)
                for shape, ts in cells.items()]
-    return LaminarFamily._known(ground, entries)
+    return LaminarFamily(ground, entries)
 
 
 # -- max-flow machinery --------------------------------------------------
@@ -346,8 +316,8 @@ def equalized_select(
     heads = [2, 1, *range(4, offB), *map(nodeB.__getitem__, parentB)]
     order = sorted(g)
     random.Random(seed).shuffle(order)
-    tails += map(nodeA.__getitem__, map(innerA.__getitem__, order))
-    heads += map(nodeB.__getitem__, map(innerB.__getitem__, order))
+    tails += map(nodeA.__getitem__, map(innerA.get, order, repeat(-1)))
+    heads += map(nodeB.__getitem__, map(innerB.get, order, repeat(-1)))
     items = list(map(g.__getitem__, order))
     base = [c * (p // m) for c, p in items]
     lows = [s // m for s in sizes] + base

@@ -1,10 +1,37 @@
-"""Shared helpers: random laminar instances and perturbation fixtures."""
+"""Shared helpers: the reference family builder, random laminar instances, perturbations."""
 
 import random
+from itertools import accumulate
 from typing import NamedTuple
 
 from hypfactor import LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
+from hypfactor.laminar import Member, containment_forest, weighted
+
+
+def reference_family(ground, members) -> LaminarFamily:
+    """A family of (elements, tag) `members`, in any order, checked before it is built.
+
+    The validating builder that the stage builders are compared with.
+    Equal sets merge their tags.  The sets are ordered by (-len, sorted
+    elements): for laminar input that is the constructor's (-len, least
+    element) order, and for any other input it does not depend on the
+    caller's order.  `containment_forest` raises on a set that straddles
+    another or leaves the ground; otherwise each set becomes one entry
+    per tag, with its size and the first entry of its parent.
+    """
+    g = weighted(ground)
+    merged: dict = {}
+    for xs, tag in members:
+        merged.setdefault(frozenset(xs), []).append(tag)
+    order = sorted(merged, key=lambda s: (-len(s), sorted(s)))
+    parent, _ = containment_forest(g, [Member(s, tuple(merged[s])) for s in order])
+    first = [0, *accumulate(len(merged[s]) for s in order)]
+    first[-1] = -1  # parent index -1: no parent entry
+    return LaminarFamily(g, [
+        (s, sum(c * p for c, p in map(g.__getitem__, s)), tag, first[up])
+        for s, up in zip(order, parent) for tag in merged[s]
+    ])
 
 
 def _random_blocks(rng: random.Random, items: list) -> list:
@@ -39,7 +66,7 @@ def random_laminar_family(rng: random.Random, ground) -> LaminarFamily:
     sets = _random_laminar_sets(rng, items, depth=rng.randrange(1, 4))
     if rng.random() < 0.5:
         sets.append(frozenset(items))
-    return LaminarFamily.from_sets(ground, sets)
+    return reference_family(ground, [(s, ("set", i)) for i, s in enumerate(sets)])
 
 
 def random_laminar_pair(rng: random.Random, ground_size: int):

@@ -511,6 +511,25 @@ def test_huge_binomials_get_their_exit_code_quickly(capsys, command, code, n, h)
     assert ("bit integer" in out + err) == (n == 10**5)
 
 
+@pytest.mark.parametrize("n, h", [(300, 150), (10**5, 5 * 10**4)])
+def test_huge_integer_texts_ignore_the_digit_limit(capsys, n, h):
+    # past 256 bits an integer prints as its bit length, so no text depends
+    # on the int-to-str digit limit of Python: off (0) or at its least (640)
+    old = sys.get_int_max_str_digits()
+    texts = []
+    try:
+        for limit in (0, 640):
+            sys.set_int_max_str_digits(limit)
+            texts.append([run(capsys, command, "--n", str(n), "--h", str(h), "--r", "1")
+                          for command in ("feasible", "generate", "oracle")])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert texts[0] == texts[1]
+    assert [rc for rc, _, _ in texts[0]] == [2, 2, 5]
+    if n == 300:
+        assert "lam*C(n-1,h-1)=<295-bit integer>" in texts[0][0][1]
+
+
 # -- oracle -----------------------------------------------------------------
 
 

@@ -1,6 +1,10 @@
 """Tests for feasibility, the amalgam, split steps, and full construction."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,20 @@ def test_larger_instance_with_unequal_degrees():
     assert f.report.overall
     for factor, ri in zip(f.factors, p.r):
         assert len(factor) == ri * 7 // 2
+
+
+# the SHA-256 that `benchmarks/digest_outputs.py` prints over every
+# construction output; a change that alters outputs on purpose updates it
+OUTPUT_DIGEST = "bf51b80f6be0ef1dd3d8bed31f78414253601c5427517092aefb39b9bc922fb2  246 cases"
+
+
+def test_outputs_match_the_pinned_digest():
+    # run from the checkout as documented: the script finds `src/` itself
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "digest_outputs.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == OUTPUT_DIGEST

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laminar_family, random_laminar_pair
+from conftest import random_laminar_family, random_laminar_pair, reference_family
 from hypfactor import (
     InternalInvariantError,
     LaminarFamily,
@@ -25,18 +25,18 @@ from hypfactor import (
 )
 from hypfactor import detach, laminar
 from hypfactor.detach import Params
-from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
+from hypfactor.laminar import bounds_for, selection_respects_bounds
 from test_acceptance import _fixture_vectors
 
-EMPTY = LaminarFamily.from_sets(frozenset(), [])
+EMPTY = reference_family(frozenset(), [])
 
 
 def _fam(ground, *sets):
-    return LaminarFamily.from_sets(ground, list(sets))
+    return reference_family(ground, [(s, ("set", i)) for i, s in enumerate(sets)])
 
 
 def _empty_over(ground):
-    return LaminarFamily.from_sets(ground, [])
+    return reference_family(ground, [])
 
 
 def _wing_family(G):
@@ -72,10 +72,7 @@ def test_forest_parents_and_innermost():
 
 
 def test_equal_sets_merge_tags():
-    fam = LaminarFamily(
-        frozenset({1, 2}),
-        [Member(frozenset({1, 2}), (("a",),)), Member(frozenset({1, 2}), (("b",),))],
-    )
+    fam = reference_family(frozenset({1, 2}), [({1, 2}, ("a",)), ({2, 1}, ("b",))])
     assert len(fam.members) == 1
     assert set(fam.members[0].tags) == {("a",), ("b",)}
 
@@ -93,7 +90,7 @@ def test_order_and_straddle_witness_ignore_input_order():
     for perm in itertools.permutations(sets):
         tags = [tuple(sorted(s)) for s in perm]
         with pytest.raises(InternalInvariantError) as exc:
-            LaminarFamily.from_sets(range(6), perm, tags)
+            reference_family(range(6), zip(perm, tags))
         witnesses.add(repr(exc.value.witness))
     assert len(witnesses) == 1
 
@@ -275,6 +272,21 @@ def test_weighted_element_bounds():
         "ground", 11, 8, 9)
     assert selection_respects_bounds({"a": 8, "b": 0}, ground, fam, fam, 2) == (
         "element", "b", 0, 1, 1)
+
+
+def test_elements_outside_every_member_select_cleanly():
+    # the stage builders cover their whole ground, but the constructor does
+    # not ask it: "c" and "d" lie in no member of A, and only "c" in one of B
+    ground = {"a": (2, 3), "b": (1, 2), "c": (1, 1), "d": (3, 1)}
+    famA = LaminarFamily(ground, [(["a", "b"], 8, ("pair",), -1), (["a"], 6, ("a",), 0)])
+    famB = LaminarFamily(ground, [(["c"], 1, ("c",), -1)])
+    assert famA.forest() == ([-1, 0], {"a": 1, "b": 0, "c": -1, "d": -1})
+    assert famB.forest() == ([-1], {"a": -1, "b": -1, "c": 0, "d": -1})
+    assert "d" not in famA._forest[1] and "d" not in famB._forest[1]
+    for m in (1, 2, 3, 5):
+        for seed in range(4):
+            sel = equalized_select(ground, famA, famB, m, seed)
+            assert selection_respects_bounds(sel.amounts, ground, famA, famB, m) is None
 
 
 def test_stray_elements_are_reported():
@@ -487,7 +499,7 @@ def reference_select(ground, famA, famB, m, seed=0):
     for x in order:
         c, p = g[x]
         lo, hi = bounds_for(p, m)
-        arc(nodeA[innerA[x]], nodeB[innerB[x]], c * lo, c * hi)
+        arc(nodeA[innerA.get(x, -1)], nodeB[innerB.get(x, -1)], c * lo, c * hi)
         amounts[x] = c * lo
     fixed_arcs = sum(fixed)
     arc(1, 0, 0, 1 << 60)

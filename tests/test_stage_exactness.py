@@ -18,10 +18,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import reference_family
 from hypfactor import (
     ColoredMultiHypergraph,
     HingeRef,
-    LaminarFamily,
     build_cell_family,
     build_wing_family,
     check_feasibility,
@@ -32,7 +32,7 @@ from hypfactor import (
 )
 from hypfactor import detach
 from hypfactor.detach import Params
-from hypfactor.laminar import Member, selection_respects_bounds
+from hypfactor.laminar import selection_respects_bounds
 
 
 def _feasible_vectors(n, h, lam):
@@ -75,16 +75,16 @@ def hinge_reference(G):
         def placed(refs):
             return frozenset(HingeRef(at[ref.edge_id], ref.slot) for ref in refs)
 
-        wing_side.append(Member(frozenset(x for e in at for x in hinges[e]), (("color", i),)))
-        wing_side.append(Member(placed(d.big_hinges), (("multiwing", i),)))
-        wing_side += [Member(placed(w.hinges), (("wing", i, j),)) for j, w in enumerate(d.wings)]
+        wing_side.append(([x for e in at for x in hinges[e]], ("color", i)))
+        wing_side.append((placed(d.big_hinges), ("multiwing", i)))
+        wing_side += [(placed(w.hinges), ("wing", i, j)) for j, w in enumerate(d.wings)]
     for x, e in enumerate(edges):
         if hinges[x]:
-            wing_side.append(Member(frozenset(hinges[x]), (("edge", x),)))
+            wing_side.append((hinges[x], ("edge", x)))
             rest = tuple(v for v in e.verts if v != alpha)
             cells.setdefault((len(hinges[x]), rest), set()).update(hinges[x])
-    cell_side = [Member(frozenset(hs), (("cell",) + key,)) for key, hs in cells.items()]
-    return edges, ground, LaminarFamily(ground, wing_side), LaminarFamily(ground, cell_side)
+    cell_side = [(hs, ("cell",) + key) for key, hs in cells.items()]
+    return edges, ground, reference_family(ground, wing_side), reference_family(ground, cell_side)
 
 
 def expand(edges, amounts):
@@ -173,7 +173,7 @@ def rebuilt(G):
 def family_shape(fam):
     """Member sizes, innermost member per element and parent per member, by element set."""
     parent, innermost = fam._forest
-    names = [mb.elements for mb in fam.members]
+    names = [frozenset(mb.elements) for mb in fam.members]
     return (
         dict(zip(names, fam.sizes)),
         {x: names[i] if i >= 0 else None for x, i in innermost.items()},
@@ -200,7 +200,7 @@ def test_every_stage_matches_a_rebuild(spec, seed):
 
 
 def generic_wing_family(G, ground, decomps):
-    """The wing family as `LaminarFamily` builds it from unordered members.
+    """The wing family as `reference_family` builds it from unordered members.
 
     Only the wings' types come from `decomps`.  The class and multi-hinge
     members are built here from `ground`: a loop type's edges are wings of
@@ -213,19 +213,19 @@ def generic_wing_family(G, ground, decomps):
         whole = {key for key in ground if key[0] == i}
         big = {key for key in whole if ground[key][1] == G.h >= 2}
         big.update(*(w for w in wings if sum(c * p for c, p in map(ground.get, w)) >= 2))
-        members.append(Member(frozenset(whole), (("color", i),)))
-        members.append(Member(frozenset(big), (("multiwing", i),)))
-        members += [Member(w, (("wing", i, j),)) for j, w in enumerate(wings)]
-    return LaminarFamily(ground, members)
+        members.append((whole, ("color", i)))
+        members.append((big, ("multiwing", i)))
+        members += [(w, ("wing", i, j)) for j, w in enumerate(wings)]
+    return reference_family(ground, members)
 
 
 def generic_cell_family(G, ground):
-    """The cell family as `LaminarFamily` builds it, cells keyed by (p, ordinary vertices)."""
+    """The cell family as `reference_family` builds it, cells keyed by (p, ordinary vertices)."""
     cells = {}
     for key, (_, p) in ground.items():
         rest = tuple(v for v in key[1] if v != G.alpha)
         cells.setdefault((p, rest), set()).add(key)
-    return LaminarFamily(ground, [Member(frozenset(ts), (("cell",) + k,)) for k, ts in cells.items()])
+    return reference_family(ground, [(ts, ("cell",) + k) for k, ts in cells.items()])
 
 
 def assert_same_family(fam, ref):
