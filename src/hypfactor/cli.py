@@ -36,6 +36,7 @@ from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, searc
 from .verify import LeastSubset, _first_bad_edge, verify_factorization
 
 GENERATE_EDGE_GUARD = 10**6
+JSON_INT_DIGITS = 4300  # Python's default int-to-str digit limit
 
 
 # -- serialization -------------------------------------------------------
@@ -198,6 +199,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load_json(raw: str):
+    """`json.loads(raw)` refusing integers of more than `JSON_INT_DIGITS` digits.
+
+    The cap holds whatever the interpreter's limit (0 turns it off), since
+    parsing an integer costs the square of its digit count.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return json.loads(raw)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(min(old or JSON_INT_DIGITS, JSON_INT_DIGITS))
+    try:
+        return json.loads(raw)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_verify(args) -> int:
     try:
         if args.input == "-":
@@ -205,7 +222,7 @@ def cmd_verify(args) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        f = doc_to_factorization(json.loads(raw))
+        f = doc_to_factorization(_load_json(raw))
     except json.JSONDecodeError as e:
         print(f"parse failure at line {e.lineno} column {e.colno}: {e.msg}", file=sys.stderr)
         return 4

@@ -10,10 +10,10 @@ the selector picks how many of its edges give up a hinge, within
 wing union, wing) and the cell family (amalgam multiplicity plus
 ordinary vertex set) group the types; each member gets the floor/ceiling
 of its weight over m.  Both builders know each member's size and
-parent, so `LaminarFamily` has one constructor, which takes exactly
-that and checks nothing; `forest()` recomputes the forest with the
-laminarity and ground checks, for tests and audits.  Selection and its
-re-check also take a plain iterable ground of unit elements.
+parent, so `LaminarFamily` takes exactly that, in the builder's order,
+and checks nothing; equal sets chain.  `forest()` recomputes the forest
+with the laminarity and ground checks.  Selection and its re-check also
+take a plain iterable ground of unit elements.
 
 For laminar inputs such a selection always exists: the bounds form a
 flow problem on the two forests (source, down one forest, across one arc
@@ -21,10 +21,10 @@ per element, up the other, sink) with a totally unimodular constraint
 matrix, and weight/m everywhere is fractionally feasible.  The selector
 wires that network in bulk from the forests and, after the usual
 excess-node reduction, runs one iterative Dinic max-flow of no depth
-limit; an arc whose bounds are equal only books its excess.  The seed
-only permutes the order in which element arcs are wired, so it never
-affects validity.  Each selection is re-checked against every bound,
-and the stage tests compare every stage's families with a generic rebuild.
+limit; an arc whose bounds are equal only books its excess.  Neither
+the member order nor the seed, which orders the element arcs, affects
+validity.  Each selection is re-checked against every bound, and the
+stage tests compare every stage's families with a generic rebuild.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ def weighted(ground) -> dict:
 
 
 class Member(NamedTuple):
-    """One family set, as the collection its builder made, and its merged tags."""
+    """One family set, as the collection its builder made, and its builder's tag."""
 
     elements: Collection
-    tags: tuple
+    tag: tuple
 
 
 def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list[int], dict]:
@@ -55,9 +55,10 @@ def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list
 
     Also returns the innermost member index per ground element (-1 when
     an element lies in no member).  Raises on any laminarity or ground
-    violation.  Works in one pass over members in decreasing size order:
-    when a set arrives, every element it contains must currently sit in
-    one and the same innermost set, which becomes the parent.
+    violation.  One pass over members listed parents first: when a set
+    arrives, every element it contains must sit in one and the same
+    innermost set, its parent.  A set listed before a proper superset
+    raises; equal sets chain.
     """
     innermost: dict = dict.fromkeys(ground, -1)
     parent = []
@@ -68,12 +69,12 @@ def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list
             x = exc.args[0]
             raise InternalInvariantError(
                 f"member {idx} contains {x!r} outside the ground set",
-                witness=(mb.tags, x),
+                witness=(mb.tag, x),
             ) from None
         if len(seen) > 1:
             raise InternalInvariantError(
                 f"family is not laminar: member {idx} straddles {sorted(seen)}",
-                witness=(mb.tags, sorted(seen)),
+                witness=(mb.tag, sorted(seen)),
             )
         parent.append(seen.pop() if seen else -1)
         innermost.update(dict.fromkeys(mb.elements, idx))
@@ -83,29 +84,19 @@ def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list
 class LaminarFamily:
     """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
 
-    `entries` holds (elements, size, tag, parent entry index or -1);
-    nothing is checked.  In a laminar family the key (-len, least element)
-    names the set: it orders the members, equal sets merge their tags, and
-    each element's last member is its innermost.  The ground and each
-    entry's elements are kept, not copied; an element outside every member
-    has no innermost member.  `forest()` is the laminarity and ground check.
+    `entries` holds (elements, size, tag, parent entry index or -1), each
+    after its parent; nothing is checked.  Each entry is one member, so
+    the last entry holding an element is its innermost.  The ground and
+    the entries' elements are kept, not copied; an element outside every
+    member has none.  `forest()` is the laminarity and ground check.
     """
 
     def __init__(self, ground: dict, entries: Sequence[tuple]):
-        keys = [(-len(xs), min(xs) if xs else None) for xs, _, _, _ in entries]
-        keys.append(None)  # index -1: no parent
-        nodes: dict = {}
-        for key, (xs, size, tag, up) in zip(keys, entries):
-            node = nodes.setdefault(key, [xs, (), size, keys[up]])
-            node[1] += (tag,)
-        order = sorted(nodes)
-        index = dict(zip(order, count()))
-        picked = list(map(nodes.__getitem__, order))
         self.ground = ground
-        self.members = tuple([Member(xs, tags) for xs, tags, _, _ in picked])
-        self.sizes = tuple([size for _, _, size, _ in picked])
-        innermost = chain.from_iterable(zip(nd[0], repeat(i)) for i, nd in enumerate(picked))
-        self._forest = ([index.get(up, -1) for _, _, _, up in picked], dict(innermost))
+        self.members = tuple([Member(xs, tag) for xs, _, tag, _ in entries])
+        self.sizes = tuple([size for _, size, _, _ in entries])
+        innermost = chain.from_iterable(zip(xs, repeat(i)) for i, (xs, _, _, _) in enumerate(entries))
+        self._forest = ([up for _, _, _, up in entries], dict(innermost))
 
     def forest(self) -> tuple[list[int], dict]:
         """The containment forest recomputed from the members; see `containment_forest`."""
@@ -167,7 +158,7 @@ def selection_respects_bounds(
         for mb, size, got in zip(fam.members, fam.sizes, fam.totals(amounts.items())):
             lo, hi = bounds_for(size, m)
             if not lo <= got <= hi:
-                return (mb.tags, got, lo, hi)
+                return (mb.tag, got, lo, hi)
     return None
 
 
@@ -292,6 +283,7 @@ def equalized_select(
     to the ground total.  For valid laminar inputs a solution always
     exists, so an infeasible flow signals malformed families and raises
     an internal invariant error rather than returning a partial answer.
+    The seed permutes the ground in its iteration order.
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
@@ -314,7 +306,7 @@ def equalized_select(
     sizes = [sum(c * p for c, p in g.values())] * 2 + [*famA.sizes, *famB.sizes]
     tails = [0, 3, *map(nodeA.__getitem__, parentA), *range(offB, n)]
     heads = [2, 1, *range(4, offB), *map(nodeB.__getitem__, parentB)]
-    order = sorted(g)
+    order = list(g)
     random.Random(seed).shuffle(order)
     tails += map(nodeA.__getitem__, map(innerA.get, order, repeat(-1)))
     heads += map(nodeB.__getitem__, map(innerB.get, order, repeat(-1)))

@@ -1,7 +1,6 @@
 """Shared helpers: the reference family builder, random laminar instances, perturbations."""
 
 import random
-from itertools import accumulate
 from typing import NamedTuple
 
 from hypfactor import LaminarFamily, construct
@@ -13,24 +12,19 @@ def reference_family(ground, members) -> LaminarFamily:
     """A family of (elements, tag) `members`, in any order, checked before it is built.
 
     The validating builder that the stage builders are compared with.
-    Equal sets merge their tags.  The sets are ordered by (-len, sorted
-    elements): for laminar input that is the constructor's (-len, least
-    element) order, and for any other input it does not depend on the
-    caller's order.  `containment_forest` raises on a set that straddles
-    another or leaves the ground; otherwise each set becomes one entry
-    per tag, with its size and the first entry of its parent.
+    The pairs are sorted by (-len, sorted elements), which puts parents
+    first, does not depend on the caller's order for distinct sets, and
+    keeps equal sets in the caller's order, so they chain.
+    `containment_forest` raises on a set that straddles another or leaves
+    the ground; otherwise each pair becomes one entry with its size and parent.
     """
     g = weighted(ground)
-    merged: dict = {}
-    for xs, tag in members:
-        merged.setdefault(frozenset(xs), []).append(tag)
-    order = sorted(merged, key=lambda s: (-len(s), sorted(s)))
-    parent, _ = containment_forest(g, [Member(s, tuple(merged[s])) for s in order])
-    first = [0, *accumulate(len(merged[s]) for s in order)]
-    first[-1] = -1  # parent index -1: no parent entry
+    pairs = sorted(((frozenset(xs), tag) for xs, tag in members),
+                   key=lambda m: (-len(m[0]), sorted(m[0])))
+    parent, _ = containment_forest(g, [Member(*m) for m in pairs])
     return LaminarFamily(g, [
-        (s, sum(c * p for c, p in map(g.__getitem__, s)), tag, first[up])
-        for s, up in zip(order, parent) for tag in merged[s]
+        (s, sum(c * p for c, p in map(g.__getitem__, s)), tag, up)
+        for (s, tag), up in zip(pairs, parent)
     ])
 
 

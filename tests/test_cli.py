@@ -231,6 +231,34 @@ def test_verify_untrusted_bytes_are_parse_failures(capsys, tmp_path, monkeypatch
     assert out == ""
 
 
+@pytest.mark.parametrize("limit", ["0", "100000"])
+def test_verify_caps_json_integers_whatever_the_digit_limit(tmp_path, limit):
+    # with the interpreter's limit off or raised, an integer past 4,300
+    # digits is still a parse failure rather than a parse of quadratic cost
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": limit}
+    for name, raw in [("bare", "5" * 5000), ("field", '{"n": ' + "5" * 200000 + "}")]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(raw)
+        proc = subprocess.run([sys.executable, "-m", "hypfactor.cli", "verify", str(path)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("parse failure: ") and "integer string conversion" in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_verify_restores_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text("5" * 5000)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert run(capsys, "verify", str(path))[0] == 4
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_verify_missing_file_is_io_failure(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert rc == 4

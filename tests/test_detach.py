@@ -279,7 +279,7 @@ def test_larger_instance_with_unequal_degrees():
 
 # the SHA-256 that `benchmarks/digest_outputs.py` prints over every
 # construction output; a change that alters outputs on purpose updates it
-OUTPUT_DIGEST = "bf51b80f6be0ef1dd3d8bed31f78414253601c5427517092aefb39b9bc922fb2  246 cases"
+OUTPUT_DIGEST = "dafd3aae8987585bb25de6881d3a0451deb4eac2fa21fd0e293686f445a78282  246 cases"
 
 
 def test_outputs_match_the_pinned_digest():
@@ -292,3 +292,31 @@ def test_outputs_match_the_pinned_digest():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == OUTPUT_DIGEST
+
+
+# canonical JSON of a few h = 2 and h = 3 constructions, printed by a child
+HASH_ORDER_SCRIPT = """
+import sys
+from hypfactor.cli import dumps_canonical, factorization_to_doc
+from hypfactor.detach import Params, construct
+for spec in [(7, 2, 1, (4, 2)), (8, 2, 2, (4, 4, 3, 3)), (10, 2, 1, (3, 3, 3)),
+             (6, 3, 1, (2, 2, 2, 2, 2)), (7, 3, 2, (6, 6, 6, 6, 6))]:
+    for seed in (0, 5):
+        f = construct(Params(*spec), seed=seed, check_mode="off")
+        sys.stdout.write(dumps_canonical(factorization_to_doc(f)))
+"""
+
+
+def test_outputs_do_not_depend_on_hash_order():
+    # the selector shuffles its ground in dict order and the families keep
+    # their builders' order, so outputs must not move with the hash seed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run([sys.executable, "-c", HASH_ORDER_SCRIPT],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0].count('"factors"') == 10
+    assert outs[0] == outs[1]

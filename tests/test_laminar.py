@@ -71,10 +71,31 @@ def test_forest_parents_and_innermost():
     assert innermost[6] == -1
 
 
-def test_equal_sets_merge_tags():
-    fam = reference_family(frozenset({1, 2}), [({1, 2}, ("a",)), ({2, 1}, ("b",))])
-    assert len(fam.members) == 1
-    assert set(fam.members[0].tags) == {("a",), ("b",)}
+def test_equal_sets_chain():
+    # equal sets stay two members: the later is the child of the earlier
+    # and every element's innermost, and both bounds hold on both sides
+    ground = {1: (1, 3), 2: (2, 1)}
+    fam = reference_family(ground, [({1, 2}, ("a",)), ({2, 1}, ("b",))])
+    assert [mb.tag for mb in fam.members] == [("a",), ("b",)]
+    assert fam._forest == fam.forest() == ([-1, 0], {1: 1, 2: 1})
+    for m in (1, 2, 3, 4):
+        lo, hi = bounds_for(5, m)
+        for seed in range(3):
+            sel = equalized_select(ground, fam, fam, m, seed)
+            got = fam.totals(sel.amounts.items())
+            assert lo <= got[0] == got[1] <= hi
+            assert selection_respects_bounds(sel.amounts, ground, fam, fam, m) is None
+
+
+def test_forest_rejects_a_child_listed_before_its_parent():
+    ground = {1: (1, 1), 2: (1, 1), 3: (1, 1)}
+    child, parent = ([1], 1, ("child",)), ([1, 2], 2, ("parent",))
+    fam = LaminarFamily(ground, [(*parent, -1), (*child, 0)])
+    assert fam.forest() == ([-1, 0], {1: 1, 2: 0, 3: -1})
+    fam = LaminarFamily(ground, [(*child, 1), (*parent, -1)])
+    with pytest.raises(InternalInvariantError) as exc:
+        fam.forest()
+    assert exc.value.witness == (("parent",), [-1, 0])
 
 
 def test_straddling_sets_rejected():
@@ -110,16 +131,17 @@ def test_disjoint_sets_are_laminar():
 
 
 def test_wing_family_on_base_amalgam():
-    # every wing is a loop, so the family holds per color only the class
-    # set, which coincides with the multi-hinge union at 15 hinges
+    # every wing is a loop, so per color the family holds the class and
+    # the equal multi-hinge union (15 hinges each), in builder order, each
+    # union the child of its class
     G = initial_amalgam(Params(5, 3, 1, (3, 3)))
     fam = _wing_family(G)
-    assert sorted(fam.sizes) == [15, 15]
-    by_tags = {t for m in fam.members for t in m.tags}
-    assert by_tags == {("color", 1), ("multiwing", 1), ("color", 2), ("multiwing", 2)}
+    tags = [mb.tag for mb in fam.members]
+    assert tags == [("color", 1), ("multiwing", 1), ("color", 2), ("multiwing", 2)]
+    assert fam.sizes == (15, 15, 15, 15)
+    assert fam._forest[0] == fam.forest()[0] == [-1, 0, -1, 2]
     for m in fam.members:
         assert len(m.elements) == 1
-        assert {t[0] for t in m.tags} == {"color", "multiwing"}
 
 
 def test_wing_family_groups_a_split_class_by_wing():
@@ -131,7 +153,7 @@ def test_wing_family_groups_a_split_class_by_wing():
     split_step(G, 2, p, seed=0)
     fam = _wing_family(G)
     parent, _ = fam.forest()
-    index = {t: j for j, m in enumerate(fam.members) for t in m.tags}
+    index = {m.tag: j for j, m in enumerate(fam.members)}
     for i in range(1, p.k + 1):
         top = index[("color", i)]
         assert fam.sizes[top] == _degree(G, G.alpha, i)
@@ -149,7 +171,7 @@ def test_cell_family_on_base_amalgam():
     fam = build_cell_family(G, G.hinges_at())
     assert len(fam.members) == 1
     assert fam.sizes[0] == 3 * binom(5, 3)
-    assert fam.members[0].tags[0][:2] == ("cell", 3)
+    assert fam.members[0].tag[:2] == ("cell", 3)
 
 
 def test_cell_family_after_first_split():
@@ -159,7 +181,7 @@ def test_cell_family_after_first_split():
     G = initial_amalgam(p)
     split_step(G, 1, p, seed=0)
     fam = build_cell_family(G, G.hinges_at())
-    by_key = {m.tags[0]: size for m, size in zip(fam.members, fam.sizes)}
+    by_key = {m.tag: size for m, size in zip(fam.members, fam.sizes)}
     assert by_key[("cell", 2, (1,))] == 2 * binom(4, 2)
     assert by_key[("cell", 3, ())] == 3 * binom(4, 3)
     # cells partition the amalgam hinges
@@ -492,7 +514,7 @@ def reference_select(ground, famA, famB, m, seed=0):
         arc(nodeA[parentA[i]], nodeA[i], *bounds_for(size, m))
     for i, size in enumerate(famB.sizes):
         arc(nodeB[i], nodeB[parentB[i]], *bounds_for(size, m))
-    order = sorted(g)
+    order = list(g)
     random.Random(seed).shuffle(order)
     first_element_arc = len(to)
     amounts = {}

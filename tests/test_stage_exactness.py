@@ -115,13 +115,12 @@ def wing_members(fam, type_of, alpha):
     over its non-loop wings; `type_of` maps an element to its edge type.
     """
     tagged, wings = {}, {}
-    for mb, size in zip(fam.members, fam.sizes):
-        types = frozenset(map(type_of, mb.elements))
-        for tag in mb.tags:
-            if tag[0] in ("color", "multiwing"):
-                tagged[tag] = (types, size)
-            elif tag[0] == "wing" and any(set(verts) != {alpha} for _, verts in types):
-                wings.setdefault(tag[1], Counter())[types, size] += 1
+    for (xs, tag), size in zip(fam.members, fam.sizes):
+        types = frozenset(map(type_of, xs))
+        if tag[0] in ("color", "multiwing"):
+            tagged[tag] = (types, size)
+        elif tag[0] == "wing" and any(set(verts) != {alpha} for _, verts in types):
+            wings.setdefault(tag[1], Counter())[types, size] += 1
     return tagged, wings
 
 
@@ -171,14 +170,16 @@ def rebuilt(G):
 
 
 def family_shape(fam):
-    """Member sizes, innermost member per element and parent per member, by element set."""
+    """{tag: (element set, size, parent tag)} and {element: innermost tag}.
+
+    Keyed by tag, not by element set, so equal sets stay apart.
+    """
     parent, innermost = fam._forest
-    names = [frozenset(mb.elements) for mb in fam.members]
-    return (
-        dict(zip(names, fam.sizes)),
-        {x: names[i] if i >= 0 else None for x, i in innermost.items()},
-        {names[i]: names[j] if j >= 0 else None for i, j in enumerate(parent)},
-    )
+    tags = [mb.tag for mb in fam.members] + [None]  # index -1: no member
+    by_tag = {mb.tag: (frozenset(mb.elements), size, tags[up])
+              for mb, size, up in zip(fam.members, fam.sizes, parent)}
+    assert len(by_tag) == len(fam.members)  # one member per tag
+    return by_tag, {x: tags[i] for x, i in innermost.items()}
 
 
 def assert_matches_rebuild(G):
@@ -229,13 +230,11 @@ def generic_cell_family(G, ground):
 
 
 def assert_same_family(fam, ref):
-    """Member order and merged tags, sizes, parent per member and innermost member per type."""
+    """Per tag its set, size and parent tag, and the innermost tag per type; see `family_shape`."""
     for mb in fam.members:
-        assert len(set(mb.elements)) == len(mb.elements)  # a tuple holds no element twice
-    assert [(frozenset(mb.elements), mb.tags) for mb in fam.members] == list(ref.members)
-    assert fam.sizes == ref.sizes
-    assert fam._forest == ref._forest
-    assert fam.forest() == ref._forest  # the generic laminarity check passes too
+        assert len(set(mb.elements)) == len(mb.elements)  # a member holds no element twice
+    assert family_shape(fam) == family_shape(ref)
+    assert fam.forest() == fam._forest  # the generic laminarity check passes too
 
 
 # at h = 1 every type is a loop, no class has a multi-hinge member, and

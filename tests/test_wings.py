@@ -25,7 +25,7 @@ from conftest import random_connected_class as _random_connected_class
 
 def _member(fam, tag):
     """The elements of the wing-family member carrying `tag`."""
-    return next(mb.elements for mb in fam.members if tag in mb.tags)
+    return next(mb.elements for mb in fam.members if mb.tag == tag)
 
 
 def _big_hinges(fam, i, ground):
