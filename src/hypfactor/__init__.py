@@ -17,7 +17,7 @@ from .detach import (
     initial_amalgam,
     split_step,
 )
-from .errors import InternalInvariantError, InvalidHingeError, ParameterError
+from .errors import InternalInvariantError, InvalidHingeError, ParameterError, TimeLimitError
 from .hypercore import ColoredMultiHypergraph, Edge, binom, wing_decompositions
 from .laminar import (
     LaminarFamily,
@@ -73,6 +73,7 @@ __all__ = [
     "Selection",
     "split_is_connected",
     "split_step",
+    "TimeLimitError",
     "verify_factorization",
     "verify_stage",
     "VerificationReport",

@@ -8,9 +8,9 @@ Usage:
     hypfactor oracle --n 5 --h 2 --lambda 1 --r 2,2 --require-connected
 
 Exit codes: 0 success, 1 failed verification or oracle disagreement,
-2 parameters rejected (infeasible, or resource guard without --force),
-3 internal invariant failure, 4 I/O or parse failure, 5 oracle guard
-or budget exceeded.
+2 parameters rejected (infeasible, or resource guard without --force)
+or `generate --time-limit` passed, 3 internal invariant failure, 4 I/O
+or parse failure, 5 oracle guard or budget exceeded.
 
 The JSON output is canonical: factors ordered by color index, edges in
 lexicographic order, vertices ascending inside each edge, keys sorted.
@@ -30,7 +30,7 @@ from dataclasses import replace
 from itertools import chain, islice
 
 from .detach import Factorization, Params, check_feasibility, construct
-from .errors import InternalInvariantError, ParameterError
+from .errors import InternalInvariantError, ParameterError, TimeLimitError
 from .hypercore import binom_over, int_text
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
 from .verify import LeastSubset, _first_bad_edge, verify_factorization
@@ -188,7 +188,7 @@ def cmd_generate(args) -> int:
         )
         return 2
     check_mode = None if args.check == "auto" else args.check
-    fact = construct(p, seed=args.seed, check_mode=check_mode)
+    fact = construct(p, seed=args.seed, check_mode=check_mode, time_limit=args.time_limit)
     if args.format == "text":
         _write_output(factorization_to_text(fact), args.output)
     else:
@@ -302,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=["json", "text"], default="json")
     g.add_argument("-o", "--output", default=None)
     g.add_argument("--force", action="store_true", help="override the edge-count guard")
+    g.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
+                   help="exit 2, writing nothing, once SECONDS have passed (checked between stages)")
     g.set_defaults(fn=cmd_generate)
 
     v = sub.add_parser("verify", help="verify a factorization document")
@@ -331,6 +333,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParameterError as e:
         print(f"parameter error: {e}", file=sys.stderr)
+        return 2
+    except TimeLimitError as e:
+        print(f"time limit: {e}", file=sys.stderr)
         return 2
     except InternalInvariantError as e:
         print(f"internal invariant failure: {e}", file=sys.stderr)

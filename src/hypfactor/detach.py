@@ -23,9 +23,10 @@ needs no relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from time import monotonic
+from typing import Iterator, Optional, Sequence
 
-from .errors import InternalInvariantError, ParameterError
+from .errors import InternalInvariantError, ParameterError, TimeLimitError
 from .hypercore import ColoredMultiHypergraph, binom, binom_passes, int_text, wing_decompositions
 from .laminar import build_cell_family, build_wing_family, equalized_select
 from .verify import VerificationReport, verify_factorization, verify_stage
@@ -176,22 +177,50 @@ def _stage_seed(seed: int, ell: int) -> int:
     return seed * 1_000_003 + ell
 
 
-def construct(p: Params, seed: int = 0, check_mode: Optional[str] = None) -> Factorization:
+def _within(stages: range, time_limit: float, start: float) -> Iterator[int]:
+    """`stages`, raising TimeLimitError once `time_limit` seconds have passed since `start`.
+
+    The clock is read before each stage and after the last one, so a run
+    overshoots its limit by less than the stage that crossed it.
+    """
+    last = start
+    for done in range(len(stages) + 1):
+        now = monotonic()
+        if now - start >= time_limit:
+            raise TimeLimitError(
+                f"{time_limit:g} s passed at {now - start:.3f} s, after {done} of "
+                f"{len(stages)} stages (the last took {now - last:.3f} s)"
+            )
+        if done < len(stages):
+            last = now
+            yield stages[done]
+
+
+def construct(
+    p: Params, seed: int = 0, check_mode: Optional[str] = None, time_limit: Optional[float] = None
+) -> Factorization:
     """Run the full pipeline and return a verified factorization.
 
     check_mode: "full" verifies every stage's invariants plus the final
     object, "final" only the final object, "off" nothing.  The default is
     "full" for n <= 10 and "final" above that.  Different seeds may yield
     different factorizations; validity never depends on the seed.
+    With a `time_limit` in seconds, the clock is read between stages, and
+    a run past its limit raises TimeLimitError; without one it is not read.
     """
     if check_mode is None:
         check_mode = "full" if p.n <= 10 else "final"
     if check_mode not in CHECK_MODES:
         raise ParameterError(f"check_mode must be one of {CHECK_MODES}")
+    if time_limit is not None and not time_limit >= 0:  # NaN compares false
+        raise ParameterError(f"time limit must be a nonnegative number of seconds, got {time_limit}")
 
+    stages = range(1, p.n)
+    if time_limit is not None:
+        stages = _within(stages, time_limit, monotonic())
     G = initial_amalgam(p)
     stage_reports: list[VerificationReport] = []
-    for ell in range(1, p.n):
+    for ell in stages:
         split_step(G, ell, p, _stage_seed(seed, ell))
         if check_mode == "full":
             rep = verify_stage(G, ell + 1, p)

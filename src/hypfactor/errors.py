@@ -15,3 +15,7 @@ class InternalInvariantError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class TimeLimitError(RuntimeError):
+    """A construction ran past its time limit; nothing it built is returned."""

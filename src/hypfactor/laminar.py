@@ -1,4 +1,4 @@
-"""Laminar families over edge types and equalized selection by feasible flow.
+"""Laminar families over edge types and equalized selection on their forests.
 
 At each stage the splitting pipeline must take, from every structurally
 relevant group of the amalgam's hinges, a 1/m share rounded either way,
@@ -16,22 +16,24 @@ with the laminarity and ground checks.  Selection and its re-check also
 take a plain iterable ground of unit elements.
 
 For laminar inputs such a selection always exists: the bounds form a
-flow problem on the two forests (source, down one forest, across one arc
-per element, up the other, sink) with a totally unimodular constraint
-matrix, and weight/m everywhere is fractionally feasible.  The selector
-wires that network in bulk from the forests and, after the usual
-excess-node reduction, runs one iterative Dinic max-flow of no depth
-limit; an arc whose bounds are equal only books its excess.  Neither
-the member order nor the seed, which orders the element arcs, affects
-validity.  Each selection is re-checked against every bound, and the
-stage tests compare every stage's families with a generic rebuild.
+circulation on the two forests (down A's, across one arc per element,
+up B's, back to A's root along the ground arc) with a totally
+unimodular constraint matrix, and weight/m everywhere is fractionally
+feasible.  The selector works on the forests themselves.  Elements start
+at their floors; one pass in ascending (c, p) order raises each by the
+most that cures a deficit above it within every ceiling above it.
+Members still short are forced to their floors, and each excess this
+leaves moves to the first deficit a depth-first search finds on the
+residual graph.  A search that reaches no deficit has found a closed
+set: every arc leaving it is at its ceiling and every arc entering it at
+its floor, so no later push can open it and its excess has nowhere to
+go.  Each selection is re-checked against every bound, and the stage
+tests compare every stage's families with a generic rebuild.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import chain, compress, count, repeat
-from operator import add, ne, sub
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
@@ -215,59 +217,7 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
     return LaminarFamily(ground, entries)
 
 
-# -- max-flow machinery --------------------------------------------------
-
-
-def _max_flow(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
-    """Dinic max flow from `s` to `t`, updating the residual capacities `cap`.
-
-    `adj[u]` lists the arcs out of node u; arc a enters `to[a]` and its
-    reverse is arc a ^ 1.  Each BFS stops once t has its level: a node it
-    leaves unlabelled lies at t's level or beyond, so no shortest path to
-    t uses it, and the blocking flow would only retreat from it.  Blocking
-    flows walk an explicit arc stack.
-    """
-    n = len(adj)
-    total = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:  # the queue grows while it is walked
-            for a in adj[u]:
-                v = to[a]
-                if cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-            if level[t] >= 0:  # every node below t's level has its own
-                break
-        if level[t] < 0:
-            return total
-        it = [0] * n
-        path: list[int] = []  # arcs from s to u
-        u = s
-        while True:
-            if u == t:
-                f = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= f
-                    cap[a ^ 1] += f
-                total += f
-                path.clear()
-                u = s
-            for i in range(it[u], len(adj[u])):
-                a = adj[u][i]
-                if cap[a] > 0 and level[to[a]] == level[u] + 1:
-                    it[u] = i
-                    path.append(a)
-                    u = to[a]
-                    break
-            else:  # dead end: close u, retreat one arc and skip it at its tail
-                if not path:
-                    break
-                it[u] = len(adj[u])
-                u = to[path.pop() ^ 1]
-                it[u] += 1
+# -- selection -------------------------------------------------------------
 
 
 def equalized_select(
@@ -280,10 +230,9 @@ def equalized_select(
     """Choose an amount of every element meeting all floor/ceiling bounds.
 
     Bounds apply to every element, to every member of both families and
-    to the ground total.  For valid laminar inputs a solution always
-    exists, so an infeasible flow signals malformed families and raises
-    an internal invariant error rather than returning a partial answer.
-    The seed permutes the ground in its iteration order.
+    to the ground total.  Malformed families, for which no selection may
+    exist, raise an internal invariant error rather than return a partial
+    answer.  The seed rotates the ground before its stable (c, p) sort.
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
@@ -291,65 +240,116 @@ def equalized_select(
     if g is not ground and not famA.ground == g == famB.ground:
         raise ParameterError("families must share the selection ground set")
 
+    # Nodes: A's members, A's root rA, B's members, B's root rB.  Node u
+    # owns arc own[u] to its parent up[u]: into an A member, out of a B
+    # member, and rB -> rA, the ground arc, for both roots.  Arc k keeps
+    # over[k] = flow - floor and slack[k] = ceiling - flow.
     (parentA, innerA), (parentB, innerB) = famA._forest, famB._forest
-
-    # Nodes: 0 source, 1 sink, 2 wing-side root, 3 cell-side root, one per
-    # member of each family, then the super-source and super-sink.  Index
-    # -1 (no parent, or no member) picks the last entry: that side's root.
-    offB = 4 + len(famA.members)
-    n = offB + len(famB.members)
-    nodeA = [*range(4, offB), 2]
-    nodeB = [*range(offB, n), 3]
-
-    # Arcs tails -> heads carrying [lows, highs], floor and ceiling over m,
-    # in wiring order: ground total, members, then one arc per element.
-    sizes = [sum(c * p for c, p in g.values())] * 2 + [*famA.sizes, *famB.sizes]
-    tails = [0, 3, *map(nodeA.__getitem__, parentA), *range(offB, n)]
-    heads = [2, 1, *range(4, offB), *map(nodeB.__getitem__, parentB)]
-    order = list(g)
-    random.Random(seed).shuffle(order)
-    tails += map(nodeA.__getitem__, map(innerA.get, order, repeat(-1)))
-    heads += map(nodeB.__getitem__, map(innerB.get, order, repeat(-1)))
+    rA, rB = len(parentA), len(parentA) + 1 + len(parentB)
+    nodeB = [*range(rA + 1, rB + 1)]  # index -1: B's root
+    up = [rA if u < 0 else u for u in parentA] + [rB, *map(nodeB.__getitem__, parentB), rA]
+    own = [*range(rB), rA]
+    order, r = list(g), seed % (len(g) or 1)
+    order = sorted(order[r:] + order[:r], key=g.__getitem__)
     items = list(map(g.__getitem__, order))
     base = [c * (p // m) for c, p in items]
-    lows = [s // m for s in sizes] + base
-    highs = [-(-s // m) for s in sizes] + [c * -(-p // m) for c, p in items]
-    excess = [0] * (n + 2)
-    for u, v, low in compress(zip(tails, heads, lows), lows):
-        excess[u] -= low
-        excess[v] += low
-    # an arc with lo == hi never has residual capacity, so it books excess
-    # only: without its arc pair Dinic finds the same augmenting paths
-    live = list(map(ne, lows, highs))
-    first = sum(live[:len(sizes)])  # live arcs before the element arcs
-    caps = list(map(sub, compress(highs, live), compress(lows, live)))
-    tails, heads = list(compress(tails, live)), list(compress(heads, live))
-    # append column by column the arc 1 -> 0 that closes the circulation,
-    # then one arc feeding or draining each node's excess
-    extra = [(n, v, e) if e > 0 else (v, n + 1, -e) for v, e in enumerate(excess[:n]) if e]
-    for column, more in zip((tails, heads, caps), zip((1, 0, 1 << 60), *extra)):
-        column += more
-    need = sum(e for e in excess if e > 0)
+    held = list(compress(zip(order, base), base))
+    sizes = [*famA.sizes, sum(c * p for c, p in g.values()), *famB.sizes]
+    flows = famA.totals(held) + [sum(base)] + famB.totals(held) if held else repeat(0)
+    over = [f - s // m for s, f in zip(sizes, flows)]
+    slack = [-(-s // m) - f for s, f in zip(sizes, flows)]
+    above = [()] * (rB + 1)  # arcs from a node to its root; from A's also the ground arc
+    above[rA] = (rA,)
+    down: list[list] = [[] for _ in range(rB + 1)]  # arcs of the moves down
+    for u in [*range(rA), *range(rA + 1, rB)]:  # each after its parent
+        above[u] = (u,) + above[up[u]]
+        down[up[u]].append(u)
+    opened = [True] * (rB + 1)  # no arc above the node has been closed
 
-    # arc a is residual arc 2a, its reverse 2a + 1
-    to = list(chain.from_iterable(zip(heads, tails)))
-    cap = list(chain.from_iterable(zip(caps, repeat(0))))
-    adj: list[list[int]] = [[] for _ in range(n + 2)]
-    for a, u, v in zip(count(0, 2), tails, heads):
-        adj[u].append(a)
-        adj[v].append(a + 1)
+    def close(k):  # arc k is at its ceiling: nothing below it can rise
+        stack = [k]
+        while stack:
+            u = stack.pop()
+            if opened[u]:
+                opened[u] = False
+                stack += down[u]
 
-    if _max_flow(adj, to, cap, n, n + 1) != need:
-        raise InternalInvariantError(
-            "equalized selection infeasible; input families are not laminar "
-            "or do not cover a common ground",
-            witness=(len(g), m),
-        )
-    # units pushed along a live element arc sit on its reverse, above the base
-    keep, flows = live[len(sizes):], cap[2 * first + 1::2]
-    amounts = dict(zip(order, base))
-    amounts.update(zip(compress(order, keep), map(add, compress(base, keep), flows)))
-    amounts = dict(compress(amounts.items(), amounts.values()))
+    # the greedy pass, in order; live element j is arc rB + j
+    rises = [p % m for _, p in items]
+    live = list(compress(order, rises))
+    tails = list(map(innerA.get, live, repeat(rA)))
+    heads = list(map(nodeB.__getitem__, map(innerB.get, live, repeat(-1))))
+    over += repeat(0, len(live))
+    slack += [c for c, _ in compress(items, rises)]
+    short = min(over, default=0) < 0
+    for k, a, b in zip(count(rB), tails, heads) if short else ():
+        if opened[a] and opened[b]:
+            arcs = above[a] + above[b]
+            d = min(slack[k], -min(map(over.__getitem__, arcs)), *map(slack.__getitem__, arcs))
+            if d > 0:
+                over[k], slack[k] = d, slack[k] - d
+                for j in arcs:
+                    over[j] += d
+                    slack[j] -= d
+                    if not slack[j] and j != rA:
+                        close(j)
+                if not slack[rA]:
+                    break  # every element lies below the ground arc
+
+    excess = [0] * (rB + 1)
+    for k in range(rB):  # force each arc into its bounds
+        d = max(-over[k], min(slack[k], 0))
+        if d:  # the d units added (floors over a ceiling: taken) reach its head, leave its tail
+            excess[k if k <= rA else up[k]] += d
+            excess[up[k] if k <= rA else k] -= d
+            over[k], slack[k] = over[k] + d, slack[k] - d
+    sources = [u for u, e in enumerate(excess) if e > 0]
+    # moves from u: up its own arc, down to a child member or across an element
+    # with room (from A, forward) or flow (from B, back); up the other way
+    for k, a, b in zip(count(rB), tails, heads) if sources else ():
+        if slack[k]:
+            down[a].append(k)
+        if over[k]:
+            down[b].append(k)
+    for s in sources:
+        while excess[s] > 0:
+            # depth first, each move checked as it is generated; the up
+            # move is pushed last, so it is taken first
+            pred, stack, t = {s: None}, [s], None
+            while stack and t is None:
+                u = stack.pop()
+                res, rev, far = (slack, over, heads) if u <= rA else (over, slack, tails)
+                moves = [(k, far[k - rB] if k >= rB else k) for k in reversed(down[u]) if res[k] > 0]
+                if rev[own[u]] > 0:
+                    moves.append((own[u], up[u]))
+                for k, v in moves:
+                    if v not in pred:
+                        pred[v] = (u, k)
+                        if excess[v] < 0:
+                            t = v
+                            break
+                        stack.append(v)
+            if t is None:
+                raise InternalInvariantError(
+                    "equalized selection infeasible; input families are not laminar "
+                    "or do not cover a common ground", witness=(len(g), m))
+            path, v = [], t
+            while v != s:
+                u, k = pred[v]
+                path.append((u, v, k, (slack, over) if (u <= rA) != (k == own[u]) else (over, slack)))
+                v = u
+            d = min(excess[s], -excess[t], *(res[k] for _, _, k, (res, _) in path))
+            for u, v, k, (res, rev) in path:
+                if k >= rB and not rev[k]:  # the way back opens: list it
+                    down[v].append(k)
+                res[k] -= d
+                rev[k] += d
+            excess[s] -= d
+            excess[t] += d
+
+    amounts = dict(held)
+    for x, t in compress(zip(live, over[rB:]), over[rB:]):
+        amounts[x] = amounts.get(x, 0) + t
     bad = selection_respects_bounds(amounts, g, famA, famB, m)
     if bad is not None:
         raise InternalInvariantError("selection violates a family bound", witness=bad)

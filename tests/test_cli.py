@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypfactor import cli, construct
+from hypfactor import TimeLimitError, cli, construct, detach
 from hypfactor.cli import (
     doc_to_factorization,
     dumps_canonical,
@@ -100,6 +101,49 @@ def test_generate_writes_into_out_dir(capsys, tmp_path, monkeypatch):
     assert rc == 0
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["n"] == 5
+
+
+def test_generate_time_limit_ends_within_one_stage(tmp_path):
+    # n = 120 takes seconds: a 0.2 s limit stops it at a stage boundary,
+    # past the limit by less than the stage that crossed it, with exit 2,
+    # one line on stderr and no document
+    path = tmp_path / "out.json"
+    r = ",".join(["2"] * 59 + ["1"])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfactor.cli", "generate", "--n", "120", "--h", "2",
+         "--r", r, "--time-limit", "0.2", "-o", str(path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, path.exists()) == (2, "", False)
+    found = re.fullmatch(r"time limit: 0.2 s passed at ([0-9.]+) s, after (\d+) of 119 stages "
+                         r"\(the last took ([0-9.]+) s\)\n", proc.stderr)
+    assert found, proc.stderr
+    at, done, last = float(found[1]), int(found[2]), float(found[3])
+    assert 0 < done < 119
+    assert 0.2 <= at <= 0.2 + last + 0.001  # three decimals each
+
+
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_generate_refuses_a_nan_or_negative_time_limit(capsys, limit):
+    rc, out, err = run(capsys, "generate", "--n", "5", "--h", "2", "--r", "2,2", "--time-limit", limit)
+    assert (rc, out) == (2, "")
+    assert err.startswith("parameter error: time limit must be a nonnegative number")
+
+
+def test_construct_reads_the_clock_only_with_a_time_limit(monkeypatch):
+    def clock():
+        raise AssertionError("clock read")
+
+    monkeypatch.setattr(detach, "monotonic", clock)
+    p = Params(7, 2, 1, (2, 2, 2))
+    assert construct(p, check_mode="off").factors
+    with pytest.raises(AssertionError, match="clock read"):
+        construct(p, check_mode="off", time_limit=10.0)
+    monkeypatch.undo()
+    with pytest.raises(TimeLimitError, match=r"0 s passed at [0-9.]+ s, after 0 of 6 stages"):
+        construct(p, time_limit=0)
+    assert construct(p, time_limit=float("inf")).report.overall
 
 
 def test_bad_degree_list_is_a_parameter_error(capsys):

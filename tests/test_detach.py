@@ -278,8 +278,10 @@ def test_larger_instance_with_unequal_degrees():
 
 
 # the SHA-256 that `benchmarks/digest_outputs.py` prints over every
-# construction output; a change that alters outputs on purpose updates it
-OUTPUT_DIGEST = "dafd3aae8987585bb25de6881d3a0451deb4eac2fa21fd0e293686f445a78282  246 cases"
+# construction output; a change that alters outputs on purpose updates it.
+# It was dafd3aae8987585bb25de6881d3a0451deb4eac2fa21fd0e293686f445a78282
+# while the selection ran Dinic over a wired network.
+OUTPUT_DIGEST = "5107dcbff991b8b70a2ee41042adde5a7d7bf2160bc8bd118fdf8f7f2e092127  246 cases"
 
 
 def test_outputs_match_the_pinned_digest():
@@ -308,8 +310,9 @@ for spec in [(7, 2, 1, (4, 2)), (8, 2, 2, (4, 4, 3, 3)), (10, 2, 1, (3, 3, 3)),
 
 
 def test_outputs_do_not_depend_on_hash_order():
-    # the selector shuffles its ground in dict order and the families keep
-    # their builders' order, so outputs must not move with the hash seed
+    # the selector rotates its ground in dict order and sorts it stably,
+    # and the families keep their builders' order, so outputs must not
+    # move with the hash seed
     src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
     for hash_seed in ("0", "1"):

@@ -377,11 +377,42 @@ def test_containment_in_exhaustive_space():
         assert sel.chosen in space
 
 
-# -- max flow against a full-BFS reference ---------------------------------
+# -- selection against a Dinic reference -----------------------------------
+
+
+def test_routing_takes_back_a_greedy_unit():
+    # at m = 2 the ground total and {c, d} are exact: 2 and 1.  With seed
+    # 0 the greedy pass takes a and b, the first two in (c, p) order, and
+    # fills the ground before {c, d} gets its unit.  Every valid selection
+    # drops a or b, so the routing must step back across a raised element
+    ground = dict.fromkeys("abcd", (1, 1))
+    famA = reference_family(ground, [({"c", "d"}, ("cd",)), ({"a"}, ("a",))])
+    famB = reference_family(ground, [({"b", "d"}, ("bd",)), ({"c"}, ("c",))])
+    assert selection_respects_bounds({"a": 1, "b": 1}, ground, famA, famB, 2) == (("cd",), 0, 1, 1)
+    space = {s.chosen for s in exhaustive_select(ground, famA, famB, 2)}
+    assert space and all(not {"a", "b"} <= chosen for chosen in space)
+    for seed in range(4):
+        assert equalized_select(ground, famA, famB, 2, seed).chosen in space
+
+
+def test_family_sizes_that_lie_are_infeasible():
+    # at m = 2, a member claiming 4 hinges over one of weight 1 has its
+    # floor 2 above the element's ceiling 1, and one claiming 1 hinge
+    # over x of weight 4 has its ceiling 1 below x's floor 2
+    for ground, size in (({"x": (1, 1)}, 4), ({"x": (1, 4), "y": (1, 1)}, 1)):
+        fam = LaminarFamily(ground, [(["x"], size, ("lie",), -1)])
+        for famB in (fam, LaminarFamily(ground, [])):
+            with pytest.raises(InternalInvariantError, match="equalized selection infeasible") as exc:
+                equalized_select(ground, fam, famB, 2)
+            assert exc.value.witness == (len(ground), 2)
 
 
 def reference_max_flow(adj, to, cap, s, t):
-    """Dinic as first written: each BFS labels every node it can reach."""
+    """Dinic max flow from `s` to `t`, updating the residual capacities `cap`.
+
+    Each BFS labels every node it can reach.  `adj[u]` lists the arcs out
+    of node u; arc a enters `to[a]` and its reverse is arc a ^ 1.
+    """
     n = len(adj)
     total = 0
     while True:
@@ -423,68 +454,14 @@ def reference_max_flow(adj, to, cap, s, t):
                 it[u] += 1
 
 
-@pytest.fixture()
-def flows_checked(monkeypatch):
-    """Run every `_max_flow` call next to the reference on a copy of its network.
-
-    Both must route the same total and leave the same residual capacities,
-    so every augmenting path is the same.  Yields the list of checked calls.
-    """
-    fast, calls = laminar._max_flow, []
-
-    def both(adj, to, cap, s, t):
-        ref_cap = list(cap)
-        want = reference_max_flow(adj, to, ref_cap, s, t)
-        got = fast(adj, to, cap, s, t)
-        assert (got, cap) == (want, ref_cap)
-        calls.append(got)
-        return got
-
-    monkeypatch.setattr(laminar, "_max_flow", both)
-    yield calls
-
-
-def test_max_flow_matches_full_bfs_on_the_acceptance_grid(flows_checked):
-    grid = [
-        Params(n, h, lam, r)
-        for h in (2, 3, 4)
-        for n in range(h + 1, 11)
-        for lam in (1, 2)
-        for r in _fixture_vectors(n, h, lam)
-        if check_feasibility(Params(n, h, lam, r)).ok
-    ]
-    for p in grid:
-        construct(p, seed=0, check_mode="off")
-    assert len(grid) == 115 and len(flows_checked) == sum(p.n - 1 for p in grid)
-
-
-def test_max_flow_matches_full_bfs_on_random_networks(flows_checked):
-    rng = random.Random("max-flow")
-    for _ in range(2000):
-        n = rng.randint(2, 12)
-        adj, to, cap = [[] for _ in range(n)], [], []
-        for _ in range(rng.randint(0, 4 * n)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            for x, y, c in ((u, v, rng.choice((0, 1, 2, 5, 1 << 60))), (v, u, 0)):
-                adj[x].append(len(to))
-                to.append(y)
-                cap.append(c)
-        laminar._max_flow(adj, to, cap, 0, n - 1)
-    for trial in range(200):
-        ground, famA, famB = random_laminar_pair(rng, rng.randint(1, 24))
-        equalized_select(ground, famA, famB, rng.randint(2, 6), seed=trial)
-    assert len(flows_checked) == 2200 and any(flows_checked)
-
-
-# -- bulk wiring against the closure-wired selector -------------------------
-
-
 def reference_select(ground, famA, famB, m, seed=0):
-    """The selector as wired before bulk wiring: one `arc` call per arc.
+    """The bounds as a wired network, solved by `reference_max_flow`.
 
-    Every arc gets a residual pair, lo == hi or not.  Returns the amounts,
-    in the order the selector builds them, and the number of arcs with
-    lo == hi, which bulk wiring books as excess only.
+    Nodes: source, sink, one root per family, one node per member, then
+    the super-source and super-sink; one `arc` call per arc, each with a
+    residual pair, lo == hi or not.  Asserts that the flow routes its full
+    need, so a selection exists, and returns the amounts of the elements,
+    taken in seeded order, with the number of arcs with lo == hi.
     """
     g = laminar.weighted(ground)
     parentA, innerA = famA._forest
@@ -531,16 +508,22 @@ def reference_select(ground, famA, famB, m, seed=0):
             arc(n, v, 0, excess[v])
         elif excess[v] < 0:
             arc(v, n + 1, 0, -excess[v])
-    assert laminar._max_flow(adj, to, cap, n, n + 1) == need
+    assert reference_max_flow(adj, to, cap, n, n + 1) == need
     for j, x in enumerate(order):
         amounts[x] += cap[first_element_arc + 2 * j + 1]
-    return [(x, f) for x, f in amounts.items() if f], fixed_arcs
+    return {x: f for x, f in amounts.items() if f}, fixed_arcs
 
 
-def assert_wired_as_reference(ground, famA, famB, m, seed=0) -> int:
-    """Same amounts in the same order as `reference_select`; returns its lo == hi arcs."""
+def assert_both_select(ground, famA, famB, m, seed=0) -> int:
+    """The reference routes its need and the selector meets every bound.
+
+    The two may pick different valid amounts.  Returns the reference's
+    number of arcs with lo == hi.
+    """
     want, fixed = reference_select(ground, famA, famB, m, seed)
-    assert list(equalized_select(ground, famA, famB, m, seed).amounts.items()) == want
+    assert selection_respects_bounds(want, ground, famA, famB, m) is None
+    got = equalized_select(ground, famA, famB, m, seed).amounts
+    assert selection_respects_bounds(got, ground, famA, famB, m) is None
     return fixed
 
 
@@ -549,12 +532,12 @@ def test_wiring_matches_reference_on_criterion_5_pairs():
     for i in range(1000):
         gsize = rng.randint(3, 12) if i % 2 == 0 else rng.randint(3, 40)
         ground, famA, famB = random_laminar_pair(rng, gsize)
-        assert_wired_as_reference(ground, famA, famB, rng.randint(2, 6), seed=i)
+        assert_both_select(ground, famA, famB, rng.randint(2, 6), seed=i)
 
 
 def test_wiring_matches_reference_when_m_divides_sizes():
     # weighted grounds, and m a divisor of some member or item size, so
-    # some arcs have lo == hi and get no residual pair
+    # some bounds are exact
     rng = random.Random("wiring-divisors")
     fixed = 0
     for trial in range(400):
@@ -562,17 +545,17 @@ def test_wiring_matches_reference_when_m_divides_sizes():
         famA, famB = random_laminar_family(rng, ground), random_laminar_family(rng, ground)
         sizes = [s for s in famA.sizes + famB.sizes if s >= 2] + [p for _, p in ground.values() if p >= 2]
         m = rng.choice([d for s in sizes for d in range(2, s + 1) if s % d == 0] or [2])
-        fixed += assert_wired_as_reference(ground, famA, famB, m, seed=trial)
+        fixed += assert_both_select(ground, famA, famB, m, seed=trial)
     assert fixed >= 400
 
 
 def test_wiring_matches_reference_at_m_one():
-    # every bound is exact, so no element or member arc gets a residual pair
+    # every bound is exact, so nothing is left to choose
     rng = random.Random("wiring-m-one")
     for trial in range(100):
         ground = {x: (rng.randint(1, 3), rng.randint(1, 4)) for x in range(rng.randint(0, 16))}
         famA, famB = random_laminar_family(rng, ground), random_laminar_family(rng, ground)
-        fixed = assert_wired_as_reference(ground, famA, famB, 1, seed=trial)
+        fixed = assert_both_select(ground, famA, famB, 1, seed=trial)
         assert fixed == 2 + len(famA.members) + len(famB.members) + len(ground)
 
 
@@ -580,7 +563,7 @@ def test_wiring_matches_reference_on_the_acceptance_grid(monkeypatch):
     select, calls = detach.equalized_select, []
 
     def both(ground, famA, famB, m, seed=0):
-        calls.append(assert_wired_as_reference(ground, famA, famB, m, seed))
+        calls.append(assert_both_select(ground, famA, famB, m, seed))
         return select(ground, famA, famB, m, seed)
 
     monkeypatch.setattr(detach, "equalized_select", both)
