@@ -8,13 +8,18 @@ a "hinge".  Per color, a union-find over ordinary (non-amalgam) vertices
 tracks the components that wings hang off; edges only ever gain
 ordinary vertices, so components only merge and the union-find stays
 exact.  The graph also indexes its amalgam-incident types by their
-amalgam multiplicity p (the counts stay in the one `Counter`):
-`add_edge` inserts a type when it first appears and `move_hinges`
-deletes it when it empties, so a split stage reads its ground from the
-index instead of scanning every type; `wing_decompositions` groups that
-ground into wings through the union-finds.  `edges()` repeats each
-type's one `Edge(color, verts)` record `count` times, for the verifier
-and the output; an edge's id is its position in that stream.
+amalgam multiplicity p (the counts stay in the one `Counter`), and
+keeps the split state grouped two ways, each group a {type: None} dict
+with its hinge total Σ c·p: the cells by shape (p, ordinary vertices),
+and per color the wings, the non-loop types by union-find root.
+`add_edge` and `move_hinges` update all of it from the types they touch
+alone: an emptied type leaves its cell and wing, a moved type with
+p >= 2 joins the cell of its successor, and a union joins the smaller
+wing group to the larger, under the root the union picks.  So a split
+stage reads its ground, cells and wings without regrouping the ground;
+`wing_decompositions` is a view.  `edges()` repeats each type's one
+`Edge(color, verts)` record `count` times, for the verifier and the
+output; an edge's id is its position in that stream.
 """
 
 from __future__ import annotations
@@ -107,6 +112,18 @@ class UnionFind:
         return ra != rb
 
 
+def _merge(groups: dict, ra, rb) -> None:
+    """Join the group of root `ra` to that of root `rb`, the smaller into the larger, under `rb`."""
+    group = groups.pop(ra, None)
+    if group:
+        into = groups.setdefault(rb, group)
+        if into is not group:
+            if len(group[0]) > len(into[0]):
+                groups[rb], group, into = group, into, group
+            into[0].update(group[0])
+            into[1] += group[1]
+
+
 class ColoredMultiHypergraph:
     """Edge-colored multi-hypergraph with uniform edge size.
 
@@ -133,6 +150,10 @@ class ColoredMultiHypergraph:
         self._types: Counter = Counter()  # (color, sorted verts) -> count
         self._at_alpha: dict[tuple, int] = {}  # alpha-incident type -> p
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
+        # the kept split state, each group as [{type: None}, hinges Σ c·p]:
+        # the cells by (p, rest), and per color the wings by union-find root
+        self._cells: dict[tuple, list] = {}
+        self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
 
     # -- basic accessors -------------------------------------------------
 
@@ -164,11 +185,21 @@ class ColoredMultiHypergraph:
             raise ParameterError(f"edge multiplicity must be >= 1, got {mult}")
         key = (color, vt)
         self._types[key] += mult
-        if self.alpha in vt:
-            self._at_alpha[key] = vt.count(self.alpha)
-        rest = [v for v in vt if v != self.alpha]
+        uf, wings = self._uf[color], self._wings[color]
+        rest = tuple(v for v in vt if v != self.alpha)
         for v in rest:
-            self._uf[color].union(v, rest[0])
+            ra, rb = uf.find(v), uf.find(rest[0])
+            if ra != rb:
+                uf.parent[ra] = rb  # the root `uf.union(v, rest[0])` picks
+                _merge(wings, ra, rb)
+        p = self.h - len(rest)
+        if p:
+            self._at_alpha[key] = p
+            kept = [self._cells.setdefault((p, rest), [{}, 0])]
+            kept += [wings.setdefault(uf.find(rest[0]), [{}, 0])] if rest else []
+            for group in kept:
+                group[0][key] = None
+                group[1] += mult * p
         return key
 
     def move_hinges(self, amounts: Mapping[tuple, int], to: int) -> None:
@@ -176,7 +207,7 @@ class ColoredMultiHypergraph:
 
         `amounts` maps types to t; each type must hold the amalgam and at
         least t edges, or nothing moves.  `to` joins the color's component
-        of every moved edge.
+        of every moved edge.  Only the moved types' cells and wings change.
         """
         if to not in self.vertices or to == self.alpha:
             raise ParameterError(f"move target {to} is not a declared ordinary vertex")
@@ -185,24 +216,48 @@ class ColoredMultiHypergraph:
                 raise InvalidHingeError(
                     f"cannot move {t} hinges of type {key} ({self._types.get(key, 0)} edges)"
                 )
-        alpha, types, at_alpha = self.alpha, self._types, self._at_alpha
+        alpha, types, at_alpha, cells = self.alpha, self._types, self._at_alpha, self._cells
+        ufs, colors = self._uf, self._wings
         for key, t in amounts.items():
             if not t:
                 continue
             color, verts = key
             p = at_alpha[key]
+            i = verts.index(alpha)  # the sorted verts hold p alphas from i on
+            rest = verts[:i] + verts[i + p:]
+            cell, uf, wings = cells[p, rest], ufs[color], colors[color]
+            # `to` joins the first ordinary vertex, if the type had one
+            rb = uf.find(to)
+            ra = uf.find(rest[0]) if rest else rb
+            group = wings[ra] if rest else None
+            cell[1] -= t * p
+            if group:
+                group[1] -= t * p
             if types[key] == t:
-                del types[key], at_alpha[key]
+                del types[key], at_alpha[key], cell[0][key]
+                if not cell[0]:
+                    del cells[p, rest]
+                if group:
+                    del group[0][key]
+                    if not group[0]:
+                        del wings[ra]
             else:
                 types[key] -= t
-            i = verts.index(alpha)  # the sorted verts hold p alphas from i on
+            if ra != rb:
+                uf.parent[ra] = rb  # the root `uf.union(rest[0], to)` picks
+                _merge(wings, ra, rb)
             dest = (color, tuple(sorted(verts[:i] + verts[i + 1:] + (to,))))
             types[dest] = types.get(dest, 0) + t
             if p > 1:
                 at_alpha[dest] = p - 1
-            # `to` joins the first ordinary vertex, if the type had one
-            first = verts[0] if i else verts[p] if p < self.h else to
-            self._uf[color].union(first, to)
+                dv = dest[1]
+                j = dv.index(alpha)
+                shape = (p - 1, dv[:j] + dv[j + p - 1:])
+                cell = cells.get(shape) or cells.setdefault(shape, [{}, 0])
+                group = wings.get(rb) or wings.setdefault(rb, [{}, 0])
+                cell[0][dest] = group[0][dest] = None
+                cell[1] += t * (p - 1)
+                group[1] += t * (p - 1)
 
     # -- derived quantities ----------------------------------------------
 
@@ -219,22 +274,10 @@ class ColoredMultiHypergraph:
 def wing_decompositions(G: ColoredMultiHypergraph, ground: dict) -> dict[int, tuple]:
     """Per color of `G`: its loop type (or None) and its other wings as [types, hinges].
 
-    `ground` is `G.hinges_at()`.  A non-loop type joins the wing of its
-    ordinary vertices' component in the color's union-find; the one pass
-    over the ground that groups the types also adds up each wing's hinges.
+    `ground` is `G.hinges_at()`.  The wings are the groups `G` keeps by
+    union-find root, each a {type: None} dict and its hinge total, read
+    in place: they hold until the next move.
     """
-    alpha, h = G.alpha, G.h
-    finds = {i: uf.find for i, uf in G._uf.items()}
-    loops = dict.fromkeys(finds)
-    comps = {i: {} for i in finds}  # root -> [types, hinges]
-    for key, (c, p) in ground.items():
-        color, verts = key
-        if p == h:
-            loops[color] = key
-            continue
-        # the sorted verts hold p alphas in a row, so one of these is ordinary
-        u = verts[0] if verts[0] != alpha else verts[p]
-        wing = comps[color].setdefault(finds[color](u), [[], 0])
-        wing[0].append(key)
-        wing[1] += c * p
-    return {i: (loops[i], comps[i].values()) for i in finds}
+    loop = (G.alpha,) * G.h
+    return {i: ((i, loop) if (i, loop) in ground else None, wings.values())
+            for i, wings in G._wings.items()}

@@ -170,11 +170,12 @@ def selection_respects_bounds(
 def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) -> LaminarFamily:
     """Wing-side family over `ground = G.hinges_at()` and its wings `decomps`.
 
-    `decomps` is `hypercore.wing_decompositions(G, ground)`.  Per color:
-    the class's types, the union of its wings with 2+ hinges, and each
-    non-loop wing's types; a wing with 2+ hinges lies in the union, any
-    other in the class, and that nesting is the forest.  Single edges
-    need no member: each element's own bounds hold every edge of it.
+    `decomps` is `hypercore.wing_decompositions(G, ground)`: the wing
+    groups `G` keeps, with their hinge totals, which the wing members hold
+    in place.  Per color: the class's types, the union of its wings with
+    2+ hinges, and each non-loop wing's types; a wing with 2+ hinges lies
+    in the union, any other in the class, and that nesting is the forest.
+    Single edges need no member: each element's own bounds hold every edge.
     """
     h = G.h
     entries = []
@@ -202,18 +203,14 @@ def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) ->
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
-    """Cell-side family: types of every color grouped by shape (amalgam count, rest).
+    """Cell-side family over `ground = G.hinges_at()`: the types of one shape (p, rest).
 
-    Cells are pairwise disjoint, so the family is laminar and flat; its
+    Reads the cells and their hinge totals that `G` keeps; each member
+    holds its kept cell in place, valid until the next move.  Cells are
+    pairwise disjoint, so the family is laminar and flat; its
     bounds keep shape multiplicities on schedule across splits.
     """
-    cells: dict[tuple, list] = {}
-    for key, (c, p) in ground.items():
-        verts = key[1]
-        i = verts.index(G.alpha)  # the sorted verts hold p alphas from i on
-        cells.setdefault((p, verts[:i] + verts[i + p:]), []).append(key)
-    entries = [(ts, shape[0] * sum(ground[x][0] for x in ts), ("cell",) + shape, -1)
-               for shape, ts in cells.items()]
+    entries = [(ts, total, ("cell",) + shape, -1) for shape, (ts, total) in G._cells.items()]
     return LaminarFamily(ground, entries)
 
 

@@ -3,7 +3,7 @@
 import random
 from typing import NamedTuple
 
-from hypfactor import LaminarFamily, construct
+from hypfactor import ColoredMultiHypergraph, LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
 from hypfactor.laminar import Member, containment_forest, weighted
 
@@ -26,6 +26,14 @@ def reference_family(ground, members) -> LaminarFamily:
         (s, sum(c * p for c, p in map(g.__getitem__, s)), tag, up)
         for (s, tag), up in zip(pairs, parent)
     ])
+
+
+def rebuilt(G):
+    """A fresh graph holding `G`'s explicit edges, added one by one."""
+    R = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k)
+    for e in G.edges():
+        R.add_edge(e.verts, e.color)
+    return R
 
 
 def _random_blocks(rng: random.Random, items: list) -> list:

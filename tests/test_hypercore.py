@@ -1,11 +1,14 @@
 """Tests for the edge-colored multi-hypergraph container."""
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt
 from hypfactor import (
     ColoredMultiHypergraph,
     Edge,
@@ -34,6 +37,21 @@ def _multiplicity(G, p, U):
     """Edges, over all colors, whose multiset is exactly {alpha^p} + U."""
     verts = tuple(sorted((G.alpha,) * p + tuple(U)))
     return sum(e.verts == verts for e in G.edges())
+
+
+def _kept(G):
+    """The kept cells by shape, and per color the multiset of wing groups, each as (types, hinges).
+
+    Also checks that every wing group sits at the union-find root of its
+    types' ordinary vertices, so roots that a rebuild picks differently
+    still compare equal.
+    """
+    for i, wings in G._wings.items():
+        for root, (types, _) in wings.items():
+            assert {G._uf[i].find(v) for _, verts in types for v in verts if v != G.alpha} == {root}
+    cells = {shape: (frozenset(ts), x) for shape, (ts, x) in G._cells.items()}
+    wings = {i: Counter((frozenset(ts), x) for ts, x in ws.values()) for i, ws in G._wings.items()}
+    return cells, wings
 
 
 def test_binom_small_values():
@@ -160,10 +178,10 @@ def test_move_hinges_rejects_more_edges_than_the_type_has(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
     G.move_hinges({LOOP: 4}, 1)
-    before = G.hinges_at()
+    before = G.hinges_at(), copy.deepcopy((G._cells, G._wings))
     with pytest.raises(InvalidHingeError):
         G.move_hinges({(2, (5, 5, 5)): 1, LOOP: 2}, 1)
-    assert G.hinges_at() == before
+    assert (G.hinges_at(), (G._cells, G._wings)) == before
 
 
 def test_move_hinge_rejects_unknown_edge(amalgam_533):
@@ -196,6 +214,41 @@ def test_moves_merge_color_components():
     G.move_hinges({(1, (0, 1)): 1, (1, (0, 2)): 1, (2, (0, 0)): 1}, 3)
     assert G._uf[1].find(1) == G._uf[1].find(2) == G._uf[1].find(3)
     assert G._uf[2].find(3) != G._uf[2].find(1)
+
+
+def test_move_onto_a_vertex_below_its_root_keeps_the_groups_exact():
+    # vertex 2 joins 1's component, whose root is 1, through an
+    # amalgam-incident type; moves onto 2 must key the joined groups at
+    # the root, as a graph rebuilt from the edges does
+    G = ColoredMultiHypergraph([0, 1, 2, 3, 4], alpha=0, h=3, k=2)
+    G.add_edge((0, 1, 2), 1)
+    G.add_edge((0, 0, 3), 1, mult=2)
+    G.add_edge((0, 0, 4), 1)
+    G.add_edge((0, 0, 0), 2, mult=3)
+    assert G._uf[1].find(2) == 1
+    G.move_hinges({(1, (0, 0, 3)): 1, (2, (0, 0, 0)): 2}, 2)
+    assert _kept(G) == _kept(rebuilt(G))
+    assert [x for _, x in G._wings[1].values()] == [1 + 2 + 1, 2]
+    G.move_hinges({(1, (0, 0, 4)): 1, (1, (0, 0, 3)): 1, (2, (0, 0, 2)): 1}, 2)
+    assert _kept(G) == _kept(rebuilt(G))
+    assert [x for _, x in G._wings[1].values()] == [1 + 2 + 1]
+    assert list(G._wings[2].values()) == [[{(2, (0, 0, 2)): None, (2, (0, 2, 2)): None}, 2 + 1]]
+
+
+def test_edges_that_join_two_wings_add_their_totals():
+    # the groups at 1 and 2 join through an amalgam-incident edge, then
+    # the group at 3 through an edge without the amalgam
+    G = ColoredMultiHypergraph([0, 1, 2, 3], alpha=0, h=3, k=1)
+    G.add_edge((0, 0, 1), 1, mult=2)
+    G.add_edge((0, 0, 2), 1)
+    G.add_edge((0, 0, 3), 1)
+    assert sorted(x for _, x in G._wings[1].values()) == [2, 2, 4]
+    G.add_edge((0, 1, 2), 1)
+    assert sorted(x for _, x in G._wings[1].values()) == [2, 4 + 2 + 1]
+    G.add_edge((1, 2, 3), 1)
+    assert [x for _, x in G._wings[1].values()] == [4 + 2 + 1 + 2]
+    assert _kept(G) == _kept(rebuilt(G))
+    assert G._cells[2, (3,)] == [{(1, (0, 0, 3)): None}, 2]
 
 
 # -- construction and validation --------------------------------------------
