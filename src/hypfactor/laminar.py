@@ -9,11 +9,13 @@ the selector picks how many of its edges give up a hinge, within
 [c*floor(p/m), c*ceil(p/m)].  The wing family (color class, multi-hinge
 wing union, wing) and the cell family (amalgam multiplicity plus
 ordinary vertex set) group the types; each member gets the floor/ceiling
-of its weight over m.  Both builders know each member's size and
-parent, so `LaminarFamily` takes exactly that, in the builder's order,
-and checks nothing; equal sets chain.  `forest()` recomputes the forest
-with the laminarity and ground checks.  Selection and its re-check also
-take a plain iterable ground of unit elements.
+of its weight over m.  A wing or cell of one type x is no member: its
+bounds lie inside x's own, so x goes to the family's `solo` and is
+bounded as one item of size c * p.  Both builders know each member's
+size and parent, so `LaminarFamily` takes exactly that, in the
+builder's order, and checks nothing; equal sets chain.  `forest()`
+recomputes the forest with the laminarity and ground checks.  Selection
+and its re-check also take a plain iterable ground of unit elements.
 
 For laminar inputs such a selection always exists: the bounds form a
 circulation on the two forests (down A's, across one arc per element,
@@ -88,20 +90,27 @@ class LaminarFamily:
 
     `entries` holds (elements, size, tag, parent entry index or -1), each
     after its parent; nothing is checked.  Each entry is one member, so
-    the last entry holding an element is its innermost.  The ground and
-    the entries' elements are kept, not copied; an element outside every
-    member has none.  `forest()` is the laminarity and ground check.
+    the last entry holding an element is its innermost.  `solo` holds the
+    elements whose c * p hinges form a member on their own, carried by
+    the element's bounds.  The ground, `solo` and the entries' elements
+    are kept, not copied; an element outside every member has none.
+    `forest()` is the laminarity and ground check.
     """
 
-    def __init__(self, ground: dict, entries: Sequence[tuple]):
+    def __init__(self, ground: dict, entries: Sequence[tuple], solo: Collection = ()):
         self.ground = ground
+        self.solo = solo
         self.members = tuple([Member(xs, tag) for xs, _, tag, _ in entries])
         self.sizes = tuple([size for _, size, _, _ in entries])
         innermost = chain.from_iterable(zip(xs, repeat(i)) for i, (xs, _, _, _) in enumerate(entries))
         self._forest = ([up for _, _, _, up in entries], dict(innermost))
 
     def forest(self) -> tuple[list[int], dict]:
-        """The containment forest recomputed from the members; see `containment_forest`."""
+        """The members' containment forest, recomputed after the `solo` ground check."""
+        for x in self.solo:
+            if x not in self.ground:
+                raise InternalInvariantError(
+                    f"solo element {x!r} outside the ground set", witness=(("solo",), x))
         return containment_forest(self.ground, self.members)
 
     def totals(self, pairs: Iterable) -> list[int]:
@@ -140,7 +149,8 @@ def selection_respects_bounds(
     `chosen` maps elements to amounts, or is a plain iterable taking each
     element once.  Checked in order: strays outside the ground, the ground
     total, each element, then every member, whose totals are gathered in
-    one pass over the amounts.  A dict `ground` is read in place.
+    one pass over the amounts.  An element in either family's `solo` is
+    one item of size c * p.  A dict `ground` is read in place.
     """
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
     g = ground if isinstance(ground, Mapping) else weighted(ground)
@@ -151,7 +161,10 @@ def selection_respects_bounds(
     got = sum(amounts.values())
     if not lo <= got <= hi:
         return ("ground", got, lo, hi)
+    soloA, soloB = famA.solo, famB.solo
     for x, (c, p) in g.items():
+        if x in soloA or x in soloB:
+            c, p = 1, c * p
         lo, hi = bounds_for(p, m)
         got = amounts.get(x, 0)
         if not c * lo <= got <= c * hi:
@@ -176,9 +189,10 @@ def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) ->
     2+ hinges, and each non-loop wing's types; a wing with 2+ hinges lies
     in the union, any other in the class, and that nesting is the forest.
     Single edges need no member: each element's own bounds hold every edge.
+    A wing of one type is no member either: the type goes to `solo`.
     """
     h = G.h
-    entries = []
+    entries, solo = [], {}
     for i in range(1, G.k + 1):
         loop, wings = decomps[i]
         top = len(entries)  # the class's entry; its multi-hinge union's is next
@@ -195,11 +209,13 @@ def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) ->
             if multi:
                 big += w
                 held += x
-            if tag:
+            if len(w) > 1:
                 entries.append((w, x, tag, top + multi))
+            elif tag:  # a wing of one type
+                solo.update(w)
         entries[top] = (whole, total, ("color", i), -1)
         entries[top + 1] = (big, held, ("multiwing", i), top if big else -1)
-    return LaminarFamily(ground, entries)
+    return LaminarFamily(ground, entries, solo)
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
@@ -208,10 +224,13 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
     Reads the cells and their hinge totals that `G` keeps; each member
     holds its kept cell in place, valid until the next move.  Cells are
     pairwise disjoint, so the family is laminar and flat; its
-    bounds keep shape multiplicities on schedule across splits.
+    bounds keep shape multiplicities on schedule across splits.  A cell
+    of one type is no member: the type goes to `solo`.
     """
-    entries = [(ts, total, ("cell",) + shape, -1) for shape, (ts, total) in G._cells.items()]
-    return LaminarFamily(ground, entries)
+    cells = G._cells.items()
+    entries = [(ts, total, ("cell",) + shape, -1) for shape, (ts, total) in cells if len(ts) > 1]
+    solo = {x: None for _, (ts, _) in cells if len(ts) == 1 for x in ts}
+    return LaminarFamily(ground, entries, solo)
 
 
 # -- selection -------------------------------------------------------------
@@ -227,7 +246,8 @@ def equalized_select(
     """Choose an amount of every element meeting all floor/ceiling bounds.
 
     Bounds apply to every element, to every member of both families and
-    to the ground total.  Malformed families, for which no selection may
+    to the ground total; an element in either family's `solo` is one item
+    of size c * p.  Malformed families, for which no selection may
     exist, raise an internal invariant error rather than return a partial
     answer.  The seed rotates the ground before its stable (c, p) sort.
     """
@@ -249,7 +269,10 @@ def equalized_select(
     order, r = list(g), seed % (len(g) or 1)
     order = sorted(order[r:] + order[:r], key=g.__getitem__)
     items = list(map(g.__getitem__, order))
-    base = [c * (p // m) for c, p in items]
+    soloA, soloB = famA.solo, famB.solo
+    cs = [1 if x in soloA or x in soloB else c for x, (c, _) in zip(order, items)]
+    ps = [c * p // k for (c, p), k in zip(items, cs)]  # the size of each of k items
+    base = [k * (p // m) for k, p in zip(cs, ps)]
     held = list(compress(zip(order, base), base))
     sizes = [*famA.sizes, sum(c * p for c, p in g.values()), *famB.sizes]
     flows = famA.totals(held) + [sum(base)] + famB.totals(held) if held else repeat(0)
@@ -272,12 +295,12 @@ def equalized_select(
                 stack += down[u]
 
     # the greedy pass, in order; live element j is arc rB + j
-    rises = [p % m for _, p in items]
+    rises = [p % m for p in ps]
     live = list(compress(order, rises))
     tails = list(map(innerA.get, live, repeat(rA)))
     heads = list(map(nodeB.__getitem__, map(innerB.get, live, repeat(-1))))
     over += repeat(0, len(live))
-    slack += [c for c, _ in compress(items, rises)]
+    slack += compress(cs, rises)
     short = min(over, default=0) < 0
     for k, a, b in zip(count(rB), tails, heads) if short else ():
         if opened[a] and opened[b]:

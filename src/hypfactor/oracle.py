@@ -45,7 +45,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .detach import Factorization, Params
@@ -330,10 +330,11 @@ def exhaustive_select(
 ) -> list[Selection]:
     """Every subset of `ground` meeting all floor/ceiling bounds.
 
-    Bounds cover each member of both families plus the ground set, the
-    same constraint set the flow selector enforces.  Refuses weighted
-    elements and grounds over MAX_EXHAUSTIVE_GROUND elements.  Returns
-    selections in a deterministic order.
+    Bounds cover each member and each `solo` element of both families
+    plus the ground set, the same constraint set the flow selector
+    enforces.  Refuses weighted elements and grounds over
+    MAX_EXHAUSTIVE_GROUND elements.  Returns selections in a
+    deterministic order.
     """
     for x, w in weighted(ground).items():
         if w != (1, 1):
@@ -349,11 +350,11 @@ def exhaustive_select(
     index = {x: i for i, x in enumerate(items)}
     constraints = []
     for fam in (famA, famB):
-        for mb in fam.members:
+        for xs in chain((mb.elements for mb in fam.members), ([x] for x in fam.solo)):
             mask = 0
-            for x in mb.elements:
+            for x in xs:
                 mask |= 1 << index[x]
-            lo, hi = bounds_for(len(mb.elements), m)
+            lo, hi = bounds_for(len(xs), m)
             constraints.append((mask, lo, hi))
     lo_g, hi_g = bounds_for(g, m)
 

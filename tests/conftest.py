@@ -28,6 +28,26 @@ def reference_family(ground, members) -> LaminarFamily:
     ])
 
 
+def fold_singletons(fam, folds=lambda tag: True) -> LaminarFamily:
+    """`fam` with each one-element member whose tag `folds` moved to `solo`.
+
+    Such a member must weigh its element's c * p; it is a leaf, unless a
+    later equal member folds too, so every kept member keeps its parent.
+    """
+    parent, _ = fam._forest
+    entries, solo, at = [], dict.fromkeys(fam.solo), {-1: -1}
+    for i, (mb, size, up) in enumerate(zip(fam.members, fam.sizes, parent)):
+        if len(mb.elements) == 1 and folds(mb.tag):
+            (x,) = mb.elements
+            c, p = fam.ground[x]
+            assert size == c * p, (mb.tag, size, c * p)
+            solo[x] = None
+        else:
+            at[i] = len(entries)
+            entries.append((mb.elements, size, mb.tag, at[up]))
+    return LaminarFamily(fam.ground, entries, solo)
+
+
 def rebuilt(G):
     """A fresh graph holding `G`'s explicit edges, added one by one."""
     R = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k)

@@ -282,8 +282,10 @@ def test_larger_instance_with_unequal_degrees():
 # It was dafd3aae8987585bb25de6881d3a0451deb4eac2fa21fd0e293686f445a78282
 # while the selection ran Dinic over a wired network, and
 # 5107dcbff991b8b70a2ee41042adde5a7d7bf2160bc8bd118fdf8f7f2e092127 while
-# each stage regrouped its whole ground into cells and wings.
-OUTPUT_DIGEST = "3c737eb3290bd826b05909ee9a4e9be7204f9fb4fd7a9a4314463495241c5019  246 cases"
+# each stage regrouped its whole ground into cells and wings, and
+# 3c737eb3290bd826b05909ee9a4e9be7204f9fb4fd7a9a4314463495241c5019 while
+# every wing and cell of one type was a family member of its own.
+OUTPUT_DIGEST = "89a9d8ad9f447a3d48dc5efd817f091ecbc4b74db0858ec2b0de8c230b146b68  246 cases"
 
 
 def test_outputs_match_the_pinned_digest():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laminar_family, random_laminar_pair, reference_family
+from conftest import fold_singletons, random_laminar_family, random_laminar_pair, reference_family
 from hypfactor import (
     InternalInvariantError,
     LaminarFamily,
@@ -121,6 +121,20 @@ def test_element_outside_ground_rejected():
         _fam({1, 2}, {1, 3})
 
 
+def test_forest_rejects_a_solo_element_outside_the_ground():
+    # a stray `solo` element is named as a stray member element is: (tag, element)
+    ground = {1: (2, 1), 2: (1, 1)}
+    pair = [([1, 2], 3, ("pair",), -1)]
+    assert LaminarFamily(ground, pair, {1: None}).forest() == ([-1], {1: 0, 2: 0})
+    for solo in ([3], {1: None, 3: None}):
+        with pytest.raises(InternalInvariantError, match="solo element 3 outside the ground") as exc:
+            LaminarFamily(ground, pair, solo).forest()
+        assert exc.value.witness == (("solo",), 3)
+    with pytest.raises(InternalInvariantError, match="outside the ground") as exc:
+        LaminarFamily(ground, [([1, 3], 2, ("stray",), -1)]).forest()
+    assert exc.value.witness == (("stray",), 3)
+
+
 def test_disjoint_sets_are_laminar():
     fam = _fam(range(6), {0, 1}, {2, 3}, {4})
     parent, _ = fam.forest()
@@ -145,21 +159,26 @@ def test_wing_family_on_base_amalgam():
 
 
 def test_wing_family_groups_a_split_class_by_wing():
-    # after two splits each class has non-loop wings; every wing member
-    # nests inside its class member, which weighs the class's amalgam degree
+    # after two splits each class has non-loop wings, each a wing member
+    # or, when it holds one type, a `solo` type; every wing member and the
+    # innermost member of every solo type nest inside the class member,
+    # which weighs the class's amalgam degree
     p = Params(6, 3, 1, (2, 2, 2, 2, 2))
     G = initial_amalgam(p)
     split_step(G, 1, p, seed=0)
     split_step(G, 2, p, seed=0)
     fam = _wing_family(G)
-    parent, _ = fam.forest()
+    parent, innermost = fam.forest()
     index = {m.tag: j for j, m in enumerate(fam.members)}
+    assert fam.solo
     for i in range(1, p.k + 1):
         top = index[("color", i)]
         assert fam.sizes[top] == _degree(G, G.alpha, i)
         wings = [j for t, j in index.items() if t[:2] == ("wing", i)]
-        assert wings
-        for j in wings:
+        solo = [innermost[x] for x in fam.solo if x[0] == i]
+        assert wings or solo
+        assert len(wings) + len(solo) == len(G._wings[i])
+        for j in wings + solo:
             while j not in (top, -1):
                 j = parent[j]
             assert j == top
@@ -338,6 +357,51 @@ def test_random_laminar_selection_respects_bounds(seed, gsize, m):
     assert selection_respects_bounds(sel.chosen, ground, famA, famB, m) is None
 
 
+def test_a_folded_bound_is_an_element_bound():
+    # at m = 2, x (2 items of size 3) may take 2..4 on its own, but the
+    # member {x} of 6 hinges asks for exactly 3; folded into `solo`, the
+    # element check catches what the member check caught
+    ground = {"x": (2, 3), "y": (1, 1)}
+    fam = reference_family(ground, [({"x"}, ("x",))])
+    folded, empty = fold_singletons(fam), _empty_over(ground)
+    assert folded.members == () and list(folded.solo) == ["x"]
+    assert selection_respects_bounds({"x": 4}, ground, fam, empty, 2) == (("x",), 4, 3, 3)
+    assert selection_respects_bounds({"x": 4}, ground, folded, empty, 2) == ("element", "x", 4, 3, 3)
+    assert selection_respects_bounds({"x": 4}, ground, empty, folded, 2) == ("element", "x", 4, 3, 3)
+    assert equalized_select(ground, folded, empty, 2).amounts["x"] == 3
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_folding_one_element_members_keeps_the_constraint_set(m):
+    # on weighted grounds (c >= 2) every one-element member becomes a
+    # `solo` element; the selection on the folded pair meets every bound of
+    # the unfolded one, and a unit moved from one element to another breaks
+    # a bound of both pairs or of neither.  When only a folded bound
+    # breaks, the element check names that element.
+    rng = random.Random(f"fold-{m}")
+    folds = caught = 0
+    for trial in range(150):
+        ground = {x: (rng.randint(2, 4), rng.randint(1, 6)) for x in range(rng.randint(1, 16))}
+        pair = [random_laminar_family(rng, ground) for _ in "AB"]
+        folded = [fold_singletons(fam) for fam in pair]
+        solo = {**folded[0].solo, **folded[1].solo}
+        folds += len(solo)
+        amounts = equalized_select(ground, *folded, m, seed=trial).amounts
+        assert selection_respects_bounds(amounts, ground, *pair, m) is None
+        for _ in range(10):
+            x, y = rng.choice(list(ground)), rng.choice(list(ground))
+            moved = {**amounts, x: amounts.get(x, 0) - 1, y: amounts.get(y, 0) + 1}
+            want = selection_respects_bounds(moved, ground, *pair, m)
+            got = selection_respects_bounds(moved, ground, *folded, m)
+            assert (want is None) == (got is None)
+            if got is not None and got[0] == "element" != want[0]:
+                z, t, lo, hi = got[1:]
+                c, p = ground[z]
+                assert z in solo and t == moved[z] and (lo, hi) == bounds_for(c * p, m)
+                caught += 1
+    assert folds >= 300 and caught >= 100
+
+
 # -- exhaustive enumeration -------------------------------------------------
 
 
@@ -459,9 +523,10 @@ def reference_select(ground, famA, famB, m, seed=0):
 
     Nodes: source, sink, one root per family, one node per member, then
     the super-source and super-sink; one `arc` call per arc, each with a
-    residual pair, lo == hi or not.  Asserts that the flow routes its full
-    need, so a selection exists, and returns the amounts of the elements,
-    taken in seeded order, with the number of arcs with lo == hi.
+    residual pair, lo == hi or not.  An element in either family's `solo`
+    is bounded as one item of size c * p.  Asserts that the flow routes
+    its full need, so a selection exists, and returns the amounts of the
+    elements, taken in seeded order, with the number of arcs with lo == hi.
     """
     g = laminar.weighted(ground)
     parentA, innerA = famA._forest
@@ -497,6 +562,8 @@ def reference_select(ground, famA, famB, m, seed=0):
     amounts = {}
     for x in order:
         c, p = g[x]
+        if x in famA.solo or x in famB.solo:
+            c, p = 1, c * p
         lo, hi = bounds_for(p, m)
         arc(nodeA[innerA.get(x, -1)], nodeB[innerB.get(x, -1)], c * lo, c * hi)
         amounts[x] = c * lo

@@ -6,7 +6,8 @@ must meet every floor/ceiling bound of the hinge-level wing family
 (class, multi-hinge union, wing, edge) and cell family, built here from
 `G.edges()` with `wing_decomposition` alone.  The class, multi-hinge
 union and wing members of the count-level wing family must also hold
-the same edge types and hinges as the reference's.
+the same edge types and hinges as the reference's; a reference wing of
+one type is a `solo` element of the same c * p hinges instead.
 
 The graph's split state (its amalgam index, the union-finds, the cells
 and the wing groups) is kept across stages, so at every stage its
@@ -19,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import rebuilt, reference_family
+from conftest import fold_singletons, rebuilt, reference_family
 from hypfactor import (
     HingeRef,
     build_cell_family,
@@ -111,30 +112,39 @@ def wing_members(fam, type_of, alpha):
     """A wing family seen by edge type.
 
     Returns {tag: (types, weight)} for every ("color", i) and
-    ("multiwing", i) tag, and per color the multiset of (types, weight)
-    over its non-loop wings; `type_of` maps an element to its edge type.
+    ("multiwing", i) tag, per color the multiset of (types, weight) over
+    its non-loop wings of 2+ types, and the set of (type, weight) over
+    the non-loop wings of one type and the `solo` elements, each of
+    weight c * p; `type_of` maps an element to its edge type.
     """
     tagged, wings = {}, {}
+    solo = {(x, c * p) for x in fam.solo for c, p in [fam.ground[x]]}
     for (xs, tag), size in zip(fam.members, fam.sizes):
         types = frozenset(map(type_of, xs))
         if tag[0] in ("color", "multiwing"):
             tagged[tag] = (types, size)
         elif tag[0] == "wing" and any(set(verts) != {alpha} for _, verts in types):
-            wings.setdefault(tag[1], Counter())[types, size] += 1
-    return tagged, wings
+            if len(types) == 1:
+                solo.add((*types, size))
+            else:
+                wings.setdefault(tag[1], Counter())[types, size] += 1
+    return tagged, wings, solo
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("spec", GRID, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
 def test_every_stage_has_the_reference_wing_members(spec, seed):
     # the class, multi-hinge union and wings of every color carry the same
-    # types and hinges as the hinge-level reference
+    # types and hinges as the hinge-level reference; its wings of one type
+    # are the family's `solo` elements, of no wing member
     p = Params(*spec)
     G = initial_amalgam(p)
     for ell in range(1, p.n):
         edges, _, ref, _ = hinge_reference(G)
         want = wing_members(ref, lambda x: edges[x.edge_id], G.alpha)
-        assert wing_members(wing_family(G), lambda x: x, G.alpha) == want
+        fam = wing_family(G)
+        assert all(len(mb.elements) > 1 for mb in fam.members if mb.tag[0] == "wing")
+        assert wing_members(fam, lambda x: x, G.alpha) == want
         split_step(G, ell, p, seed=seed)
 
 
@@ -235,11 +245,18 @@ def generic_cell_family(G, ground):
 
 
 def assert_same_family(fam, ref):
-    """Per tag its set, size and parent tag, and the innermost tag per type; see `family_shape`."""
+    """Per tag its set, size and parent tag, and the innermost tag per type; see `family_shape`.
+
+    The reference's wings and cells of one type, each of c * p hinges,
+    must be the family's `solo` elements; see `fold_singletons`.
+    """
     for mb in fam.members:
         assert len(set(mb.elements)) == len(mb.elements)  # a member holds no element twice
+    ref = fold_singletons(ref, lambda tag: tag[0] in ("wing", "cell"))
     assert family_shape(fam) == family_shape(ref)
-    assert fam.forest() == fam._forest  # the generic laminarity check passes too
+    assert len(fam.solo) == len(ref.solo) and set(fam.solo) == set(ref.solo)
+    parent, innermost = fam.forest()  # the generic laminarity check passes too
+    assert (parent, {x: i for x, i in innermost.items() if i >= 0}) == fam._forest
 
 
 # at h = 1 every type is a loop, no class has a multi-hinge member, and
