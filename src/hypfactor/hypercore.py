@@ -2,31 +2,30 @@
 
 Edges with the same color and vertex multiset cannot be told apart by
 any family bound, by the verifier or by the output, so the graph keeps
-one count per edge type `(color, sorted verts)`.  One designated vertex,
-the amalgam, may occur several times within an edge; each occurrence is
-a "hinge".  Per color, a union-find over ordinary (non-amalgam) vertices
-tracks the components that wings hang off; edges only ever gain
-ordinary vertices, so components only merge and the union-find stays
-exact.  The graph also indexes its amalgam-incident types by their
-amalgam multiplicity p (the counts stay in the one `Counter`), and
-keeps the split state grouped two ways, each group a {type: None} dict
-with its hinge total Σ c·p: the cells by shape (p, ordinary vertices),
-and per color the wings, the non-loop types by union-find root.
-`add_edge` and `move_hinges` update all of it from the types they touch
-alone: an emptied type leaves its cell and wing, a moved type with
-p >= 2 joins the cell of its successor, and a union joins the smaller
-wing group to the larger, under the root the union picks.  So a split
-stage reads its ground, cells and wings without regrouping the ground;
-`wing_decompositions` is a view.  `edges()` repeats each type's one
-`Edge(color, verts)` record `count` times, for the verifier and the
-output; an edge's id is its position in that stream.
+one count per edge type.  One designated vertex, the amalgam, may occur
+several times within an edge; each occurrence is a "hinge".  A type is
+keyed `(color, rest, p)`, its sorted ordinary (non-amalgam) vertices and
+amalgam multiplicity: the paper's hinge group α^p U.  The types with
+p >= 1, which `hinges_at` lists, are counted apart from the finished
+ones.  Per color, a union-find over ordinary vertices tracks the
+components that wings hang off; edges only ever gain ordinary vertices,
+so components only merge and the union-find stays exact.  The split
+state is grouped two ways, each group a {type: None} dict with its hinge
+total Σ c·p: the cells by shape (p, rest), and per color the wings, the
+non-loop types by union-find root.  `add_edge` and `move_hinges` keep it
+through one add path and one union, which joins the smaller wing group
+to the larger; a move takes (color, rest, p) to (color, rest + (to,),
+p - 1).  So a stage reads its ground, cells and wings in place, and only
+`edges()` builds `Edge(color, sorted verts)`: one record per type,
+repeated `count` times; an edge's id is its position in that stream.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidHingeError, ParameterError
@@ -112,18 +111,6 @@ class UnionFind:
         return ra != rb
 
 
-def _merge(groups: dict, ra, rb) -> None:
-    """Join the group of root `ra` to that of root `rb`, the smaller into the larger, under `rb`."""
-    group = groups.pop(ra, None)
-    if group:
-        into = groups.setdefault(rb, group)
-        if into is not group:
-            if len(group[0]) > len(into[0]):
-                groups[rb], group, into = group, into, group
-            into[0].update(group[0])
-            into[1] += group[1]
-
-
 class ColoredMultiHypergraph:
     """Edge-colored multi-hypergraph with uniform edge size.
 
@@ -147,8 +134,9 @@ class ColoredMultiHypergraph:
         self.alpha = alpha
         self.h = h
         self.k = k
-        self._types: Counter = Counter()  # (color, sorted verts) -> count
-        self._at_alpha: dict[tuple, int] = {}  # alpha-incident type -> p
+        # type (color, rest, p) -> count, for the types with p >= 1 and the finished ones
+        self._live: dict[tuple, int] = {}
+        self._done: dict[tuple, int] = {}
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
         # the kept split state, each group as [{type: None}, hinges Σ c·p]:
         # the cells by (p, rest), and per color the wings by union-find root
@@ -158,9 +146,18 @@ class ColoredMultiHypergraph:
     # -- basic accessors -------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        """Explicit edges: one `Edge` per type, repeated `count` times, in insertion order."""
-        types = self._types
-        return chain.from_iterable(map(repeat, map(Edge._make, types), types.values()))
+        """Explicit edges: one `Edge(color, sorted verts)` per type, repeated `count` times.
+
+        The finished types come first, then the amalgam-incident ones, each
+        in the order it gained its count; a type's p amalgam occurrences go
+        back among its ordinary vertices in sorted place.
+        """
+        alpha, done, live = self.alpha, self._done, self._live
+        fill = [(alpha,) * p for p in range(self.h + 1)]
+        records = chain(map(Edge._make, map(itemgetter(0, 1), done)), [
+            Edge._make((color, rest[:i] + fill[p] + rest[i:]))
+            for color, rest, p in live for i in [bisect(rest, alpha)]])
+        return chain.from_iterable(map(repeat, records, chain(done.values(), live.values())))
 
     # -- mutation --------------------------------------------------------
 
@@ -170,7 +167,7 @@ class ColoredMultiHypergraph:
         self.vertices.add(v)
 
     def add_edge(self, verts: Iterable[int], color: int, mult: int = 1) -> tuple:
-        """Add `mult` edges of one type and return the type `(color, sorted verts)`."""
+        """Add `mult` edges of one type and return the type `(color, rest, p)`."""
         vt = tuple(sorted(verts))
         if len(vt) != self.h:
             raise ParameterError(
@@ -183,92 +180,93 @@ class ColoredMultiHypergraph:
             raise ParameterError(f"edge {vt} uses undeclared vertices {sorted(missing)}")
         if mult < 1:
             raise ParameterError(f"edge multiplicity must be >= 1, got {mult}")
-        key = (color, vt)
-        self._types[key] += mult
-        uf, wings = self._uf[color], self._wings[color]
         rest = tuple(v for v in vt if v != self.alpha)
+        root = None
         for v in rest:
-            ra, rb = uf.find(v), uf.find(rest[0])
-            if ra != rb:
-                uf.parent[ra] = rb  # the root `uf.union(v, rest[0])` picks
-                _merge(wings, ra, rb)
-        p = self.h - len(rest)
-        if p:
-            self._at_alpha[key] = p
-            kept = [self._cells.setdefault((p, rest), [{}, 0])]
-            kept += [wings.setdefault(uf.find(rest[0]), [{}, 0])] if rest else []
-            for group in kept:
-                group[0][key] = None
-                group[1] += mult * p
+            root = self._union(color, v, rest[0])
+        key = (color, rest, self.h - len(rest))
+        self._add(key, mult, root)
         return key
 
     def move_hinges(self, amounts: Mapping[tuple, int], to: int) -> None:
         """Move one amalgam occurrence onto `to` in t edges of each type.
 
-        `amounts` maps types to t; each type must hold the amalgam and at
-        least t edges, or nothing moves.  `to` joins the color's component
-        of every moved edge.  Only the moved types' cells and wings change.
+        `amounts` maps types of `hinges_at()` to t; each type must have at
+        least t edges, or nothing moves.  In the moved edges, type
+        (color, rest, p) becomes (color, rest + (to,), p - 1), and `to`
+        joins the color's component of rest.  Only the moved types' cells
+        and wings change.
         """
         if to not in self.vertices or to == self.alpha:
             raise ParameterError(f"move target {to} is not a declared ordinary vertex")
+        live = self._live
         for key, t in amounts.items():
-            if self.alpha not in key[1] or not 0 <= t <= self._types.get(key, 0):
+            if key not in live or not 0 <= t <= live[key]:
                 raise InvalidHingeError(
-                    f"cannot move {t} hinges of type {key} ({self._types.get(key, 0)} edges)"
+                    f"cannot move {t} hinges of type {key} ({live.get(key, 0)} edges)"
                 )
-        alpha, types, at_alpha, cells = self.alpha, self._types, self._at_alpha, self._cells
-        ufs, colors = self._uf, self._wings
         for key, t in amounts.items():
-            if not t:
-                continue
-            color, verts = key
-            p = at_alpha[key]
-            i = verts.index(alpha)  # the sorted verts hold p alphas from i on
-            rest = verts[:i] + verts[i + p:]
-            cell, uf, wings = cells[p, rest], ufs[color], colors[color]
-            # `to` joins the first ordinary vertex, if the type had one
-            rb = uf.find(to)
-            ra = uf.find(rest[0]) if rest else rb
-            group = wings[ra] if rest else None
-            cell[1] -= t * p
-            if group:
-                group[1] -= t * p
-            if types[key] == t:
-                del types[key], at_alpha[key], cell[0][key]
-                if not cell[0]:
-                    del cells[p, rest]
-                if group:
-                    del group[0][key]
-                    if not group[0]:
-                        del wings[ra]
+            if t:
+                color, rest, p = key
+                self._add(key, -t, self._uf[color].find(rest[0]) if rest else None)
+                # `to` joins the first ordinary vertex, if the type had one
+                root = self._union(color, rest[0] if rest else to, to)
+                i = bisect(rest, to)
+                self._add((color, rest[:i] + (to,) + rest[i:], p - 1), t, root)
+
+    def _add(self, key: tuple, t: int, root: Optional[int]) -> None:
+        """Add t edges (t < 0: remove -t) of `key` to its count, cell and wing group at `root`.
+
+        An emptied type leaves all three, an emptied group goes; `root` is None for a loop.
+        """
+        color, rest, p = key
+        types = self._live if p else self._done
+        c = types.get(key, 0) + t
+        if c:
+            types[key] = c
+        else:
+            del types[key]
+        if not p:
+            return
+        at = [(self._cells, (p, rest))]
+        if rest:
+            at.append((self._wings[color], root))
+        for groups, g in at:
+            group = groups.get(g) or groups.setdefault(g, [{}, 0])
+            group[1] += t * p
+            if c:
+                group[0][key] = None
             else:
-                types[key] -= t
-            if ra != rb:
-                uf.parent[ra] = rb  # the root `uf.union(rest[0], to)` picks
-                _merge(wings, ra, rb)
-            dest = (color, tuple(sorted(verts[:i] + verts[i + 1:] + (to,))))
-            types[dest] = types.get(dest, 0) + t
-            if p > 1:
-                at_alpha[dest] = p - 1
-                dv = dest[1]
-                j = dv.index(alpha)
-                shape = (p - 1, dv[:j] + dv[j + p - 1:])
-                cell = cells.get(shape) or cells.setdefault(shape, [{}, 0])
-                group = wings.get(rb) or wings.setdefault(rb, [{}, 0])
-                cell[0][dest] = group[0][dest] = None
-                cell[1] += t * (p - 1)
-                group[1] += t * (p - 1)
+                del group[0][key]
+                if not group[0]:
+                    del groups[g]
+
+    def _union(self, color: int, a: int, b: int) -> int:
+        """Join the components of `a` and `b` and their wing groups under b's root; return it."""
+        uf, wings = self._uf[color], self._wings[color]
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            return rb
+        uf.parent[ra] = rb
+        group = wings.pop(ra, None)
+        if group:
+            into = wings.setdefault(rb, group)
+            if into is not group:  # the smaller group joins the larger
+                if len(group[0]) > len(into[0]):
+                    wings[rb], group, into = group, into, group
+                into[0].update(group[0])
+                into[1] += group[1]
+        return rb
 
     # -- derived quantities ----------------------------------------------
 
     def hinges_at(self) -> dict[tuple, tuple[int, int]]:
         """Each amalgam-incident type, mapped to (count c, amalgam multiplicity p).
 
-        Reads the index of amalgam-incident types that `add_edge` and
+        Reads the count dict of amalgam-incident types that `add_edge` and
         `move_hinges` keep, so it costs O(amalgam-incident types).
         """
-        types = self._types
-        return {key: (types[key], p) for key, p in self._at_alpha.items()}
+        return {key: (c, key[2]) for key, c in self._live.items()}
 
 
 def wing_decompositions(G: ColoredMultiHypergraph, ground: dict) -> dict[int, tuple]:
@@ -278,6 +276,5 @@ def wing_decompositions(G: ColoredMultiHypergraph, ground: dict) -> dict[int, tu
     union-find root, each a {type: None} dict and its hinge total, read
     in place: they hold until the next move.
     """
-    loop = (G.alpha,) * G.h
-    return {i: ((i, loop) if (i, loop) in ground else None, wings.values())
+    return {i: ((i, (), G.h) if (i, (), G.h) in ground else None, wings.values())
             for i, wings in G._wings.items()}

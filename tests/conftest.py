@@ -48,6 +48,12 @@ def fold_singletons(fam, folds=lambda tag: True) -> LaminarFamily:
     return LaminarFamily(fam.ground, entries, solo)
 
 
+def type_key(e, alpha):
+    """The graph's key of `Edge` e's type: (color, ordinary vertices, amalgam multiplicity p)."""
+    rest = tuple(v for v in e.verts if v != alpha)
+    return e.color, rest, len(e.verts) - len(rest)
+
+
 def rebuilt(G):
     """A fresh graph holding `G`'s explicit edges, added one by one."""
     R = ColoredMultiHypergraph(G.vertices, G.alpha, G.h, G.k)

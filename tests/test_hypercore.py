@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rebuilt
+from conftest import rebuilt, type_key
 from hypfactor import (
     ColoredMultiHypergraph,
     Edge,
@@ -48,7 +48,7 @@ def _kept(G):
     """
     for i, wings in G._wings.items():
         for root, (types, _) in wings.items():
-            assert {G._uf[i].find(v) for _, verts in types for v in verts if v != G.alpha} == {root}
+            assert {G._uf[i].find(v) for _, rest, _ in types for v in rest} == {root}
     cells = {shape: (frozenset(ts), x) for shape, (ts, x) in G._cells.items()}
     wings = {i: Counter((frozenset(ts), x) for ts, x in ws.values()) for i, ws in G._wings.items()}
     return cells, wings
@@ -99,7 +99,7 @@ def test_amalgam_hinge_count(amalgam_533):
     G = amalgam_533
     ground = G.hinges_at()
     assert sum(c * p for c, p in ground.values()) == 3 * binom(5, 3)
-    assert ground == {(1, (5, 5, 5)): (5, 3), (2, (5, 5, 5)): (5, 3)}
+    assert ground == {type_key(Edge(i, (5, 5, 5)), 5): (5, 3) for i in (1, 2)}
 
 
 def test_amalgam_loop_multiplicity(amalgam_533):
@@ -108,24 +108,29 @@ def test_amalgam_loop_multiplicity(amalgam_533):
 
 
 def test_hinges_at_lists_types_with_counts():
-    # edges of one color and one multiset share a type; p counts the
-    # amalgam inside the type, and types without it are left out
+    # edges of one color and one multiset share a type, keyed by
+    # (color, ordinary vertices, p); p counts the amalgam inside the
+    # type, and types without it are left out
     G = ColoredMultiHypergraph([0, 1, 2], alpha=0, h=3, k=2)
     for verts, color in [((0, 0, 1), 1), ((1, 0, 0), 1), ((0, 0, 1), 2), ((1, 2, 2), 1)]:
         G.add_edge(verts, color)
-    assert G.hinges_at() == {(1, (0, 0, 1)): (2, 2), (2, (0, 0, 1)): (1, 2)}
+    assert G.hinges_at() == {(1, (1,), 2): (2, 2), (2, (1,), 2): (1, 2)}
     assert _edge_count(G) == 4
 
 
 def test_edges_repeat_each_type_count_times():
-    # each type in the order it first appeared, `count` times, as one
-    # `Edge` record that equals the plain (color, verts) tuple
+    # the finished types, then the amalgam-incident ones, each in the
+    # order it gained its count, `count` times, as one `Edge` record that
+    # equals the plain (color, verts) tuple; verts come back sorted, so
+    # the amalgam, the least label here, goes before the ordinary vertices
     G = ColoredMultiHypergraph([0, 1, 2], alpha=0, h=2, k=2)
     G.add_edge((2, 1), 2, mult=2)
-    G.add_edge((0, 1), 1)
+    G.add_edge((1, 0), 1)
     G.add_edge((1, 2), 2)
+    G.add_edge((2, 2), 1)
+    G.add_edge((0, 0), 2)
     edges = list(G.edges())
-    assert edges == [(2, (1, 2))] * 3 + [(1, (0, 1))]
+    assert edges == [(2, (1, 2))] * 3 + [(1, (2, 2)), (1, (0, 1)), (2, (0, 0))]
     assert all(type(e) is Edge for e in edges)
     assert [(e.color, e.verts) for e in edges] == edges
     assert edges[0] is edges[2]  # one record per type
@@ -133,7 +138,7 @@ def test_edges_repeat_each_type_count_times():
 
 # -- hinge moves ------------------------------------------------------------
 
-LOOP = (1, (5, 5, 5))  # the color-1 loop type of amalgam_533
+LOOP = type_key(Edge(1, (5, 5, 5)), 5)  # the color-1 loop type of amalgam_533
 
 
 def test_move_hinge_on_loop(amalgam_533):
@@ -168,7 +173,9 @@ def test_move_hinges_moves_one_hinge_per_edge(amalgam_533):
     G.add_vertex(1)
     G.move_hinges({LOOP: 3}, 1)
     assert G.hinges_at()[LOOP] == (2, 3)
-    assert G.hinges_at()[(1, (1, 5, 5))] == (3, 2)
+    assert G.hinges_at()[type_key(Edge(1, (1, 5, 5)), 5)] == (3, 2)
+    # the successor of (color, rest, p) is (color, rest + (to,), p - 1)
+    assert list(G.hinges_at()) == [LOOP, (2, (), 3), (1, (1,), 2)]
     assert _degree(G, 1, 1) == 3
 
 
@@ -178,10 +185,10 @@ def test_move_hinges_rejects_more_edges_than_the_type_has(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
     G.move_hinges({LOOP: 4}, 1)
-    before = G.hinges_at(), copy.deepcopy((G._cells, G._wings))
+    before = G.hinges_at(), copy.deepcopy((G._live, G._done, G._cells, G._wings))
     with pytest.raises(InvalidHingeError):
-        G.move_hinges({(2, (5, 5, 5)): 1, LOOP: 2}, 1)
-    assert (G.hinges_at(), (G._cells, G._wings)) == before
+        G.move_hinges({type_key(Edge(2, (5, 5, 5)), 5): 1, LOOP: 2}, 1)
+    assert (G.hinges_at(), (G._live, G._done, G._cells, G._wings)) == before
 
 
 def test_move_hinge_rejects_unknown_edge(amalgam_533):
@@ -189,11 +196,11 @@ def test_move_hinge_rejects_unknown_edge(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
     with pytest.raises(InvalidHingeError):
-        G.move_hinges({(1, (1, 5, 5)): 1}, 1)
+        G.move_hinges({type_key(Edge(1, (1, 5, 5)), 5): 1}, 1)
     G.move_hinges({LOOP: 1}, 1)
     G.add_vertex(2)
     with pytest.raises(InvalidHingeError):
-        G.move_hinges({(1, (1, 2, 2)): 0}, 2)
+        G.move_hinges({type_key(Edge(1, (1, 2, 2)), 5): 0}, 2)
 
 
 def test_move_hinge_rejects_undeclared_target(amalgam_533):
@@ -211,7 +218,8 @@ def test_moves_merge_color_components():
     G.add_edge((0, 2), 1)
     G.add_edge((0, 0), 2)
     assert G._uf[1].find(1) != G._uf[1].find(2)
-    G.move_hinges({(1, (0, 1)): 1, (1, (0, 2)): 1, (2, (0, 0)): 1}, 3)
+    moved = [Edge(1, (0, 1)), Edge(1, (0, 2)), Edge(2, (0, 0))]
+    G.move_hinges({type_key(e, 0): 1 for e in moved}, 3)
     assert G._uf[1].find(1) == G._uf[1].find(2) == G._uf[1].find(3)
     assert G._uf[2].find(3) != G._uf[2].find(1)
 
@@ -226,13 +234,15 @@ def test_move_onto_a_vertex_below_its_root_keeps_the_groups_exact():
     G.add_edge((0, 0, 4), 1)
     G.add_edge((0, 0, 0), 2, mult=3)
     assert G._uf[1].find(2) == 1
-    G.move_hinges({(1, (0, 0, 3)): 1, (2, (0, 0, 0)): 2}, 2)
+    G.move_hinges({type_key(Edge(1, (0, 0, 3)), 0): 1, type_key(Edge(2, (0, 0, 0)), 0): 2}, 2)
     assert _kept(G) == _kept(rebuilt(G))
     assert [x for _, x in G._wings[1].values()] == [1 + 2 + 1, 2]
-    G.move_hinges({(1, (0, 0, 4)): 1, (1, (0, 0, 3)): 1, (2, (0, 0, 2)): 1}, 2)
+    moved = [Edge(1, (0, 0, 4)), Edge(1, (0, 0, 3)), Edge(2, (0, 0, 2))]
+    G.move_hinges({type_key(e, 0): 1 for e in moved}, 2)
     assert _kept(G) == _kept(rebuilt(G))
     assert [x for _, x in G._wings[1].values()] == [1 + 2 + 1]
-    assert list(G._wings[2].values()) == [[{(2, (0, 0, 2)): None, (2, (0, 2, 2)): None}, 2 + 1]]
+    both = [type_key(Edge(2, (0, 0, 2)), 0), type_key(Edge(2, (0, 2, 2)), 0)]
+    assert list(G._wings[2].values()) == [[dict.fromkeys(both), 2 + 1]]
 
 
 def test_edges_that_join_two_wings_add_their_totals():
@@ -248,7 +258,34 @@ def test_edges_that_join_two_wings_add_their_totals():
     G.add_edge((1, 2, 3), 1)
     assert [x for _, x in G._wings[1].values()] == [4 + 2 + 1 + 2]
     assert _kept(G) == _kept(rebuilt(G))
-    assert G._cells[2, (3,)] == [{(1, (0, 0, 3)): None}, 2]
+    assert G._cells[2, (3,)] == [{type_key(Edge(1, (0, 0, 3)), 0): None}, 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), h=st.integers(1, 4), high=st.booleans())
+def test_random_adds_and_moves_keep_the_state_of_a_rebuild(data, h, high):
+    # the amalgam is the least or the greatest label; an added edge holds
+    # p = 0..h amalgam occurrences, so moves reach successors with p >= 2,
+    # and a move target is any ordinary vertex, often one below its root.
+    # Types are named only as `hinges_at()` lists them.
+    alpha = 9 if high else 0
+    G = ColoredMultiHypergraph([alpha, 1, 2, 3, 4], alpha, h, k=2)
+    ordinary = st.sampled_from([1, 2, 3, 4])
+    for _ in range(data.draw(st.integers(1, 16))):
+        ground = G.hinges_at()
+        if not ground or data.draw(st.integers(0, 2)) == 0:
+            p = data.draw(st.integers(0, h))
+            rest = data.draw(st.lists(ordinary, min_size=h - p, max_size=h - p))
+            color, mult = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+            G.add_edge([alpha] * p + rest, color, mult)
+        else:
+            moved = data.draw(st.lists(st.sampled_from(list(ground)), min_size=1, unique=True))
+            amounts = {x: data.draw(st.integers(0, ground[x][0])) for x in moved}
+            G.move_hinges(amounts, data.draw(ordinary))
+        R = rebuilt(G)
+        assert _kept(G) == _kept(R)
+        assert G.hinges_at() == R.hinges_at()
+        assert Counter(G.edges()) == Counter(R.edges())
 
 
 # -- construction and validation --------------------------------------------
@@ -308,7 +345,7 @@ def test_random_moves_conserve_hinges_and_colors(seed):
         if not movable:
             break
         e = rng.choice(movable)
-        G.move_hinges({(e.color, e.verts): 1}, rng.choice([1, 2]))
+        G.move_hinges({type_key(e, G.alpha): 1}, rng.choice([1, 2]))
     assert all(len(e.verts) == 2 for e in G.edges())
     assert sorted(e.color for e in G.edges()) == colors_before
     total = sum(_degree(G, u) for u in G.vertices)

@@ -9,8 +9,8 @@ union and wing members of the count-level wing family must also hold
 the same edge types and hinges as the reference's; a reference wing of
 one type is a `solo` element of the same c * p hinges instead.
 
-The graph's split state (its amalgam index, the union-finds, the cells
-and the wing groups) is kept across stages, so at every stage its
+The graph's split state (its two count dicts, the union-finds, the
+cells and the wing groups) is kept across stages, so at every stage its
 families must also match those of a graph rebuilt from `G.edges()`
 through `add_edge`.
 """
@@ -20,8 +20,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import fold_singletons, rebuilt, reference_family
+from conftest import fold_singletons, rebuilt, reference_family, type_key
 from hypfactor import (
+    Edge,
     HingeRef,
     build_cell_family,
     build_wing_family,
@@ -88,11 +89,11 @@ def hinge_reference(G):
     return edges, ground, reference_family(ground, wing_side), reference_family(ground, cell_side)
 
 
-def expand(edges, amounts):
+def expand(edges, amounts, alpha):
     """t edges of each type, one hinge each."""
     chosen = []
     for key, t in amounts.items():
-        of_type = [x for x, e in enumerate(edges) if e == key]
+        of_type = [x for x, e in enumerate(edges) if type_key(e, alpha) == key]
         assert t <= len(of_type)
         chosen += [HingeRef(x, 1) for x in of_type[:t]]
     return chosen
@@ -108,14 +109,15 @@ def cell_family(G):
     return build_cell_family(G, G.hinges_at())
 
 
-def wing_members(fam, type_of, alpha):
+def wing_members(fam, type_of, loops):
     """A wing family seen by edge type.
 
     Returns {tag: (types, weight)} for every ("color", i) and
     ("multiwing", i) tag, per color the multiset of (types, weight) over
     its non-loop wings of 2+ types, and the set of (type, weight) over
     the non-loop wings of one type and the `solo` elements, each of
-    weight c * p; `type_of` maps an element to its edge type.
+    weight c * p; `type_of` maps an element to its edge type, and
+    `loops` holds the loop types.
     """
     tagged, wings = {}, {}
     solo = {(x, c * p) for x in fam.solo for c, p in [fam.ground[x]]}
@@ -123,7 +125,7 @@ def wing_members(fam, type_of, alpha):
         types = frozenset(map(type_of, xs))
         if tag[0] in ("color", "multiwing"):
             tagged[tag] = (types, size)
-        elif tag[0] == "wing" and any(set(verts) != {alpha} for _, verts in types):
+        elif tag[0] == "wing" and not types <= loops:
             if len(types) == 1:
                 solo.add((*types, size))
             else:
@@ -139,12 +141,13 @@ def test_every_stage_has_the_reference_wing_members(spec, seed):
     # are the family's `solo` elements, of no wing member
     p = Params(*spec)
     G = initial_amalgam(p)
+    loops = {type_key(Edge(i, (G.alpha,) * G.h), G.alpha) for i in range(1, G.k + 1)}
     for ell in range(1, p.n):
         edges, _, ref, _ = hinge_reference(G)
-        want = wing_members(ref, lambda x: edges[x.edge_id], G.alpha)
+        want = wing_members(ref, lambda x: type_key(edges[x.edge_id], G.alpha), loops)
         fam = wing_family(G)
         assert all(len(mb.elements) > 1 for mb in fam.members if mb.tag[0] == "wing")
-        assert wing_members(fam, lambda x: x, G.alpha) == want
+        assert wing_members(fam, lambda x: x, loops) == want
         split_step(G, ell, p, seed=seed)
 
 
@@ -165,7 +168,7 @@ def test_every_stage_is_hinge_exact(spec, seed, monkeypatch):
     for ell in range(1, p.n):
         edges, ground, famA, famB = hinge_reference(G)
         split_step(G, ell, p, seed=seed)
-        chosen = expand(edges, picks[-1])
+        chosen = expand(edges, picks[-1], G.alpha)
         m = p.n - ell + 1
         assert selection_respects_bounds(chosen, ground, famA, famB, m) is None
     assert len(picks) == p.n - 1
@@ -218,15 +221,16 @@ def test_every_stage_matches_a_rebuild(spec, seed):
 def generic_wing_family(G, ground, decomps):
     """The wing family as `reference_family` builds it from unordered members.
 
-    Only the wings' types come from `decomps`.  The class and multi-hinge
-    members are built here from `ground`: a loop type's edges are wings of
-    h hinges each, a non-loop wing holds the c * p hinges of its types,
-    and a wing with 2+ hinges joins the multi-hinge union.
+    Only the wings' types come from `decomps`.  The class members are
+    built here from `G.edges()`, the multi-hinge ones from `ground`: a
+    loop type's edges are wings of h hinges each, a non-loop wing holds
+    the c * p hinges of its types, and a wing with 2+ hinges joins the
+    multi-hinge union.
     """
     members = []
     for i in range(1, G.k + 1):
         wings = [frozenset(w) for w, _ in decomps[i][1]]
-        whole = {key for key in ground if key[0] == i}
+        whole = {type_key(e, G.alpha) for e in G.edges() if e.color == i and G.alpha in e.verts}
         big = {key for key in whole if ground[key][1] == G.h >= 2}
         big.update(*(w for w in wings if sum(c * p for c, p in map(ground.get, w)) >= 2))
         members.append((whole, ("color", i)))
@@ -236,11 +240,15 @@ def generic_wing_family(G, ground, decomps):
 
 
 def generic_cell_family(G, ground):
-    """The cell family as `reference_family` builds it, cells keyed by (p, ordinary vertices)."""
+    """The cell family as `reference_family` builds it, cells keyed by (p, ordinary vertices).
+
+    Each type's shape comes from its explicit edges, not from its key.
+    """
     cells = {}
-    for key, (_, p) in ground.items():
-        rest = tuple(v for v in key[1] if v != G.alpha)
-        cells.setdefault((p, rest), set()).add(key)
+    for e in G.edges():
+        rest = tuple(v for v in e.verts if v != G.alpha)
+        if len(rest) < G.h:
+            cells.setdefault((G.h - len(rest), rest), set()).add(type_key(e, G.alpha))
     return reference_family(ground, [(ts, ("cell",) + k) for k, ts in cells.items()])
 
 
