@@ -111,6 +111,18 @@ class UnionFind:
         return ra != rb
 
 
+def _regroup(groups: dict, g, key: tuple, hinges: int, kept: int) -> None:
+    """Add `hinges` to group g's total; keep `key` in it while `kept`, and drop an emptied group."""
+    group = groups.get(g) or groups.setdefault(g, [{}, 0])
+    group[1] += hinges
+    if kept:
+        group[0][key] = None
+    else:
+        del group[0][key]
+        if not group[0]:
+            del groups[g]
+
+
 class ColoredMultiHypergraph:
     """Edge-colored multi-hypergraph with uniform edge size.
 
@@ -226,20 +238,10 @@ class ColoredMultiHypergraph:
             types[key] = c
         else:
             del types[key]
-        if not p:
-            return
-        at = [(self._cells, (p, rest))]
-        if rest:
-            at.append((self._wings[color], root))
-        for groups, g in at:
-            group = groups.get(g) or groups.setdefault(g, [{}, 0])
-            group[1] += t * p
-            if c:
-                group[0][key] = None
-            else:
-                del group[0][key]
-                if not group[0]:
-                    del groups[g]
+        if p:
+            _regroup(self._cells, (p, rest), key, t * p, c)
+            if rest:
+                _regroup(self._wings[color], root, key, t * p, c)
 
     def _union(self, color: int, a: int, b: int) -> int:
         """Join the components of `a` and `b` and their wing groups under b's root; return it."""

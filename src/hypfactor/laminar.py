@@ -27,15 +27,17 @@ most that cures a deficit above it within every ceiling above it.
 Members still short are forced to their floors, and each excess this
 leaves moves to the first deficit a depth-first search finds on the
 residual graph.  A search that reaches no deficit has found a closed
-set: every arc leaving it is at its ceiling and every arc entering it at
-its floor, so no later push can open it and its excess has nowhere to
-go.  Each selection is re-checked against every bound, and the stage
-tests compare every stage's families with a generic rebuild.
+set: every arc leaving it is at its ceiling and every arc entering it
+at its floor, so no later push can open it and its excess has nowhere
+to go.  Each selection is re-checked against every bound; of the
+elements left out it visits only those with c * p >= m, as no other
+has a floor above 0.  Stage tests compare each stage with a rebuild.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, repeat, starmap
+from operator import mul
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
@@ -89,12 +91,12 @@ class LaminarFamily:
     """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
 
     `entries` holds (elements, size, tag, parent entry index or -1), each
-    after its parent; nothing is checked.  Each entry is one member, so
-    the last entry holding an element is its innermost.  `solo` holds the
-    elements whose c * p hinges form a member on their own, carried by
-    the element's bounds.  The ground, `solo` and the entries' elements
-    are kept, not copied; an element outside every member has none.
-    `forest()` is the laminarity and ground check.
+    after its parent; nothing is checked.  Each entry is one member and one
+    update of the innermost map, so the last holding an element is its
+    innermost.  `solo` holds the elements whose c * p hinges form a member
+    on their own, carried by the element's bounds.  The ground, `solo` and
+    the entries' elements are kept, not copied; an element outside every
+    member has none.  `forest()` is the laminarity and ground check.
     """
 
     def __init__(self, ground: dict, entries: Sequence[tuple], solo: Collection = ()):
@@ -102,8 +104,10 @@ class LaminarFamily:
         self.solo = solo
         self.members = tuple([Member(xs, tag) for xs, _, tag, _ in entries])
         self.sizes = tuple([size for _, size, _, _ in entries])
-        innermost = chain.from_iterable(zip(xs, repeat(i)) for i, (xs, _, _, _) in enumerate(entries))
-        self._forest = ([up for _, _, _, up in entries], dict(innermost))
+        innermost: dict = {}
+        for i, (xs, _, _, _) in enumerate(entries):
+            innermost.update(zip(xs, repeat(i)))
+        self._forest = ([up for _, _, _, up in entries], innermost)
 
     def forest(self) -> tuple[list[int], dict]:
         """The members' containment forest, recomputed after the `solo` ground check."""
@@ -147,22 +151,25 @@ def selection_respects_bounds(
     """First violated bound as a witness tuple, or None when all hold.
 
     `chosen` maps elements to amounts, or is a plain iterable taking each
-    element once.  Checked in order: strays outside the ground, the ground
-    total, each element, then every member, whose totals are gathered in
-    one pass over the amounts.  An element in either family's `solo` is
-    one item of size c * p.  A dict `ground` is read in place.
+    element once.  Checked in order: strays, the ground total, each chosen
+    element, each element left out with c * p >= m (no other can have a
+    floor above 0), then every member, totalled in one pass over the
+    amounts.  An element in either family's `solo` is one item of size
+    c * p.  A dict `ground` is read in place.
     """
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
     g = ground if isinstance(ground, Mapping) else weighted(ground)
     for x in amounts:
         if x not in g:
             return ("stray", x)
-    lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
+    lo, hi = bounds_for(sum(starmap(mul, g.values())), m)
     got = sum(amounts.values())
     if not lo <= got <= hi:
         return ("ground", got, lo, hi)
     soloA, soloB = famA.solo, famB.solo
-    for x, (c, p) in g.items():
+    floored = [x for x, (c, p) in g.items() if c * p >= m and x not in amounts]
+    for x in chain(amounts, floored):
+        c, p = g[x]
         if x in soloA or x in soloB:
             c, p = 1, c * p
         lo, hi = bounds_for(p, m)
@@ -191,28 +198,24 @@ def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) ->
     Single edges need no member: each element's own bounds hold every edge.
     A wing of one type is no member either: the type goes to `solo`.
     """
-    h = G.h
-    entries, solo = [], {}
+    h, entries, solo = G.h, [], {}
     for i in range(1, G.k + 1):
         loop, wings = decomps[i]
         top = len(entries)  # the class's entry; its multi-hinge union's is next
+        # a loop type of c edges is c one-edge wings of h hinges each, with no member of their own
+        whole, total = ([loop], ground[loop][0] * h) if loop else ([], 0)
+        big, held = (whole[:], total) if h >= 2 else ([], 0)
         entries += [None, None]
-        # (tag, types, hinges of one wing, hinges): a loop type of c edges
-        # is c one-edge wings of h hinges each, with no member of their own
-        rows = [(None, [loop], h, ground[loop][0] * h)] if loop else []
-        rows += [(("wing", i, j), w, x, x) for j, (w, x) in enumerate(wings)]
-        whole, big, total, held = [], [], 0, 0
-        for tag, w, one, x in rows:
-            multi = one >= 2
+        for j, (w, x) in enumerate(wings):
             whole += w
             total += x
-            if multi:
+            if x >= 2:
                 big += w
                 held += x
-            if len(w) > 1:
-                entries.append((w, x, tag, top + multi))
-            elif tag:  # a wing of one type
-                solo.update(w)
+                if len(w) > 1:
+                    entries.append((w, x, ("wing", i, j), top + 1))
+                    continue
+            solo.update(w)  # a wing of one type
         entries[top] = (whole, total, ("color", i), -1)
         entries[top + 1] = (big, held, ("multiwing", i), top if big else -1)
     return LaminarFamily(ground, entries, solo)
@@ -237,11 +240,7 @@ def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
 
 
 def equalized_select(
-    ground: Iterable,
-    famA: LaminarFamily,
-    famB: LaminarFamily,
-    m: int,
-    seed: int = 0,
+    ground: Iterable, famA: LaminarFamily, famB: LaminarFamily, m: int, seed: int = 0
 ) -> Selection:
     """Choose an amount of every element meeting all floor/ceiling bounds.
 
@@ -268,14 +267,12 @@ def equalized_select(
     own = [*range(rB), rA]
     order, r = list(g), seed % (len(g) or 1)
     order = sorted(order[r:] + order[:r], key=g.__getitem__)
-    items = list(map(g.__getitem__, order))
-    soloA, soloB = famA.solo, famB.solo
-    cs = [1 if x in soloA or x in soloB else c for x, (c, _) in zip(order, items)]
+    items, solo = list(map(g.__getitem__, order)), {*famA.solo, *famB.solo}
+    cs = [1 if x in solo else c for x, (c, _) in zip(order, items)]
     ps = [c * p // k for (c, p), k in zip(items, cs)]  # the size of each of k items
-    base = [k * (p // m) for k, p in zip(cs, ps)]
-    held = list(compress(zip(order, base), base))
-    sizes = [*famA.sizes, sum(c * p for c, p in g.values()), *famB.sizes]
-    flows = famA.totals(held) + [sum(base)] + famB.totals(held) if held else repeat(0)
+    held = [(x, k * (p // m)) for x, k, p in zip(order, cs, ps) if p >= m]
+    sizes = [*famA.sizes, sum(map(mul, cs, ps)), *famB.sizes]
+    flows = famA.totals(held) + [sum(t for _, t in held)] + famB.totals(held) if held else repeat(0)
     over = [f - s // m for s, f in zip(sizes, flows)]
     slack = [-(-s // m) - f for s, f in zip(sizes, flows)]
     above = [()] * (rB + 1)  # arcs from a node to its root; from A's also the ground arc

@@ -82,6 +82,8 @@ class SearchBudget:
 
     def __post_init__(self):
         _check_time_limit(self.time_limit)
+        if min(self.max_nodes, self.time_limit) < 0:
+            raise ParameterError(f"search budget must be nonnegative, got {self}")
 
 
 def _check_time_limit(time_limit: float) -> None:

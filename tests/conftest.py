@@ -1,11 +1,17 @@
 """Shared helpers: the reference family builder, random laminar instances, perturbations."""
 
 import random
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from hypfactor import ColoredMultiHypergraph, LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
-from hypfactor.laminar import Member, containment_forest, weighted
+from hypfactor.laminar import (
+    Member,
+    bounds_for,
+    containment_forest,
+    selection_respects_bounds,
+    weighted,
+)
 
 
 def reference_family(ground, members) -> LaminarFamily:
@@ -46,6 +52,85 @@ def fold_singletons(fam, folds=lambda tag: True) -> LaminarFamily:
             at[i] = len(entries)
             entries.append((mb.elements, size, mb.tag, at[up]))
     return LaminarFamily(fam.ground, entries, solo)
+
+
+def reference_respects_bounds(chosen, ground, famA, famB, m):
+    """The re-check that walks every element of the ground, in ground order.
+
+    The reference for `selection_respects_bounds`: strays, the ground
+    total, every element (those left out take 0), then every member.
+    """
+    amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
+    g = weighted(ground)
+    for x in amounts:
+        if x not in g:
+            return ("stray", x)
+    lo, hi = bounds_for(sum(c * p for c, p in g.values()), m)
+    got = sum(amounts.values())
+    if not lo <= got <= hi:
+        return ("ground", got, lo, hi)
+    for x in g:
+        lo, hi = element_bounds(x, g, famA, famB, m)
+        got = amounts.get(x, 0)
+        if not lo <= got <= hi:
+            return ("element", x, got, lo, hi)
+    for fam in (famA, famB):
+        for mb, size, got in zip(fam.members, fam.sizes, fam.totals(amounts.items())):
+            lo, hi = bounds_for(size, m)
+            if not lo <= got <= hi:
+                return (mb.tag, got, lo, hi)
+    return None
+
+
+def element_bounds(x, g, famA, famB, m):
+    """Bounds on element x of {element: (c, p)} `g`: c items of size p, or one of c * p if solo."""
+    c, p = g[x]
+    if x in famA.solo or x in famB.solo:
+        return bounds_for(c * p, m)
+    lo, hi = bounds_for(p, m)
+    return c * lo, c * hi
+
+
+def same_verdict(chosen, ground, famA, famB, m):
+    """`selection_respects_bounds` against the reference walk; returns the verdict.
+
+    The verdicts must be equal, except that two element witnesses may
+    name different elements: each must name a failing one, with its
+    amount and bounds.
+    """
+    got = selection_respects_bounds(chosen, ground, famA, famB, m)
+    want = reference_respects_bounds(chosen, ground, famA, famB, m)
+    if got and want and got[0] == want[0] == "element":
+        amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
+        g = weighted(ground)
+        for _, x, t, lo, hi in (got, want):
+            assert t == amounts.get(x, 0) and (lo, hi) == element_bounds(x, g, famA, famB, m)
+            assert not lo <= t <= hi
+    else:
+        assert got == want
+    return want
+
+
+def breaks(rng, amounts, ground, m):
+    """Broken copies of `amounts`.
+
+    One unit more or less on a random element, and the same with that unit
+    taken from or given to a second element; a chosen floored element
+    (c * p >= m) dropped, and the same with its amount given to the second
+    element; a stray added.
+    """
+    g = weighted(ground)
+    x, y = rng.choice(list(g)), rng.choice(list(g))
+    d = rng.choice((-1, 1))
+    out = [{**amounts, x: amounts.get(x, 0) + d}]
+    out.append({**out[0], y: out[0].get(y, 0) - d})
+    floored = [x for x in amounts if g[x][0] * g[x][1] >= m]
+    if floored:
+        x = rng.choice(floored)
+        out.append({z: t for z, t in amounts.items() if z != x})
+        if y != x:
+            out.append({**out[-1], y: amounts.get(y, 0) + amounts[x]})
+    return out + [{**amounts, "stray": 1}]
 
 
 def type_key(e, alpha):

@@ -663,6 +663,20 @@ def test_oracle_nan_time_limit_exit_code(capsys):
     assert "parameter error" in err and "NaN" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-nodes", "-5"), ("--time-limit", "-1")])
+def test_oracle_negative_budget_exit_code(capsys, flag, value):
+    rc, out, err = run(capsys, "oracle", "--n", "6", "--h", "3", "--r", "2,2,2,2,2", flag, value)
+    assert (rc, out) == (2, "")
+    assert err.startswith("parameter error: search budget must be nonnegative")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_oracle_zero_node_budget_exit_code(capsys):
+    rc, out, _ = run(capsys, "oracle", "--n", "6", "--h", "3", "--r", "2,2,2,2,2", "--max-nodes", "0")
+    assert rc == 5
+    assert "search: unknown (nodes=0)" in out and "budget exhausted" in out
+
+
 # -- one parser for every call ----------------------------------------------
 
 

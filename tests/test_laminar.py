@@ -2,12 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_singletons, random_laminar_family, random_laminar_pair, reference_family
+from conftest import (
+    breaks,
+    fold_singletons,
+    random_laminar_family,
+    random_laminar_pair,
+    reference_family,
+    same_verdict,
+)
 from hypfactor import (
     InternalInvariantError,
     LaminarFamily,
@@ -355,6 +363,28 @@ def test_random_laminar_selection_respects_bounds(seed, gsize, m):
     ground, famA, famB = random_laminar_pair(rng, gsize)
     sel = equalized_select(ground, famA, famB, m, seed=seed)
     assert selection_respects_bounds(sel.chosen, ground, famA, famB, m) is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_recheck_matches_the_full_walk_on_broken_selections(m):
+    # unit grounds from `random_laminar_pair`, and weighted grounds with
+    # every one-element member folded into `solo`: each selection and its
+    # breaks get the verdict of the walk over every element
+    rng = random.Random(f"recheck-{m}")
+    kinds = Counter()
+    for trial in range(200):
+        if trial % 2:
+            ground, *pair = random_laminar_pair(rng, rng.randint(1, 16))
+        else:
+            ground = {x: (rng.randint(1, 4), rng.randint(1, 6)) for x in range(rng.randint(1, 16))}
+            pair = [fold_singletons(random_laminar_family(rng, ground)) for _ in "AB"]
+        amounts = equalized_select(ground, *pair, m, seed=trial).amounts
+        assert same_verdict(amounts, ground, *pair, m) is None
+        for broken in breaks(rng, amounts, ground, m):
+            bad = same_verdict(broken, ground, *pair, m)
+            kinds[bad and (bad[0] if isinstance(bad[0], str) else "member")] += 1
+    assert kinds["stray"] == 200 and kinds["ground"] >= 200 and kinds["element"] >= 150
+    assert kinds["member"] >= (0 if m == 1 else 20)  # at m = 1 every bound is exact
 
 
 def test_a_folded_bound_is_an_element_bound():

@@ -182,6 +182,19 @@ def test_nan_time_limit_is_refused():
     assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
 
 
+@pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"time_limit": -1.0}, {"time_limit": -1e-9}])
+def test_negative_budget_is_refused(budget):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        SearchBudget(**budget)
+
+
+def test_zero_budget_is_exhausted_at_once():
+    p = Params(6, 3, 1, (2, 2, 2, 2, 2))
+    for budget in (SearchBudget(max_nodes=0), SearchBudget(time_limit=0)):
+        res = brute_force_factorize(p, budget=budget)
+        assert (res.status, res.nodes, res.reason) == ("unknown", 0, "budget exhausted")
+
+
 def test_kernel_bench_runs():
     # run from the checkout as documented: the script finds `src/` itself
     root = Path(__file__).resolve().parent.parent

@@ -16,17 +16,19 @@ through `add_edge`.
 """
 
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import fold_singletons, rebuilt, reference_family, type_key
+from conftest import breaks, fold_singletons, rebuilt, reference_family, same_verdict, type_key
 from hypfactor import (
     Edge,
     HingeRef,
     build_cell_family,
     build_wing_family,
     check_feasibility,
+    construct,
     initial_amalgam,
     split_step,
     wing_decomposition,
@@ -172,6 +174,28 @@ def test_every_stage_is_hinge_exact(spec, seed, monkeypatch):
         m = p.n - ell + 1
         assert selection_respects_bounds(chosen, ground, famA, famB, m) is None
     assert len(picks) == p.n - 1
+
+
+@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
+def test_every_stage_recheck_matches_the_full_walk(spec, monkeypatch):
+    # the selector's own arguments at every stage: its selection and its
+    # breaks get the verdict of the walk over every element
+    rng = random.Random(str(spec))
+    kinds = Counter()
+    select = detach.equalized_select
+
+    def checking_select(ground, famA, famB, m, seed=0):
+        sel = select(ground, famA, famB, m, seed)
+        assert same_verdict(sel.amounts, ground, famA, famB, m) is None
+        for broken in breaks(rng, sel.amounts, ground, m):
+            bad = same_verdict(broken, ground, famA, famB, m)
+            kinds[bad and (bad[0] if isinstance(bad[0], str) else "member")] += 1
+        return sel
+
+    monkeypatch.setattr(detach, "equalized_select", checking_select)
+    p = Params(*spec)
+    construct(p, seed=0, check_mode="off")
+    assert kinds["stray"] == p.n - 1 and kinds["ground"] >= p.n - 1
 
 
 def family_shape(fam):
