@@ -7,9 +7,9 @@ the construction below realizes them: start from a single amalgam vertex
 carrying every edge as an all-amalgam loop, then split off one new vertex
 per stage.  Edges of one type (color, vertex multiset) are
 interchangeable, so each stage works on the amalgam-incident types with
-their counts, at O(edge types) cost: it builds the wing and cell
-families over them, asks the equalized selector how many edges of each
-type give up a hinge, and moves those hinges to the new vertex.
+their counts: it reads the wing and cell families the graph keeps over
+them, asks the equalized selector how many edges of each type give up a
+hinge, and moves those hinges to the new vertex.
 Rounding exactness does the rest: hinge groups whose sizes are divisible
 by the stage divisor come out exact, which pins split-vertex degrees to
 r_i, keeps shape multiplicities on their binomial schedule, and leaves
@@ -128,11 +128,11 @@ def initial_amalgam(p: Params) -> ColoredMultiHypergraph:
 def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) -> ColoredMultiHypergraph:
     """Split one new vertex off the amalgam (stage ell -> ell + 1).
 
-    Lists the amalgam-incident edge types once, builds both families over
-    them, selects per type how many edges give up a hinge (divisor
-    m = n - ell + 1; one hinge per edge suffices as no edge holds more
-    than m), and moves those hinges onto the new vertex `ell`.  Mutates
-    `G` in place and returns it.
+    Reads the amalgam-incident types and both families over them from the
+    state `G` keeps, selects per type how many edges give up a hinge
+    (divisor m = n - ell + 1; no edge holds more than m hinges, so one per
+    edge suffices), and moves those hinges onto the new vertex `ell`,
+    which updates that state.  Mutates `G` in place and returns it.
     """
     if len(G.vertices) != ell:
         raise ParameterError(
@@ -141,11 +141,9 @@ def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) ->
     if not 1 <= ell <= p.n - 1:
         raise ParameterError(f"stage {ell} outside 1..{p.n - 1}")
     ground = G.hinges_at()
-    decomps = wing_decompositions(G, ground)
-    famA = build_wing_family(G, ground, decomps)
+    famA = build_wing_family(G, ground, wing_decompositions(G, ground))
     famB = build_cell_family(G, ground)
-    m = p.n - ell + 1
-    sel = equalized_select(ground, famA, famB, m, seed)
+    sel = equalized_select(ground, famA, famB, p.n - ell + 1, seed)
     G.add_vertex(ell)
     G.move_hinges(sel.amounts, ell)
     return G

@@ -4,28 +4,28 @@ Edges with the same color and vertex multiset cannot be told apart by
 any family bound, by the verifier or by the output, so the graph keeps
 one count per edge type.  One designated vertex, the amalgam, may occur
 several times within an edge; each occurrence is a "hinge".  A type is
-keyed `(color, rest, p)`, its sorted ordinary (non-amalgam) vertices and
-amalgam multiplicity: the paper's hinge group α^p U.  The types with
-p >= 1, which `hinges_at` lists, are counted apart from the finished
-ones.  Per color, a union-find over ordinary vertices tracks the
-components that wings hang off; edges only ever gain ordinary vertices,
-so components only merge and the union-find stays exact.  The split
-state is grouped two ways, each group a {type: None} dict with its hinge
-total Σ c·p: the cells by shape (p, rest), and per color the wings, the
-non-loop types by union-find root.  `add_edge` and `move_hinges` keep it
-through one add path and one union, which joins the smaller wing group
-to the larger; a move takes (color, rest, p) to (color, rest + (to,),
-p - 1).  So a stage reads its ground, cells and wings in place, and only
-`edges()` builds `Edge(color, sorted verts)`: one record per type,
-repeated `count` times; an edge's id is its position in that stream.
+keyed `(color, rest, p)`, its sorted ordinary vertices and amalgam
+multiplicity: the paper's hinge group α^p U.  The types with p >= 1,
+which `hinges_at` views, are counted apart from the finished ones.  Per
+color, a union-find over ordinary vertices tracks the components that
+wings hang off; they only merge, so it stays exact.  The graph keeps
+everything a split stage reads, updated by `add_edge` and `move_hinges`
+for the types they touch: the cells by (p, rest), per color the wings by
+union-find root, the class and the multi-wing union, each a group with
+its hinge total, and per type and side its innermost member's group and
+whether it is solo.  A move takes (color, rest, p) to (color, rest +
+(to,), p - 1).  Only `edges()` builds `Edge(color, sorted verts)`: one
+record per type, repeated `count` times; an edge's id is its position.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidHingeError, ParameterError
@@ -111,9 +111,43 @@ class UnionFind:
         return ra != rb
 
 
-def _regroup(groups: dict, g, key: tuple, hinges: int, kept: int) -> None:
-    """Add `hinges` to group g's total; keep `key` in it while `kept`, and drop an emptied group."""
-    group = groups.get(g) or groups.setdefault(g, [{}, 0])
+# A kept group is [types, hinges Σ c·p, its member index in the family last
+# built over it, valid until the next move]; this one holds no member.
+NO_MEMBER: list = [(), 0, -1]
+
+
+class Computed(partial):
+    """A collection this call computes when read, from a graph's containers (not the graph)."""
+
+    def __iter__(self):
+        return iter(self())
+
+    def __len__(self):
+        return len(self())
+
+
+def _seat(inner: dict, solo: dict, keys: Iterable, group: list, alone: bool) -> None:
+    """Map each of `keys` to `group`, its innermost member's, and keep it in `solo` iff `alone`."""
+    for x in keys:
+        inner[x] = group
+        if alone:
+            solo[x] = None
+        else:
+            solo.pop(x, None)
+
+
+def _class_types(live: dict, color: int) -> list:
+    return [x for x in live if x[0] == color]
+
+
+def _multi_types(live: dict, wings: dict, loop: Optional[tuple]) -> list:
+    """The loop type, if in the union (h >= 2), and the types of the wings with 2+ hinges."""
+    return ([loop] if loop in live else []) + [x for w in wings.values() if w[1] >= 2 for x in w[0]]
+
+
+def _regroup(groups: dict, g, key: tuple, hinges: int, kept: int) -> list:
+    """Add `hinges` to group g's total and keep `key` in it while `kept`; drop it once emptied."""
+    group = groups.get(g) or groups.setdefault(g, [{}, 0, -1])
     group[1] += hinges
     if kept:
         group[0][key] = None
@@ -121,39 +155,40 @@ def _regroup(groups: dict, g, key: tuple, hinges: int, kept: int) -> None:
         del group[0][key]
         if not group[0]:
             del groups[g]
+    return group
 
 
 class ColoredMultiHypergraph:
-    """Edge-colored multi-hypergraph with uniform edge size.
+    """Edge-colored multi-hypergraph with uniform edge size `h`, counted with multiplicity.
 
     Vertices are declared explicitly (an isolated vertex is a real vertex,
-    which matters for connectivity checks).  Colors run 1..k.  All edges
-    carry exactly `h` vertex occurrences counted with multiplicity.
+    which matters for connectivity checks).  Colors run 1..k.
     """
 
-    def __init__(
-        self,
-        vertices: Iterable[int],
-        alpha: int,
-        h: int,
-        k: int,
-    ):
+    def __init__(self, vertices: Iterable[int], alpha: int, h: int, k: int):
         self.vertices: set[int] = set(vertices)
         if alpha not in self.vertices:
             raise ParameterError(f"amalgam {alpha} must be a declared vertex")
         if h < 1 or k < 1:
             raise ParameterError(f"need h >= 1 and k >= 1, got h={h}, k={k}")
-        self.alpha = alpha
-        self.h = h
-        self.k = k
-        # type (color, rest, p) -> count, for the types with p >= 1 and the finished ones
-        self._live: dict[tuple, int] = {}
+        self.alpha, self.h, self.k = alpha, h, k
+        # type (color, rest, p) -> (c, p) for the types with p >= 1, -> c for the finished ones
+        self._live: dict[tuple, tuple] = {}
         self._done: dict[tuple, int] = {}
+        self._ground = MappingProxyType(self._live)
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
-        # the kept split state, each group as [{type: None}, hinges Σ c·p]:
-        # the cells by (p, rest), and per color the wings by union-find root
+        # the groups: cells by (p, rest); per color its class and multi-wing
+        # union, whose types are computed when read, and its wings by root
         self._cells: dict[tuple, list] = {}
         self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
+        self._classes = {i: [Computed(_class_types, self._live, i), 0, -1] for i in self._wings}
+        self._multi = {i: [Computed(_multi_types, self._live, w, (i, (), h) if h > 1 else None), 0, -1]
+                       for i, w in self._wings.items()}
+        self._pairs = {i: Computed(map, itemgetter(0, 1), w.values()) for i, w in self._wings.items()}
+        # per side (wing, cell): type -> its innermost member's group, in the
+        # order of `_live`, and the solo types
+        self._inner: tuple[dict, dict] = ({}, {})
+        self._solo: tuple[dict, dict] = ({}, {})
 
     # -- basic accessors -------------------------------------------------
 
@@ -169,7 +204,8 @@ class ColoredMultiHypergraph:
         records = chain(map(Edge._make, map(itemgetter(0, 1), done)), [
             Edge._make((color, rest[:i] + fill[p] + rest[i:]))
             for color, rest, p in live for i in [bisect(rest, alpha)]])
-        return chain.from_iterable(map(repeat, records, chain(done.values(), live.values())))
+        counts = chain(done.values(), map(itemgetter(0), live.values()))
+        return chain.from_iterable(map(repeat, records, counts))
 
     # -- mutation --------------------------------------------------------
 
@@ -206,17 +242,16 @@ class ColoredMultiHypergraph:
         `amounts` maps types of `hinges_at()` to t; each type must have at
         least t edges, or nothing moves.  In the moved edges, type
         (color, rest, p) becomes (color, rest + (to,), p - 1), and `to`
-        joins the color's component of rest.  Only the moved types' cells
-        and wings change.
+        joins the color's component of rest.  Only the state of the moved
+        types, their groups and the types that share those changes.
         """
         if to not in self.vertices or to == self.alpha:
             raise ParameterError(f"move target {to} is not a declared ordinary vertex")
         live = self._live
         for key, t in amounts.items():
-            if key not in live or not 0 <= t <= live[key]:
+            if key not in live or not 0 <= t <= live[key][0]:
                 raise InvalidHingeError(
-                    f"cannot move {t} hinges of type {key} ({live.get(key, 0)} edges)"
-                )
+                    f"cannot move {t} hinges of type {key} ({live.get(key, (0,))[0]} edges)")
         for key, t in amounts.items():
             if t:
                 color, rest, p = key
@@ -227,21 +262,45 @@ class ColoredMultiHypergraph:
                 self._add((color, rest[:i] + (to,) + rest[i:], p - 1), t, root)
 
     def _add(self, key: tuple, t: int, root: Optional[int]) -> None:
-        """Add t edges (t < 0: remove -t) of `key` to its count, cell and wing group at `root`.
+        """Add t edges (t < 0: remove -t) of `key` to its count and groups; `root` is None for a loop.
 
-        An emptied type leaves all three, an emptied group goes; `root` is None for a loop.
+        An emptied type leaves every group and map, an emptied group goes.  A
+        type is seated when new, and again when its cell or wing keeps it alone
+        or its lone wing crosses 2 hinges; a wing gaining a second type seats both.
         """
         color, rest, p = key
-        types = self._live if p else self._done
-        c = types.get(key, 0) + t
+        if not p:
+            self._done[key] = self._done.get(key, 0) + t
+            return
+        live, hinges, inner, solo = self._live, t * p, self._inner, self._solo
+        was = live.get(key)
+        c = (was[0] if was else 0) + t
+        self._classes[color][1] += hinges
         if c:
-            types[key] = c
+            live[key] = (c, p)
         else:
-            del types[key]
-        if p:
-            _regroup(self._cells, (p, rest), key, t * p, c)
-            if rest:
-                _regroup(self._wings[color], root, key, t * p, c)
+            del live[key], inner[0][key], inner[1][key]
+            for side in solo:
+                side.pop(key, None)
+        cell = _regroup(self._cells, (p, rest), key, hinges, c)
+        n = len(cell[0])
+        if not was and n > 2:
+            inner[1][key] = cell
+        elif not was or n == 1 and not c:
+            _seat(inner[1], solo[1], cell[0], NO_MEMBER if n == 1 else cell, n == 1)
+        multi, whole = self._multi[color], self._classes[color]
+        if not rest:  # a loop lies in the multi-wing union at h >= 2, its innermost member
+            multi[1] += hinges if self.h > 1 else 0
+            if not was:
+                inner[0][key] = multi if self.h > 1 else whole
+            return
+        wing = _regroup(self._wings[color], root, key, hinges, c)
+        was_big, big, n = wing[1] - hinges >= 2, wing[1] >= 2, len(wing[0])
+        multi[1] += (wing[1] if big else 0) - (wing[1] - hinges if was_big else 0)
+        if not was and n > 2:
+            inner[0][key] = wing
+        elif not was or n == 1 and (not c or big != was_big):
+            _seat(inner[0], solo[0], wing[0], (multi if big else whole) if n == 1 else wing, n == 1)
 
     def _union(self, color: int, a: int, b: int) -> int:
         """Join the components of `a` and `b` and their wing groups under b's root; return it."""
@@ -256,27 +315,19 @@ class ColoredMultiHypergraph:
             if into is not group:  # the smaller group joins the larger
                 if len(group[0]) > len(into[0]):
                     wings[rb], group, into = group, into, group
+                self._multi[color][1] += (into[1] == 1) + (group[1] == 1)  # lone hinges join it
                 into[0].update(group[0])
                 into[1] += group[1]
+                keys = into[0] if len(into[0]) == 2 else group[0]
+                _seat(self._inner[0], self._solo[0], keys, into, False)
         return rb
 
-    # -- derived quantities ----------------------------------------------
-
-    def hinges_at(self) -> dict[tuple, tuple[int, int]]:
-        """Each amalgam-incident type, mapped to (count c, amalgam multiplicity p).
-
-        Reads the count dict of amalgam-incident types that `add_edge` and
-        `move_hinges` keep, so it costs O(amalgam-incident types).
-        """
-        return {key: (c, key[2]) for key, c in self._live.items()}
+    def hinges_at(self) -> Mapping[tuple, tuple[int, int]]:
+        """Read-only and live: each amalgam-incident type -> (count c, amalgam multiplicity p)."""
+        return self._ground
 
 
-def wing_decompositions(G: ColoredMultiHypergraph, ground: dict) -> dict[int, tuple]:
-    """Per color of `G`: its loop type (or None) and its other wings as [types, hinges].
-
-    `ground` is `G.hinges_at()`.  The wings are the groups `G` keeps by
-    union-find root, each a {type: None} dict and its hinge total, read
-    in place: they hold until the next move.
-    """
-    return {i: ((i, (), G.h) if (i, (), G.h) in ground else None, wings.values())
-            for i, wings in G._wings.items()}
+def wing_decompositions(G: ColoredMultiHypergraph, ground) -> dict[int, tuple]:
+    """Per color of `G`: its loop type (or None), and its other wings' (types, hinges) read in place."""
+    loops = {i: (i, (), G.h) for i in G._pairs}
+    return {i: (loops[i] if loops[i] in ground else None, pairs) for i, pairs in G._pairs.items()}

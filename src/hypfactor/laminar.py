@@ -2,46 +2,41 @@
 
 At each stage the splitting pipeline must take, from every structurally
 relevant group of the amalgam's hinges, a 1/m share rounded either way,
-where m is the number of splits still to come plus one.  Edges of one
-type are interchangeable, so the ground set is the amalgam-incident
-types: a type of c edges with amalgam multiplicity p weighs c * p, and
-the selector picks how many of its edges give up a hinge, within
-[c*floor(p/m), c*ceil(p/m)].  The wing family (color class, multi-hinge
-wing union, wing) and the cell family (amalgam multiplicity plus
-ordinary vertex set) group the types; each member gets the floor/ceiling
-of its weight over m.  A wing or cell of one type x is no member: its
-bounds lie inside x's own, so x goes to the family's `solo` and is
-bounded as one item of size c * p.  Both builders know each member's
-size and parent, so `LaminarFamily` takes exactly that, in the
-builder's order, and checks nothing; equal sets chain.  `forest()`
-recomputes the forest with the laminarity and ground checks.  Selection
-and its re-check also take a plain iterable ground of unit elements.
+where m is the number of splits still to come plus one.  The ground set
+is the amalgam-incident types: a type of c edges with amalgam
+multiplicity p weighs c * p, and the selector picks how many of its
+edges give up a hinge, within [c*floor(p/m), c*ceil(p/m)].  The wing
+family (color class, multi-hinge wing union, wing) and the cell family
+(amalgam multiplicity plus ordinary vertex set) group the types; each
+member gets the floor/ceiling of its weight over m.  A wing or cell of
+one type x is no member: x goes to the family's `solo` and is bounded
+as one item of size c * p, inside x's own bounds.  The stage builders
+read the members, the solo types and each type's innermost member from
+the state the graph keeps: O(members) and a C-level pass over its
+groups.  `forest()` recomputes the forest, checking laminarity and ground.
 
-For laminar inputs such a selection always exists: the bounds form a
+For laminar inputs a selection always exists: the bounds form a
 circulation on the two forests (down A's, across one arc per element,
 up B's, back to A's root along the ground arc) with a totally
 unimodular constraint matrix, and weight/m everywhere is fractionally
-feasible.  The selector works on the forests themselves.  Elements start
-at their floors; one pass in ascending (c, p) order raises each by the
-most that cures a deficit above it within every ceiling above it.
-Members still short are forced to their floors, and each excess this
-leaves moves to the first deficit a depth-first search finds on the
-residual graph.  A search that reaches no deficit has found a closed
-set: every arc leaving it is at its ceiling and every arc entering it
-at its floor, so no later push can open it and its excess has nowhere
-to go.  Each selection is re-checked against every bound; of the
-elements left out it visits only those with c * p >= m, as no other
-has a floor above 0.  Stage tests compare each stage with a rebuild.
+feasible.  Elements start at their floors; one pass in ascending (c, p)
+order raises each by the most that cures a deficit above it within
+every ceiling above it.  Members still short are forced to their
+floors, and each excess this leaves moves to the first deficit a
+depth-first search finds on the residual graph; a search that reaches
+none has found a closed set, whose excess has nowhere to go.  Each
+selection is re-checked against every bound; of the elements left out
+it visits only those with c * p >= m, as no other has a floor above 0.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count, repeat, starmap
-from operator import mul
+from operator import itemgetter, mul
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import ColoredMultiHypergraph
+from .hypercore import NO_MEMBER, ColoredMultiHypergraph
 
 
 def weighted(ground) -> dict:
@@ -57,14 +52,11 @@ class Member(NamedTuple):
 
 
 def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list[int], dict]:
-    """Containment forest of `members`: parent index per member (-1 for a root).
+    """Parent index per member (-1: a root) and innermost member index per ground element (-1: none).
 
-    Also returns the innermost member index per ground element (-1 when
-    an element lies in no member).  Raises on any laminarity or ground
-    violation.  One pass over members listed parents first: when a set
-    arrives, every element it contains must sit in one and the same
-    innermost set, its parent.  A set listed before a proper superset
-    raises; equal sets chain.
+    One pass over members listed parents first: every element of a set
+    must sit in one and the same innermost set, its parent, or this raises,
+    as it does for an element outside the ground.  Equal sets chain.
     """
     innermost: dict = dict.fromkeys(ground, -1)
     parent = []
@@ -74,14 +66,11 @@ def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list
         except KeyError as exc:
             x = exc.args[0]
             raise InternalInvariantError(
-                f"member {idx} contains {x!r} outside the ground set",
-                witness=(mb.tag, x),
-            ) from None
+                f"member {idx} contains {x!r} outside the ground set", witness=(mb.tag, x)) from None
         if len(seen) > 1:
+            bad = sorted(seen)
             raise InternalInvariantError(
-                f"family is not laminar: member {idx} straddles {sorted(seen)}",
-                witness=(mb.tag, sorted(seen)),
-            )
+                f"family is not laminar: member {idx} straddles {bad}", witness=(mb.tag, bad))
         parent.append(seen.pop() if seen else -1)
         innermost.update(dict.fromkeys(mb.elements, idx))
     return parent, innermost
@@ -91,23 +80,31 @@ class LaminarFamily:
     """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
 
     `entries` holds (elements, size, tag, parent entry index or -1), each
-    after its parent; nothing is checked.  Each entry is one member and one
-    update of the innermost map, so the last holding an element is its
-    innermost.  `solo` holds the elements whose c * p hinges form a member
-    on their own, carried by the element's bounds.  The ground, `solo` and
-    the entries' elements are kept, not copied; an element outside every
-    member has none.  `forest()` is the laminarity and ground check.
+    after its parent; nothing is checked.  `solo` holds the elements whose
+    c * p hinges form a member on their own, carried by their bounds.
+    `inner` maps each ground element, in ground order, to its innermost
+    member's group [elements, size, member index], or `NO_MEMBER`: the
+    stage builders pass the map `G` keeps, with the indices set; else
+    the last entry holding an element is its innermost.  The ground,
+    `solo`, `inner` and the elements are kept, not copied.
     """
 
-    def __init__(self, ground: dict, entries: Sequence[tuple], solo: Collection = ()):
+    def __init__(self, ground, entries: Sequence[tuple], solo: Collection = (), inner=None):
         self.ground = ground
         self.solo = solo
         self.members = tuple([Member(xs, tag) for xs, _, tag, _ in entries])
         self.sizes = tuple([size for _, size, _, _ in entries])
-        innermost: dict = {}
-        for i, (xs, _, _, _) in enumerate(entries):
-            innermost.update(zip(xs, repeat(i)))
-        self._forest = ([up for _, _, _, up in entries], innermost)
+        self.parents = [up for _, _, _, up in entries]
+        if inner is None:  # the last entry holding an element is its innermost
+            held = dict(chain.from_iterable(zip(xs, repeat([xs, size, i]))
+                                            for i, (xs, size, _, _) in enumerate(entries)))
+            inner = {x: held.get(x, NO_MEMBER) for x in ground}
+        self.inner = inner
+
+    @property
+    def _forest(self) -> tuple[list[int], dict]:
+        """The parents and each member element's innermost member index, read from `inner`."""
+        return self.parents, {x: g[2] for x, g in self.inner.items() if g[2] >= 0}
 
     def forest(self) -> tuple[list[int], dict]:
         """The members' containment forest, recomputed after the `solo` ground check."""
@@ -119,14 +116,18 @@ class LaminarFamily:
 
     def totals(self, pairs: Iterable) -> list[int]:
         """Per member, the sum of the amounts in (element, amount) `pairs` it holds."""
-        parent, innermost = self._forest
-        total = [0] * (len(self.members) + 1)  # index -1: outside every member
+        inner, total = self.inner, [0] * (len(self.parents) + 1)  # index -1: outside every member
         for x, t in pairs:
-            total[innermost.get(x, -1)] += t
-        for i in range(len(self.members) - 1, -1, -1):  # parents precede their children
-            total[parent[i]] += total[i]
-        total.pop()
-        return total
+            total[inner.get(x, NO_MEMBER)[2]] += t
+        return _rollup(self.parents, total)
+
+
+def _rollup(parent: list[int], total: list[int]) -> list[int]:
+    """Per member, `total` summed over it and all below it; entry -1, outside every member, goes."""
+    for i in range(len(parent) - 1, -1, -1):  # parents precede their children
+        total[parent[i]] += total[i]
+    total.pop()
+    return total
 
 
 class Selection(NamedTuple):
@@ -145,9 +146,8 @@ def bounds_for(size: int, m: int) -> tuple[int, int]:
     return size // m, -(-size // m)
 
 
-def selection_respects_bounds(
-    chosen: Iterable, ground, famA: LaminarFamily, famB: LaminarFamily, m: int
-) -> Optional[tuple]:
+def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, famB: LaminarFamily,
+                              m: int) -> Optional[tuple]:
     """First violated bound as a witness tuple, or None when all hold.
 
     `chosen` maps elements to amounts, or is a plain iterable taking each
@@ -155,7 +155,7 @@ def selection_respects_bounds(
     element, each element left out with c * p >= m (no other can have a
     floor above 0), then every member, totalled in one pass over the
     amounts.  An element in either family's `solo` is one item of size
-    c * p.  A dict `ground` is read in place.
+    c * p.  A mapping `ground` is read in place.
     """
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
     g = ground if isinstance(ground, Mapping) else weighted(ground)
@@ -187,92 +187,92 @@ def selection_respects_bounds(
 # -- family builders ----------------------------------------------------
 
 
-def build_wing_family(G: ColoredMultiHypergraph, ground: dict, decomps: dict) -> LaminarFamily:
-    """Wing-side family over `ground = G.hinges_at()` and its wings `decomps`.
+def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> LaminarFamily:
+    """Wing-side family over `ground = G.hinges_at()`; `decomps` views the same wings.
 
-    `decomps` is `hypercore.wing_decompositions(G, ground)`: the wing
-    groups `G` keeps, with their hinge totals, which the wing members hold
-    in place.  Per color: the class's types, the union of its wings with
-    2+ hinges, and each non-loop wing's types; a wing with 2+ hinges lies
-    in the union, any other in the class, and that nesting is the forest.
-    Single edges need no member: each element's own bounds hold every edge.
-    A wing of one type is no member either: the type goes to `solo`.
+    Per color: the class, the union of its wings with 2+ hinges and each
+    wing of 2+ types, all groups `G` keeps, held in place until the next
+    move; a wing with 2+ hinges lies in the union, any other in the class,
+    and that nesting is the forest.  A wing of one type is no member: its
+    type is solo.  Costs O(members) and a C-level pass over the wings.
     """
-    h, entries, solo = G.h, [], {}
+    entries = []
     for i in range(1, G.k + 1):
-        loop, wings = decomps[i]
-        top = len(entries)  # the class's entry; its multi-hinge union's is next
-        # a loop type of c edges is c one-edge wings of h hinges each, with no member of their own
-        whole, total = ([loop], ground[loop][0] * h) if loop else ([], 0)
-        big, held = (whole[:], total) if h >= 2 else ([], 0)
-        entries += [None, None]
-        for j, (w, x) in enumerate(wings):
-            whole += w
-            total += x
-            if x >= 2:
-                big += w
-                held += x
-                if len(w) > 1:
-                    entries.append((w, x, ("wing", i, j), top + 1))
-                    continue
-            solo.update(w)  # a wing of one type
-        entries[top] = (whole, total, ("color", i), -1)
-        entries[top + 1] = (big, held, ("multiwing", i), top if big else -1)
-    return LaminarFamily(ground, entries, solo)
+        top = len(entries)
+        whole, big = G._classes[i], G._multi[i]
+        whole[2], big[2] = top, top + 1
+        entries += [(whole[0], whole[1], ("color", i), -1),
+                    (big[0], big[1], ("multiwing", i), top if big[1] else -1)]
+        wings = G._wings[i].values()
+        many = list(map((1).__lt__, map(len, map(itemgetter(0), wings))))
+        for j, w in zip(compress(count(), many), compress(wings, many)):
+            w[2] = len(entries)
+            entries.append((w[0], w[1], ("wing", i, j), top + 1))
+    return LaminarFamily(ground, entries, G._solo[0], G._inner[0])
 
 
-def build_cell_family(G: ColoredMultiHypergraph, ground: dict) -> LaminarFamily:
+def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
     """Cell-side family over `ground = G.hinges_at()`: the types of one shape (p, rest).
 
-    Reads the cells and their hinge totals that `G` keeps; each member
-    holds its kept cell in place, valid until the next move.  Cells are
-    pairwise disjoint, so the family is laminar and flat; its
-    bounds keep shape multiplicities on schedule across splits.  A cell
-    of one type is no member: the type goes to `solo`.
+    The cells of 2+ types that `G` keeps, held in place until the next
+    move; a cell of one type is no member, and its type is solo.  Cells
+    are disjoint, so the family is flat; its bounds keep shape
+    multiplicities on schedule across splits.
     """
-    cells = G._cells.items()
-    entries = [(ts, total, ("cell",) + shape, -1) for shape, (ts, total) in cells if len(ts) > 1]
-    solo = {x: None for _, (ts, _) in cells if len(ts) == 1 for x in ts}
-    return LaminarFamily(ground, entries, solo)
+    cells, entries = G._cells, []
+    many = map((1).__lt__, map(len, map(itemgetter(0), cells.values())))
+    for shape, cell in compress(cells.items(), many):
+        cell[2] = len(entries)
+        entries.append((cell[0], cell[1], ("cell",) + shape, -1))
+    return LaminarFamily(ground, entries, G._solo[1], G._inner[1])
 
 
 # -- selection -------------------------------------------------------------
 
 
-def equalized_select(
-    ground: Iterable, famA: LaminarFamily, famB: LaminarFamily, m: int, seed: int = 0
-) -> Selection:
+def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily, m: int,
+                     seed: int = 0) -> Selection:
     """Choose an amount of every element meeting all floor/ceiling bounds.
 
     Bounds apply to every element, to every member of both families and
     to the ground total; an element in either family's `solo` is one item
-    of size c * p.  Malformed families, for which no selection may
-    exist, raise an internal invariant error rather than return a partial
-    answer.  The seed rotates the ground before its stable (c, p) sort.
+    of size c * p.  Malformed families, for which no selection may exist,
+    raise an internal invariant error.  The seed rotates the ground, in
+    the order both families' `inner` share, before its stable (c, p) sort.
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
     g = ground if famA.ground is ground is famB.ground else weighted(ground)
-    if g is not ground and not famA.ground == g == famB.ground:
-        raise ParameterError("families must share the selection ground set")
+    A, B = famA.inner, famB.inner
+    if g is not ground and not (famA.ground == g == famB.ground and list(A) == list(g) == list(B)):
+        raise ParameterError("families must share the selection ground set, in one order")
 
     # Nodes: A's members, A's root rA, B's members, B's root rB.  Node u
     # owns arc own[u] to its parent up[u]: into an A member, out of a B
     # member, and rB -> rA, the ground arc, for both roots.  Arc k keeps
     # over[k] = flow - floor and slack[k] = ceiling - flow.
-    (parentA, innerA), (parentB, innerB) = famA._forest, famB._forest
+    parentA, parentB = famA.parents, famB.parents
     rA, rB = len(parentA), len(parentA) + 1 + len(parentB)
-    nodeB = [*range(rA + 1, rB + 1)]  # index -1: B's root
+    nodeA, nodeB = [*range(rA + 1)], [*range(rA + 1, rB + 1)]  # index -1: the root
     up = [rA if u < 0 else u for u in parentA] + [rB, *map(nodeB.__getitem__, parentB), rA]
     own = [*range(rB), rA]
-    order, r = list(g), seed % (len(g) or 1)
-    order = sorted(order[r:] + order[:r], key=g.__getitem__)
-    items, solo = list(map(g.__getitem__, order)), {*famA.solo, *famB.solo}
-    cs = [1 if x in solo else c for x, (c, _) in zip(order, items)]
-    ps = [c * p // k for (c, p), k in zip(items, cs)]  # the size of each of k items
-    held = [(x, k * (p // m)) for x, k, p in zip(order, cs, ps) if p >= m]
-    sizes = [*famA.sizes, sum(map(mul, cs, ps)), *famB.sizes]
-    flows = famA.totals(held) + [sum(t for _, t in held)] + famB.totals(held) if held else repeat(0)
+    # per element: (c, p), itself, its innermost groups and whether it is solo, seed-rotated, by (c, p)
+    held, live, tails, heads, room, solo = [], [], [], [], [], {*famA.solo, *famB.solo}
+    rows = [*zip(g.values(), g, A.values(), B.values(), map(solo.__contains__, g))]
+    r = seed % (len(rows) or 1)
+    for (c, p), x, a, b, alone in sorted(rows[r:] + rows[:r], key=itemgetter(0)):
+        k = 1 if alone else c  # k items of size q, the element's arc bounds
+        q = c * p // k
+        if q >= m:  # its floor
+            held.append((x, k * (q // m), a[2], b[2]))
+        if q % m:  # it can rise: live element j is arc rB + j
+            live.append(x), tails.append(nodeA[a[2]]), heads.append(nodeB[b[2]]), room.append(k)
+    flows = [0] * (rA + 1), [0] * (len(parentB) + 1)  # the floors in each innermost member
+    for _, t, a, b in held:
+        flows[0][a] += t
+        flows[1][b] += t
+    flows = _rollup(parentA, flows[0]) + [sum(t for _, t, _, _ in held)] + _rollup(parentB, flows[1])
+    sizes = [*famA.sizes, sum(starmap(mul, g.values())), *famB.sizes]
     over = [f - s // m for s, f in zip(sizes, flows)]
     slack = [-(-s // m) - f for s, f in zip(sizes, flows)]
     above = [()] * (rB + 1)  # arcs from a node to its root; from A's also the ground arc
@@ -291,13 +291,9 @@ def equalized_select(
                 opened[u] = False
                 stack += down[u]
 
-    # the greedy pass, in order; live element j is arc rB + j
-    rises = [p % m for p in ps]
-    live = list(compress(order, rises))
-    tails = list(map(innerA.get, live, repeat(rA)))
-    heads = list(map(nodeB.__getitem__, map(innerB.get, live, repeat(-1))))
+    # the greedy pass, in order
     over += repeat(0, len(live))
-    slack += compress(cs, rises)
+    slack += room
     short = min(over, default=0) < 0
     for k, a, b in zip(count(rB), tails, heads) if short else ():
         if opened[a] and opened[b]:
@@ -364,7 +360,7 @@ def equalized_select(
             excess[s] -= d
             excess[t] += d
 
-    amounts = dict(held)
+    amounts = {x: t for x, t, _, _ in held}
     for x, t in compress(zip(live, over[rB:]), over[rB:]):
         amounts[x] = amounts.get(x, 0) + t
     bad = selection_respects_bounds(amounts, g, famA, famB, m)

@@ -18,6 +18,7 @@ from hypfactor import (
     initial_amalgam,
 )
 from hypfactor.detach import Params
+from hypfactor.hypercore import NO_MEMBER
 
 
 def _degree(G, u, color=None):
@@ -40,18 +41,65 @@ def _multiplicity(G, p, U):
 
 
 def _kept(G):
-    """The kept cells by shape, and per color the multiset of wing groups, each as (types, hinges).
+    """Everything the graph keeps for a stage, in terms a rebuild must match.
 
-    Also checks that every wing group sits at the union-find root of its
-    types' ordinary vertices, so roots that a rebuild picks differently
-    still compare equal.
+    The cells by shape and per color the multiset of wing groups, each as
+    (types, hinges); per color the class and multi-wing totals and types;
+    per side (wing, cell) each type's innermost member, named by its
+    group, and the solo types.  Also checks that every wing group sits at
+    the union-find root of its types' ordinary vertices, so roots that a
+    rebuild picks differently still compare equal, and that both
+    innermost maps list the types in the order of `hinges_at()`.
     """
     for i, wings in G._wings.items():
-        for root, (types, _) in wings.items():
+        for root, (types, _, _) in wings.items():
             assert {G._uf[i].find(v) for _, rest, _ in types for v in rest} == {root}
-    cells = {shape: (frozenset(ts), x) for shape, (ts, x) in G._cells.items()}
-    wings = {i: Counter((frozenset(ts), x) for ts, x in ws.values()) for i, ws in G._wings.items()}
-    return cells, wings
+    assert list(G._inner[0]) == list(G.hinges_at()) == list(G._inner[1])
+    cells = {shape: (frozenset(ts), x) for shape, (ts, x, _) in G._cells.items()}
+    wings = {i: Counter((frozenset(ts), x) for ts, x, _ in ws.values()) for i, ws in G._wings.items()}
+    tops = {i: (G._classes[i][1], frozenset(G._classes[i][0]), G._multi[i][1], frozenset(G._multi[i][0]))
+            for i in G._classes}
+    name = {id(NO_MEMBER): None}
+    name.update({id(g): ("color", i) for i, g in G._classes.items()})
+    name.update({id(g): ("multiwing", i) for i, g in G._multi.items()})
+    name.update({id(g): ("cell", shape) for shape, g in G._cells.items()})
+    name.update({id(w): ("wing", frozenset(w[0])) for ws in G._wings.values() for w in ws.values()})
+    inner = [{x: name[id(g)] for x, g in side.items()} for side in G._inner]
+    return cells, wings, tops, inner, [set(solo) for solo in G._solo]
+
+
+def _defined(G):
+    """`_kept(G)`'s totals, innermost members and solo types, from their definitions.
+
+    The class holds a color's types, the multi-wing union its loop (at
+    h >= 2) and the types of its wings with 2+ hinges.  A type's innermost
+    member is its cell or wing if that holds 2+ types; else no cell
+    member, and the union or the class by its wing's hinges (a loop's is
+    the union at h >= 2).  A cell or wing of one type makes that type solo.
+    """
+    live, tops, inner, solo = G.hinges_at(), {}, [{}, {}], [set(), set()]
+    for i in G._classes:
+        wings = G._wings[i].values()
+        loop = [x for x in live if x[:2] == (i, ()) and G.h > 1]
+        big = [w for w in wings if w[1] >= 2]
+        tops[i] = (sum(c * p for (j, _, _), (c, p) in live.items() if j == i),
+                   frozenset(x for x in live if x[0] == i),
+                   sum(live[x][0] * G.h for x in loop) + sum(w[1] for w in big),
+                   frozenset(loop).union(*(w[0] for w in big)))
+    for x in live:
+        i, rest, p = x
+        cell = G._cells[p, rest][0]
+        inner[1][x] = ("cell", (p, rest)) if len(cell) > 1 else None
+        if len(cell) == 1:
+            solo[1].add(x)
+        if not rest:
+            inner[0][x] = ("multiwing" if G.h > 1 else "color", i)
+            continue
+        w = G._wings[i][G._uf[i].find(rest[0])]
+        inner[0][x] = ("wing", frozenset(w[0])) if len(w[0]) > 1 else ("multiwing" if w[1] >= 2 else "color", i)
+        if len(w[0]) == 1:
+            solo[0].add(x)
+    return tops, inner, solo
 
 
 def test_binom_small_values():
@@ -185,10 +233,22 @@ def test_move_hinges_rejects_more_edges_than_the_type_has(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
     G.move_hinges({LOOP: 4}, 1)
-    before = G.hinges_at(), copy.deepcopy((G._live, G._done, G._cells, G._wings))
+    before = dict(G.hinges_at()), copy.deepcopy((G._live, G._done)), _kept(G)
     with pytest.raises(InvalidHingeError):
         G.move_hinges({type_key(Edge(2, (5, 5, 5)), 5): 1, LOOP: 2}, 1)
-    assert (G.hinges_at(), (G._live, G._done, G._cells, G._wings)) == before
+    assert (dict(G.hinges_at()), (G._live, G._done), _kept(G)) == before
+
+
+def test_hinges_at_is_a_read_only_view_that_follows_the_moves(amalgam_533):
+    G = amalgam_533
+    ground = G.hinges_at()
+    with pytest.raises(TypeError):
+        ground[LOOP] = (1, 3)
+    with pytest.raises(TypeError):
+        del ground[LOOP]
+    G.add_vertex(1)
+    G.move_hinges({LOOP: 5}, 1)
+    assert LOOP not in ground and ground[type_key(Edge(1, (1, 5, 5)), 5)] == (5, 2)
 
 
 def test_move_hinge_rejects_unknown_edge(amalgam_533):
@@ -236,13 +296,13 @@ def test_move_onto_a_vertex_below_its_root_keeps_the_groups_exact():
     assert G._uf[1].find(2) == 1
     G.move_hinges({type_key(Edge(1, (0, 0, 3)), 0): 1, type_key(Edge(2, (0, 0, 0)), 0): 2}, 2)
     assert _kept(G) == _kept(rebuilt(G))
-    assert [x for _, x in G._wings[1].values()] == [1 + 2 + 1, 2]
+    assert [w[1] for w in G._wings[1].values()] == [1 + 2 + 1, 2]
     moved = [Edge(1, (0, 0, 4)), Edge(1, (0, 0, 3)), Edge(2, (0, 0, 2))]
     G.move_hinges({type_key(e, 0): 1 for e in moved}, 2)
     assert _kept(G) == _kept(rebuilt(G))
-    assert [x for _, x in G._wings[1].values()] == [1 + 2 + 1]
+    assert [w[1] for w in G._wings[1].values()] == [1 + 2 + 1]
     both = [type_key(Edge(2, (0, 0, 2)), 0), type_key(Edge(2, (0, 2, 2)), 0)]
-    assert list(G._wings[2].values()) == [[dict.fromkeys(both), 2 + 1]]
+    assert [w[:2] for w in G._wings[2].values()] == [[dict.fromkeys(both), 2 + 1]]
 
 
 def test_edges_that_join_two_wings_add_their_totals():
@@ -252,13 +312,13 @@ def test_edges_that_join_two_wings_add_their_totals():
     G.add_edge((0, 0, 1), 1, mult=2)
     G.add_edge((0, 0, 2), 1)
     G.add_edge((0, 0, 3), 1)
-    assert sorted(x for _, x in G._wings[1].values()) == [2, 2, 4]
+    assert sorted(w[1] for w in G._wings[1].values()) == [2, 2, 4]
     G.add_edge((0, 1, 2), 1)
-    assert sorted(x for _, x in G._wings[1].values()) == [2, 4 + 2 + 1]
+    assert sorted(w[1] for w in G._wings[1].values()) == [2, 4 + 2 + 1]
     G.add_edge((1, 2, 3), 1)
-    assert [x for _, x in G._wings[1].values()] == [4 + 2 + 1 + 2]
+    assert [w[1] for w in G._wings[1].values()] == [4 + 2 + 1 + 2]
     assert _kept(G) == _kept(rebuilt(G))
-    assert G._cells[2, (3,)] == [{type_key(Edge(1, (0, 0, 3)), 0): None}, 2]
+    assert G._cells[2, (3,)][:2] == [{type_key(Edge(1, (0, 0, 3)), 0): None}, 2]
 
 
 @settings(max_examples=80, deadline=None)
@@ -284,6 +344,7 @@ def test_random_adds_and_moves_keep_the_state_of_a_rebuild(data, h, high):
             G.move_hinges(amounts, data.draw(ordinary))
         R = rebuilt(G)
         assert _kept(G) == _kept(R)
+        assert _kept(G)[2:] == _defined(G)
         assert G.hinges_at() == R.hinges_at()
         assert Counter(G.edges()) == Counter(R.edges())
 
