@@ -40,7 +40,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from hypfactor.detach import Params, construct  # noqa: E402
 
 # (label of r, Params): the roadmap's baseline table, many and few
-# factors at h = 2, 3, 4, plus one instance with lambda = 2
+# factors at h = 2, 3, 4, one instance with lambda = 2, and two with few
+# colors, where few types move per stage but many types share a group
 LADDER = [
     ("(2,)*19+(1,)", Params(40, 2, 1, (2,) * 19 + (1,))),
     ("(2,)*39+(1,)", Params(80, 2, 1, (2,) * 39 + (1,))),
@@ -52,6 +53,8 @@ LADDER = [
     ("(4,)*71+(2,)", Params(14, 4, 1, (4,) * 71 + (2,))),
     ("(4,)*170", Params(18, 4, 1, (4,) * 170)),
     ("(2,)*39", Params(40, 2, 2, (2,) * 39)),
+    ("(455,)", Params(16, 4, 1, (455,))),
+    ("(55,)*3", Params(12, 4, 1, (55,) * 3)),
 ]
 MEMORY_MAX_EDGES = 5000
 SEED = 1

@@ -5,28 +5,24 @@ any family bound, by the verifier or by the output, so the graph keeps
 one count per edge type.  One designated vertex, the amalgam, may occur
 several times within an edge; each occurrence is a "hinge".  A type is
 keyed `(color, rest, p)`, its sorted ordinary vertices and amalgam
-multiplicity: the paper's hinge group α^p U.  The types with p >= 1,
-which `hinges_at` views, are counted apart from the finished ones.  Per
-color, a union-find over ordinary vertices tracks the components that
-wings hang off; they only merge, so it stays exact.  The graph keeps
-everything a split stage reads, updated by `add_edge` and `move_hinges`
-for the types they touch: the cells by (p, rest), per color the wings by
-union-find root, the class and the multi-wing union, each a group with
-its hinge total, and per type and side its innermost member's group and
-whether it is solo.  A move takes (color, rest, p) to (color, rest +
-(to,), p - 1).  Only `edges()` builds `Edge(color, sorted verts)`: one
-record per type, repeated `count` times; an edge's id is its position.
+multiplicity: the paper's hinge group α^p U.  A finished type (p = 0)
+keeps a count, any other one record of all a split stage reads of it:
+c, p, its cell (the types of its (p, rest)), its wing (per color, a
+union-find over ordinary vertices; components only merge), per side its
+innermost member's group and solo mark, and its `Edge`.  `add_edge` and
+`move_hinges` update what they touch; a move takes (color, rest, p) to
+(color, rest + (to,), p - 1).  `hinges_at` views the records as (c, p).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect
+from collections.abc import Mapping
 from functools import partial
-from itertools import chain, repeat
-from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidHingeError, ParameterError
 
@@ -111,9 +107,32 @@ class UnionFind:
         return ra != rb
 
 
-# A kept group is [types, hinges Σ c·p, its member index in the family last
-# built over it, valid until the next move]; this one holds no member.
+# A kept group is [{type: None}, hinges Σ c·p, its member index in the family
+# last built over it, valid until the next move]; NO_MEMBER holds no member.
+# A type's record: c, p, its sort key c * (h + 1) + p, per side (wing, cell) its
+# innermost member's group, solo mark and own group (a loop has no wing), and its
+# `Edge` once built.  Records point at groups, never back, so no cycles form.
 NO_MEMBER: list = [(), 0, -1]
+C, P, KEY, IN_A, SOLO_A, WING, IN_B, SOLO_B, CELL, EDGE = range(10)
+
+
+class Ground(Mapping):
+    """A read-only, live view of the records as type -> (c, p)."""
+
+    def __init__(self, records: dict):
+        self.records = records
+
+    def __getitem__(self, x):
+        return tuple(self.records[x][:2])
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __len__(self):
+        return len(self.records)
+
+    def __contains__(self, x):
+        return x in self.records
 
 
 class Computed(partial):
@@ -126,16 +145,6 @@ class Computed(partial):
         return len(self())
 
 
-def _seat(inner: dict, solo: dict, keys: Iterable, group: list, alone: bool) -> None:
-    """Map each of `keys` to `group`, its innermost member's, and keep it in `solo` iff `alone`."""
-    for x in keys:
-        inner[x] = group
-        if alone:
-            solo[x] = None
-        else:
-            solo.pop(x, None)
-
-
 def _class_types(live: dict, color: int) -> list:
     return [x for x in live if x[0] == color]
 
@@ -145,17 +154,10 @@ def _multi_types(live: dict, wings: dict, loop: Optional[tuple]) -> list:
     return ([loop] if loop in live else []) + [x for w in wings.values() if w[1] >= 2 for x in w[0]]
 
 
-def _regroup(groups: dict, g, key: tuple, hinges: int, kept: int) -> list:
-    """Add `hinges` to group g's total and keep `key` in it while `kept`; drop it once emptied."""
-    group = groups.get(g) or groups.setdefault(g, [{}, 0, -1])
-    group[1] += hinges
-    if kept:
-        group[0][key] = None
-    else:
-        del group[0][key]
-        if not group[0]:
-            del groups[g]
-    return group
+def _seat(live: dict, group: list, at: int, lone) -> None:
+    """Seat at `at` the types of a group of one (on `lone`, solo) or two (on the group)."""
+    for r in map(live.__getitem__, group[0]):
+        r[at], r[at + 1] = (lone, True) if len(group[0]) == 1 else (group, False)
 
 
 class ColoredMultiHypergraph:
@@ -172,10 +174,9 @@ class ColoredMultiHypergraph:
         if h < 1 or k < 1:
             raise ParameterError(f"need h >= 1 and k >= 1, got h={h}, k={k}")
         self.alpha, self.h, self.k = alpha, h, k
-        # type (color, rest, p) -> (c, p) for the types with p >= 1, -> c for the finished ones
-        self._live: dict[tuple, tuple] = {}
+        # type (color, rest, p) -> its record for the types with p >= 1, -> c for the finished ones
+        self._live: dict[tuple, list] = {}
         self._done: dict[tuple, int] = {}
-        self._ground = MappingProxyType(self._live)
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
         # the groups: cells by (p, rest); per color its class and multi-wing
         # union, whose types are computed when read, and its wings by root
@@ -185,26 +186,22 @@ class ColoredMultiHypergraph:
         self._multi = {i: [Computed(_multi_types, self._live, w, (i, (), h) if h > 1 else None), 0, -1]
                        for i, w in self._wings.items()}
         self._pairs = {i: Computed(map, itemgetter(0, 1), w.values()) for i, w in self._wings.items()}
-        # per side (wing, cell): type -> its innermost member's group, in the
-        # order of `_live`, and the solo types
-        self._inner: tuple[dict, dict] = ({}, {})
-        self._solo: tuple[dict, dict] = ({}, {})
 
     # -- basic accessors -------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
         """Explicit edges: one `Edge(color, sorted verts)` per type, repeated `count` times.
 
-        The finished types come first, then the amalgam-incident ones, each
-        in the order it gained its count; a type's p amalgam occurrences go
-        back among its ordinary vertices in sorted place.
+        The finished types come first, then the others, each in the order it
+        gained its count; an amalgam-incident type keeps its `Edge` in its record.
         """
-        alpha, done, live = self.alpha, self._done, self._live
-        fill = [(alpha,) * p for p in range(self.h + 1)]
-        records = chain(map(Edge._make, map(itemgetter(0, 1), done)), [
-            Edge._make((color, rest[:i] + fill[p] + rest[i:]))
-            for color, rest, p in live for i in [bisect(rest, alpha)]])
-        counts = chain(done.values(), map(itemgetter(0), live.values()))
+        alpha, done, recs = self.alpha, self._done, self._live
+        for (color, rest, p), rec in compress(recs.items(), map(is_, map(itemgetter(EDGE), recs.values()),
+                                                                 repeat(None))):
+            i = bisect(rest, alpha)
+            rec[EDGE] = Edge._make((color, rest[:i] + (alpha,) * p + rest[i:]))
+        records = chain(map(Edge._make, map(itemgetter(0, 1), done)), map(itemgetter(EDGE), recs.values()))
+        counts = chain(done.values(), map(itemgetter(C), recs.values()))
         return chain.from_iterable(map(repeat, records, counts))
 
     # -- mutation --------------------------------------------------------
@@ -218,9 +215,7 @@ class ColoredMultiHypergraph:
         """Add `mult` edges of one type and return the type `(color, rest, p)`."""
         vt = tuple(sorted(verts))
         if len(vt) != self.h:
-            raise ParameterError(
-                f"edge {vt} has {len(vt)} vertex occurrences, expected h={self.h}"
-            )
+            raise ParameterError(f"edge {vt} has {len(vt)} vertex occurrences, expected h={self.h}")
         if not 1 <= color <= self.k:
             raise ParameterError(f"color {color} outside 1..{self.k}")
         missing = set(vt) - self.vertices
@@ -233,6 +228,7 @@ class ColoredMultiHypergraph:
         for v in rest:
             root = self._union(color, v, rest[0])
         key = (color, rest, self.h - len(rest))
+        self._classes[color][1] += mult * key[2]
         self._add(key, mult, root)
         return key
 
@@ -240,67 +236,77 @@ class ColoredMultiHypergraph:
         """Move one amalgam occurrence onto `to` in t edges of each type.
 
         `amounts` maps types of `hinges_at()` to t; each type must have at
-        least t edges, or nothing moves.  In the moved edges, type
-        (color, rest, p) becomes (color, rest + (to,), p - 1), and `to`
-        joins the color's component of rest.  Only the state of the moved
-        types, their groups and the types that share those changes.
+        least t edges, or nothing moves.  In the moved edges, type (color,
+        rest, p) becomes (color, rest + (to,), p - 1), and `to` joins the
+        color's component of rest.  Only those types and their groups change.
         """
         if to not in self.vertices or to == self.alpha:
             raise ParameterError(f"move target {to} is not a declared ordinary vertex")
-        live = self._live
-        for key, t in amounts.items():
-            if key not in live or not 0 <= t <= live[key][0]:
-                raise InvalidHingeError(
-                    f"cannot move {t} hinges of type {key} ({live.get(key, (0,))[0]} edges)")
-        for key, t in amounts.items():
+        recs = [*map(self._live.get, amounts)]
+        for (key, t), rec in zip(amounts.items(), recs):
+            if not rec or not 0 <= t <= rec[C]:
+                raise InvalidHingeError(f"cannot move {t} hinges of type {key} ({rec[C] if rec else 0} edges)")
+        tops: dict = {}  # per color, the root of `to`, which every union below keeps
+        for (key, t), rec in zip(amounts.items(), recs):
             if t:
                 color, rest, p = key
-                self._add(key, -t, self._uf[color].find(rest[0]) if rest else None)
-                # `to` joins the first ordinary vertex, if the type had one
-                root = self._union(color, rest[0] if rest else to, to)
+                root = tops.get(color) or tops.setdefault(color, self._uf[color].find(to))
+                self._classes[color][1] -= t  # t·p hinges leave, t·(p - 1) come back
+                self._add(key, -t, rec=rec)
+                if rec[WING] is not None and rec[WING] is not self._wings[color].get(root):
+                    self._union(color, rest[0], to)  # `to` joins the first ordinary vertex
                 i = bisect(rest, to)
                 self._add((color, rest[:i] + (to,) + rest[i:], p - 1), t, root)
 
-    def _add(self, key: tuple, t: int, root: Optional[int]) -> None:
-        """Add t edges (t < 0: remove -t) of `key` to its count and groups; `root` is None for a loop.
+    def _add(self, key: tuple, t: int, root: Optional[int] = None, rec: Optional[list] = None) -> None:
+        """Add t edges (t < 0: remove -t) of `key`, whose record is `rec` if it has one.
 
-        An emptied type leaves every group and map, an emptied group goes.  A
-        type is seated when new, and again when its cell or wing keeps it alone
-        or its lone wing crosses 2 hinges; a wing gaining a second type seats both.
+        A new type gets a record in its cell and its wing at `root` (None for a
+        loop); an emptied type or group goes.  `_seat` runs when a join leaves 1-2
+        types or a leave 1, or a lone wing crosses 2 hinges; the caller keeps the class total.
         """
         color, rest, p = key
         if not p:
             self._done[key] = self._done.get(key, 0) + t
             return
-        live, hinges, inner, solo = self._live, t * p, self._inner, self._solo
-        was = live.get(key)
-        c = (was[0] if was else 0) + t
-        self._classes[color][1] += hinges
-        if c:
-            live[key] = (c, p)
-        else:
-            del live[key], inner[0][key], inner[1][key]
-            for side in solo:
-                side.pop(key, None)
-        cell = _regroup(self._cells, (p, rest), key, hinges, c)
-        n = len(cell[0])
-        if not was and n > 2:
-            inner[1][key] = cell
-        elif not was or n == 1 and not c:
-            _seat(inner[1], solo[1], cell[0], NO_MEMBER if n == 1 else cell, n == 1)
-        multi, whole = self._multi[color], self._classes[color]
-        if not rest:  # a loop lies in the multi-wing union at h >= 2, its innermost member
-            multi[1] += hinges if self.h > 1 else 0
-            if not was:
-                inner[0][key] = multi if self.h > 1 else whole
+        live, hinges = self._live, t * p
+        rec = rec or live.get(key)
+        new = rec is None
+        if new:  # a loop's innermost member: the multi-wing union at h >= 2
+            rec = live[key] = [0, p, p, (self._multi if self.h > 1 else self._classes)[color],
+                               False, None, None, False, None, None]
+            cell = rec[CELL] = self._cells.get((p, rest)) or self._cells.setdefault((p, rest), [{}, 0, -1])
+            cell[0][key] = None
+            if rest:
+                wings = self._wings[color]
+                wing = rec[WING] = wings.get(root) or wings.setdefault(root, [{}, 0, -1])
+                wing[0][key] = None
+        c = rec[C] = rec[C] + t
+        rec[KEY] += t * (self.h + 1)
+        cell, wing = rec[CELL], rec[WING]
+        cell[1] += hinges
+        if not c:
+            del live[key], cell[0][key]
+            if not cell[0]:
+                del self._cells[p, rest]
+        if new and len(cell[0]) > 2:  # seated in a group of 3+, as its others are
+            rec[IN_B] = cell
+        elif new or not c and len(cell[0]) == 1:
+            _seat(live, cell, IN_B, NO_MEMBER)
+        if wing is None:
+            self._multi[color][1] += hinges if self.h > 1 else 0
             return
-        wing = _regroup(self._wings[color], root, key, hinges, c)
-        was_big, big, n = wing[1] - hinges >= 2, wing[1] >= 2, len(wing[0])
-        multi[1] += (wing[1] if big else 0) - (wing[1] - hinges if was_big else 0)
-        if not was and n > 2:
-            inner[0][key] = wing
-        elif not was or n == 1 and (not c or big != was_big):
-            _seat(inner[0], solo[0], wing[0], (multi if big else whole) if n == 1 else wing, n == 1)
+        wing[1] += hinges
+        if not c:
+            del wing[0][key]
+            if not wing[0]:
+                del self._wings[color][self._uf[color].find(rest[0])]
+        was_big, big = wing[1] - hinges >= 2, wing[1] >= 2
+        self._multi[color][1] += (wing[1] if big else 0) - (wing[1] - hinges if was_big else 0)
+        if new and len(wing[0]) > 2:
+            rec[IN_A] = wing
+        elif new or len(wing[0]) == 1 and (not c or big != was_big):
+            _seat(live, wing, IN_A, (self._multi if big else self._classes)[color])
 
     def _union(self, color: int, a: int, b: int) -> int:
         """Join the components of `a` and `b` and their wing groups under b's root; return it."""
@@ -318,16 +324,15 @@ class ColoredMultiHypergraph:
                 self._multi[color][1] += (into[1] == 1) + (group[1] == 1)  # lone hinges join it
                 into[0].update(group[0])
                 into[1] += group[1]
-                keys = into[0] if len(into[0]) == 2 else group[0]
-                _seat(self._inner[0], self._solo[0], keys, into, False)
+                for r in map(self._live.__getitem__, into[0] if len(into[0]) == 2 else group[0]):
+                    r[IN_A], r[SOLO_A], r[WING] = into, False, into
         return rb
 
     def hinges_at(self) -> Mapping[tuple, tuple[int, int]]:
         """Read-only and live: each amalgam-incident type -> (count c, amalgam multiplicity p)."""
-        return self._ground
+        return Ground(self._live)
 
 
 def wing_decompositions(G: ColoredMultiHypergraph, ground) -> dict[int, tuple]:
     """Per color of `G`: its loop type (or None), and its other wings' (types, hinges) read in place."""
-    loops = {i: (i, (), G.h) for i in G._pairs}
-    return {i: (loops[i] if loops[i] in ground else None, pairs) for i, pairs in G._pairs.items()}
+    return {i: ((i, (), G.h) if (i, (), G.h) in ground else None, pairs) for i, pairs in G._pairs.items()}

@@ -9,11 +9,9 @@ edges give up a hinge, within [c*floor(p/m), c*ceil(p/m)].  The wing
 family (color class, multi-hinge wing union, wing) and the cell family
 (amalgam multiplicity plus ordinary vertex set) group the types; each
 member gets the floor/ceiling of its weight over m.  A wing or cell of
-one type x is no member: x goes to the family's `solo` and is bounded
-as one item of size c * p, inside x's own bounds.  The stage builders
-read the members, the solo types and each type's innermost member from
-the state the graph keeps: O(members) and a C-level pass over its
-groups.  `forest()` recomputes the forest, checking laminarity and ground.
+one type x is no member: x is solo, one item of size c * p inside x's own
+bounds.  The stage builders list the groups the graph keeps, whose records
+give each type's innermost members and solo marks; `forest()` checks them.
 
 For laminar inputs a selection always exists: the bounds form a
 circulation on the two forests (down A's, across one arc per element,
@@ -25,18 +23,19 @@ every ceiling above it.  Members still short are forced to their
 floors, and each excess this leaves moves to the first deficit a
 depth-first search finds on the residual graph; a search that reaches
 none has found a closed set, whose excess has nowhere to go.  Each
-selection is re-checked against every bound; of the elements left out
-it visits only those with c * p >= m, as no other has a floor above 0.
+selection is re-checked against every bound arithmetic leaves open: not
+an unchosen element or empty member with c * p or size below m.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat, starmap
-from operator import itemgetter, mul
+from functools import cached_property
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import itemgetter, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import NO_MEMBER, ColoredMultiHypergraph
+from .hypercore import IN_A, IN_B, NO_MEMBER, ColoredMultiHypergraph
 
 
 def weighted(ground) -> dict:
@@ -80,45 +79,43 @@ class LaminarFamily:
     """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
 
     `entries` holds (elements, size, tag, parent entry index or -1), each
-    after its parent; nothing is checked.  `solo` holds the elements whose
-    c * p hinges form a member on their own, carried by their bounds.
-    `inner` maps each ground element, in ground order, to its innermost
-    member's group [elements, size, member index], or `NO_MEMBER`: the
-    stage builders pass the map `G` keeps, with the indices set; else
-    the last entry holding an element is its innermost.  The ground,
-    `solo`, `inner` and the elements are kept, not copied.
+    after its parent; nothing is checked.  `inner` maps each element, in
+    ground order, to its record: c, p, a key in (c, p) order, and at `at` its
+    innermost member's group [elements, size, member index] (or `NO_MEMBER`)
+    and its solo mark.
+    The stage builders pass the records `G` keeps; else the last entry
+    holding an element is its innermost and `solo` names the solo ones.
+    Nothing is copied.
     """
 
-    def __init__(self, ground, entries: Sequence[tuple], solo: Collection = (), inner=None):
+    def __init__(self, ground, entries: Sequence[tuple], solo: Collection = (), inner=None, at: int = 3):
         self.ground = ground
-        self.solo = solo
         self.members = tuple([Member(xs, tag) for xs, _, tag, _ in entries])
         self.sizes = tuple([size for _, size, _, _ in entries])
         self.parents = [up for _, _, _, up in entries]
         if inner is None:  # the last entry holding an element is its innermost
             held = dict(chain.from_iterable(zip(xs, repeat([xs, size, i]))
                                             for i, (xs, size, _, _) in enumerate(entries)))
-            inner = {x: held.get(x, NO_MEMBER) for x in ground}
-        self.inner = inner
+            inner = {x: (c, p, (c, p), held.get(x, NO_MEMBER), x in solo) for x, (c, p) in ground.items()}
+            self.solo = solo
+        self.inner, self.at = inner, at
 
-    @property
-    def _forest(self) -> tuple[list[int], dict]:
-        """The parents and each member element's innermost member index, read from `inner`."""
-        return self.parents, {x: g[2] for x, g in self.inner.items() if g[2] >= 0}
+    @cached_property
+    def solo(self) -> dict:
+        """The solo elements, read off the marks in `inner` once."""
+        return dict.fromkeys(compress(self.inner, map(itemgetter(self.at + 1), self.inner.values())))
 
     def forest(self) -> tuple[list[int], dict]:
         """The members' containment forest, recomputed after the `solo` ground check."""
-        for x in self.solo:
-            if x not in self.ground:
-                raise InternalInvariantError(
-                    f"solo element {x!r} outside the ground set", witness=(("solo",), x))
+        for x in filterfalse(self.ground.__contains__, self.solo):
+            raise InternalInvariantError(f"solo element {x!r} outside the ground set", witness=(("solo",), x))
         return containment_forest(self.ground, self.members)
 
     def totals(self, pairs: Iterable) -> list[int]:
         """Per member, the sum of the amounts in (element, amount) `pairs` it holds."""
-        inner, total = self.inner, [0] * (len(self.parents) + 1)  # index -1: outside every member
+        inner, at, total = self.inner, self.at, [0] * (len(self.parents) + 1)  # -1: outside every member
         for x, t in pairs:
-            total[inner.get(x, NO_MEMBER)[2]] += t
+            total[inner[x][at][2]] += t
         return _rollup(self.parents, total)
 
 
@@ -153,34 +150,32 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
     `chosen` maps elements to amounts, or is a plain iterable taking each
     element once.  Checked in order: strays, the ground total, each chosen
     element, each element left out with c * p >= m (no other can have a
-    floor above 0), then every member, totalled in one pass over the
-    amounts.  An element in either family's `solo` is one item of size
-    c * p.  A mapping `ground` is read in place.
+    floor above 0), then every member with an amount or a size >= m (any
+    other meets its bounds 0 and 1), totalled in one pass over the amounts.
+    `ground` is any container (the families' own is probed via their records);
+    the rest reads those records, and a solo element is one item of size c * p.
     """
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
-    g = ground if isinstance(ground, Mapping) else weighted(ground)
-    for x in amounts:
-        if x not in g:
-            return ("stray", x)
-    lo, hi = bounds_for(sum(starmap(mul, g.values())), m)
+    A, B, a, b = famA.inner, famB.inner, famA.at + 1, famB.at + 1
+    for x in filterfalse((A if ground is famA.ground else ground).__contains__, amounts):
+        return ("stray", x)
+    weights = [r[0] * r[1] for r in A.values()]
+    lo, hi = bounds_for(sum(weights), m)
     got = sum(amounts.values())
     if not lo <= got <= hi:
         return ("ground", got, lo, hi)
-    soloA, soloB = famA.solo, famB.solo
-    floored = [x for x, (c, p) in g.items() if c * p >= m and x not in amounts]
-    for x in chain(amounts, floored):
-        c, p = g[x]
-        if x in soloA or x in soloB:
-            c, p = 1, c * p
-        lo, hi = bounds_for(p, m)
-        got = amounts.get(x, 0)
-        if not c * lo <= got <= c * hi:
-            return ("element", x, got, c * lo, c * hi)
+    floored = [x for x, w in zip(A, weights) if w >= m and x not in amounts]
+    for x, got in chain(amounts.items(), zip(floored, repeat(0))):
+        r = A[x]
+        c, p = (1, r[0] * r[1]) if r[a] or (r if B is A else B[x])[b] else (r[0], r[1])
+        if not c * (p // m) <= got <= c * -(-p // m):
+            return ("element", x, got, c * (p // m), c * -(-p // m))
     for fam in (famA, famB):
-        for mb, size, got in zip(fam.members, fam.sizes, fam.totals(amounts.items())):
-            lo, hi = bounds_for(size, m)
-            if not lo <= got <= hi:
-                return (mb.tag, got, lo, hi)
+        sizes, total = fam.sizes, fam.totals(amounts.items())
+        for i in compress(count(), map(or_, total, map(m.__le__, sizes))):
+            lo, hi = sizes[i] // m, -(-sizes[i] // m)
+            if not lo <= total[i] <= hi:
+                return (fam.members[i].tag, total[i], lo, hi)
     return None
 
 
@@ -191,10 +186,9 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
     """Wing-side family over `ground = G.hinges_at()`; `decomps` views the same wings.
 
     Per color: the class, the union of its wings with 2+ hinges and each
-    wing of 2+ types, all groups `G` keeps, held in place until the next
-    move; a wing with 2+ hinges lies in the union, any other in the class,
-    and that nesting is the forest.  A wing of one type is no member: its
-    type is solo.  Costs O(members) and a C-level pass over the wings.
+    wing of 2+ types, groups `G` keeps and holds until the next move; a wing
+    with 2+ hinges lies in the union, any other in the class.  A wing of one
+    type is no member: its type is solo.  Costs O(members) and a C-level pass.
     """
     entries = []
     for i in range(1, G.k + 1):
@@ -208,23 +202,22 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
         for j, w in zip(compress(count(), many), compress(wings, many)):
             w[2] = len(entries)
             entries.append((w[0], w[1], ("wing", i, j), top + 1))
-    return LaminarFamily(ground, entries, G._solo[0], G._inner[0])
+    return LaminarFamily(ground, entries, inner=G._live, at=IN_A)
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
     """Cell-side family over `ground = G.hinges_at()`: the types of one shape (p, rest).
 
-    The cells of 2+ types that `G` keeps, held in place until the next
-    move; a cell of one type is no member, and its type is solo.  Cells
-    are disjoint, so the family is flat; its bounds keep shape
-    multiplicities on schedule across splits.
+    The cells of 2+ types that `G` keeps and holds until the next move; a
+    cell of one type is no member, and its type is solo.  Cells are disjoint,
+    so the family is flat; its bounds keep shapes on schedule across splits.
     """
     cells, entries = G._cells, []
     many = map((1).__lt__, map(len, map(itemgetter(0), cells.values())))
     for shape, cell in compress(cells.items(), many):
         cell[2] = len(entries)
         entries.append((cell[0], cell[1], ("cell",) + shape, -1))
-    return LaminarFamily(ground, entries, G._solo[1], G._inner[1])
+    return LaminarFamily(ground, entries, inner=G._live, at=IN_B)
 
 
 # -- selection -------------------------------------------------------------
@@ -235,10 +228,10 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
     """Choose an amount of every element meeting all floor/ceiling bounds.
 
     Bounds apply to every element, to every member of both families and
-    to the ground total; an element in either family's `solo` is one item
-    of size c * p.  Malformed families, for which no selection may exist,
+    to the ground total; an element solo in either family is one item of
+    size c * p.  Malformed families, for which no selection may exist,
     raise an internal invariant error.  The seed rotates the ground, in
-    the order both families' `inner` share, before its stable (c, p) sort.
+    the order both families' records share, before its stable (c, p) sort.
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
@@ -256,23 +249,26 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
     nodeA, nodeB = [*range(rA + 1)], [*range(rA + 1, rB + 1)]  # index -1: the root
     up = [rA if u < 0 else u for u in parentA] + [rB, *map(nodeB.__getitem__, parentB), rA]
     own = [*range(rB), rA]
-    # per element: (c, p), itself, its innermost groups and whether it is solo, seed-rotated, by (c, p)
-    held, live, tails, heads, room, solo = [], [], [], [], [], {*famA.solo, *famB.solo}
-    rows = [*zip(g.values(), g, A.values(), B.values(), map(solo.__contains__, g))]
+    # per element: its (c, p) key, itself and both records; seed-rotated, by key
+    held, live, tails, heads, room, ia, ib, total = [], [], [], [], [], famA.at, famB.at, 0
+    rows = [*zip(map(itemgetter(2), A.values()), A, A.values(), B.values())]
     r = seed % (len(rows) or 1)
-    for (c, p), x, a, b, alone in sorted(rows[r:] + rows[:r], key=itemgetter(0)):
-        k = 1 if alone else c  # k items of size q, the element's arc bounds
+    for _, x, ra, rb in sorted(rows[r:] + rows[:r], key=itemgetter(0)):
+        c, p = ra[0], ra[1]
+        total += c * p
+        k = 1 if ra[ia + 1] or rb[ib + 1] else c  # k items of size q, the element's arc bounds
         q = c * p // k
+        a, b = ra[ia][2], rb[ib][2]
         if q >= m:  # its floor
-            held.append((x, k * (q // m), a[2], b[2]))
+            held.append((x, k * (q // m), a, b))
         if q % m:  # it can rise: live element j is arc rB + j
-            live.append(x), tails.append(nodeA[a[2]]), heads.append(nodeB[b[2]]), room.append(k)
+            live.append(x), tails.append(nodeA[a]), heads.append(nodeB[b]), room.append(k)
     flows = [0] * (rA + 1), [0] * (len(parentB) + 1)  # the floors in each innermost member
     for _, t, a, b in held:
         flows[0][a] += t
         flows[1][b] += t
     flows = _rollup(parentA, flows[0]) + [sum(t for _, t, _, _ in held)] + _rollup(parentB, flows[1])
-    sizes = [*famA.sizes, sum(starmap(mul, g.values())), *famB.sizes]
+    sizes = [*famA.sizes, total, *famB.sizes]
     over = [f - s // m for s, f in zip(sizes, flows)]
     slack = [-(-s // m) - f for s, f in zip(sizes, flows)]
     above = [()] * (rB + 1)  # arcs from a node to its root; from A's also the ground arc
@@ -310,12 +306,11 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
                     break  # every element lies below the ground arc
 
     excess = [0] * (rB + 1)
-    for k in range(rB):  # force each arc into its bounds
-        d = max(-over[k], min(slack[k], 0))
-        if d:  # the d units added (floors over a ceiling: taken) reach its head, leave its tail
-            excess[k if k <= rA else up[k]] += d
-            excess[up[k] if k <= rA else k] -= d
-            over[k], slack[k] = over[k] + d, slack[k] - d
+    for k in compress(range(rB), map((0).__gt__, map(min, over, slack))):  # force it into its bounds
+        d = max(-over[k], min(slack[k], 0))  # the d units added (floors over a ceiling: taken)
+        excess[k if k <= rA else up[k]] += d  # reach its head and leave its tail
+        excess[up[k] if k <= rA else k] -= d
+        over[k], slack[k] = over[k] + d, slack[k] - d
     sources = [u for u, e in enumerate(excess) if e > 0]
     # moves from u: up its own arc, down to a child member or across an element
     # with room (from A, forward) or flow (from B, back); up the other way

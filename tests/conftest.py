@@ -34,13 +34,19 @@ def reference_family(ground, members) -> LaminarFamily:
     ])
 
 
+def kept_forest(fam) -> tuple:
+    """`fam`'s parents and each member element's innermost member index, as its records hold them."""
+    at = fam.at
+    return fam.parents, {x: r[at][2] for x, r in fam.inner.items() if r[at][2] >= 0}
+
+
 def fold_singletons(fam, folds=lambda tag: True) -> LaminarFamily:
     """`fam` with each one-element member whose tag `folds` moved to `solo`.
 
     Such a member must weigh its element's c * p; it is a leaf, unless a
     later equal member folds too, so every kept member keeps its parent.
     """
-    parent, _ = fam._forest
+    parent, _ = kept_forest(fam)
     entries, solo, at = [], dict.fromkeys(fam.solo), {-1: -1}
     for i, (mb, size, up) in enumerate(zip(fam.members, fam.sizes, parent)):
         if len(mb.elements) == 1 and folds(mb.tag):

@@ -1,6 +1,5 @@
 """Tests for the edge-colored multi-hypergraph container."""
 
-import copy
 import random
 from collections import Counter
 
@@ -18,7 +17,7 @@ from hypfactor import (
     initial_amalgam,
 )
 from hypfactor.detach import Params
-from hypfactor.hypercore import NO_MEMBER
+from hypfactor.hypercore import C, CELL, EDGE, IN_A, IN_B, KEY, NO_MEMBER, P, WING
 
 
 def _degree(G, u, color=None):
@@ -46,15 +45,22 @@ def _kept(G):
     The cells by shape and per color the multiset of wing groups, each as
     (types, hinges); per color the class and multi-wing totals and types;
     per side (wing, cell) each type's innermost member, named by its
-    group, and the solo types.  Also checks that every wing group sits at
-    the union-find root of its types' ordinary vertices, so roots that a
-    rebuild picks differently still compare equal, and that both
-    innermost maps list the types in the order of `hinges_at()`.
+    group, and the solo types, read off the records.  Also checks that
+    every wing group sits at the union-find root of its types' ordinary
+    vertices, so roots that a rebuild picks differently still compare
+    equal, and that each record holds its type's count, p and sort key, its
+    cell `_cells[p, rest]` and its wing, the group at the root of rest, and
+    that an `Edge` it keeps is its type's.
     """
     for i, wings in G._wings.items():
         for root, (types, _, _) in wings.items():
             assert {G._uf[i].find(v) for _, rest, _ in types for v in rest} == {root}
-    assert list(G._inner[0]) == list(G.hinges_at()) == list(G._inner[1])
+    for (i, rest, p), r in G._live.items():
+        assert r[C] >= 1 and r[P] == p == G.h - len(rest) and len(r) == EDGE + 1
+        assert r[KEY] == r[C] * (G.h + 1) + p
+        assert r[CELL] is G._cells[p, rest]
+        assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else None)
+        assert r[EDGE] in (None, Edge(i, tuple(sorted(rest + (G.alpha,) * p))))
     cells = {shape: (frozenset(ts), x) for shape, (ts, x, _) in G._cells.items()}
     wings = {i: Counter((frozenset(ts), x) for ts, x, _ in ws.values()) for i, ws in G._wings.items()}
     tops = {i: (G._classes[i][1], frozenset(G._classes[i][0]), G._multi[i][1], frozenset(G._multi[i][0]))
@@ -64,8 +70,13 @@ def _kept(G):
     name.update({id(g): ("multiwing", i) for i, g in G._multi.items()})
     name.update({id(g): ("cell", shape) for shape, g in G._cells.items()})
     name.update({id(w): ("wing", frozenset(w[0])) for ws in G._wings.values() for w in ws.values()})
-    inner = [{x: name[id(g)] for x, g in side.items()} for side in G._inner]
-    return cells, wings, tops, inner, [set(solo) for solo in G._solo]
+    inner = [{x: name[id(r[at])] for x, r in G._live.items()} for at in (IN_A, IN_B)]
+    return cells, wings, tops, inner, [{x for x, r in G._live.items() if r[at + 1]} for at in (IN_A, IN_B)]
+
+
+def _records(G):
+    """Each record's identity and fields, its groups by identity: equal iff no record changed."""
+    return {x: (id(r), *(v if type(v) is not list else id(v) for v in r)) for x, r in G._live.items()}
 
 
 def _defined(G):
@@ -233,10 +244,27 @@ def test_move_hinges_rejects_more_edges_than_the_type_has(amalgam_533):
     G = amalgam_533
     G.add_vertex(1)
     G.move_hinges({LOOP: 4}, 1)
-    before = dict(G.hinges_at()), copy.deepcopy((G._live, G._done)), _kept(G)
+    before = dict(G.hinges_at()), _records(G), dict(G._done), _kept(G)
     with pytest.raises(InvalidHingeError):
         G.move_hinges({type_key(Edge(2, (5, 5, 5)), 5): 1, LOOP: 2}, 1)
-    assert (dict(G.hinges_at()), (G._live, G._done), _kept(G)) == before
+    assert (dict(G.hinges_at()), _records(G), dict(G._done), _kept(G)) == before
+
+
+def test_a_type_that_empties_and_comes_back_gets_a_fresh_record(amalgam_533):
+    # moving every edge of a type away drops its record and its kept
+    # `Edge`; when a move makes the type again, it starts a new record
+    G = amalgam_533
+    G.add_vertex(1)
+    G.move_hinges({LOOP: 2}, 1)
+    succ = type_key(Edge(1, (1, 5, 5)), 5)
+    old = G._live[succ]
+    assert list(G.edges()).count(Edge(1, (1, 5, 5))) == 2 and old[EDGE] == Edge(1, (1, 5, 5))
+    G.add_vertex(2)
+    G.move_hinges({succ: 2}, 2)
+    assert succ not in G._live and succ not in G.hinges_at()
+    G.move_hinges({LOOP: 1}, 1)
+    assert G._live[succ] is not old and G._live[succ][C] == 1 and G._live[succ][EDGE] is None
+    assert _kept(G) == _kept(rebuilt(G)) and _kept(G)[2:] == _defined(G)
 
 
 def test_hinges_at_is_a_read_only_view_that_follows_the_moves(amalgam_533):

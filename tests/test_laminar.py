@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     breaks,
     fold_singletons,
+    kept_forest,
     random_laminar_family,
     random_laminar_pair,
     reference_family,
@@ -85,7 +86,7 @@ def test_equal_sets_chain():
     ground = {1: (1, 3), 2: (2, 1)}
     fam = reference_family(ground, [({1, 2}, ("a",)), ({2, 1}, ("b",))])
     assert [mb.tag for mb in fam.members] == [("a",), ("b",)]
-    assert fam._forest == fam.forest() == ([-1, 0], {1: 1, 2: 1})
+    assert kept_forest(fam) == fam.forest() == ([-1, 0], {1: 1, 2: 1})
     for m in (1, 2, 3, 4):
         lo, hi = bounds_for(5, m)
         for seed in range(3):
@@ -161,7 +162,7 @@ def test_wing_family_on_base_amalgam():
     tags = [mb.tag for mb in fam.members]
     assert tags == [("color", 1), ("multiwing", 1), ("color", 2), ("multiwing", 2)]
     assert fam.sizes == (15, 15, 15, 15)
-    assert fam._forest[0] == fam.forest()[0] == [-1, 0, -1, 2]
+    assert kept_forest(fam)[0] == fam.forest()[0] == [-1, 0, -1, 2]
     for m in fam.members:
         assert len(m.elements) == 1
 
@@ -331,7 +332,7 @@ def test_elements_outside_every_member_select_cleanly():
     famB = LaminarFamily(ground, [(["c"], 1, ("c",), -1)])
     assert famA.forest() == ([-1, 0], {"a": 1, "b": 0, "c": -1, "d": -1})
     assert famB.forest() == ([-1], {"a": -1, "b": -1, "c": 0, "d": -1})
-    assert "d" not in famA._forest[1] and "d" not in famB._forest[1]
+    assert "d" not in kept_forest(famA)[1] and "d" not in kept_forest(famB)[1]
     for m in (1, 2, 3, 5):
         for seed in range(4):
             sel = equalized_select(ground, famA, famB, m, seed)
@@ -399,6 +400,18 @@ def test_a_folded_bound_is_an_element_bound():
     assert selection_respects_bounds({"x": 4}, ground, folded, empty, 2) == ("element", "x", 4, 3, 3)
     assert selection_respects_bounds({"x": 4}, ground, empty, folded, 2) == ("element", "x", 4, 3, 3)
     assert equalized_select(ground, folded, empty, 2).amounts["x"] == 3
+
+
+def test_recheck_catches_a_small_member_taking_two():
+    # at m = 3 the member {a, b} of size 2 may take 0 or 1, and one with
+    # nothing chosen and a size below m is skipped by arithmetic; this one
+    # took 2, which only its own bound forbids
+    ground = dict.fromkeys("abcdef", (1, 1))
+    famA, empty = reference_family(ground, [({"a", "b"}, ("ab",))]), _empty_over(ground)
+    assert selection_respects_bounds({"a": 1, "b": 1}, ground, famA, empty, 3) == (("ab",), 2, 0, 1)
+    assert same_verdict({"a": 1, "b": 1}, ground, famA, empty, 3) == (("ab",), 2, 0, 1)
+    assert same_verdict({"a": 1, "c": 1}, ground, famA, empty, 3) is None
+    assert same_verdict({"c": 1, "d": 1}, ground, famA, empty, 3) is None
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -559,8 +572,8 @@ def reference_select(ground, famA, famB, m, seed=0):
     elements, taken in seeded order, with the number of arcs with lo == hi.
     """
     g = laminar.weighted(ground)
-    parentA, innerA = famA._forest
-    parentB, innerB = famB._forest
+    parentA, innerA = kept_forest(famA)
+    parentB, innerB = kept_forest(famB)
     offB = 4 + len(famA.members)
     n = offB + len(famB.members)
     nodeA = [*range(4, offB), 2]

@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import breaks, fold_singletons, rebuilt, reference_family, same_verdict, type_key
+from conftest import breaks, fold_singletons, kept_forest, rebuilt, reference_family, same_verdict, type_key
 from hypfactor import (
     Edge,
     HingeRef,
@@ -203,7 +203,7 @@ def family_shape(fam):
 
     Keyed by tag, not by element set, so equal sets stay apart.
     """
-    parent, innermost = fam._forest
+    parent, innermost = kept_forest(fam)
     tags = [mb.tag for mb in fam.members] + [None]  # index -1: no member
     by_tag = {mb.tag: (frozenset(mb.elements), size, tags[up])
               for mb, size, up in zip(fam.members, fam.sizes, parent)}
@@ -288,7 +288,7 @@ def assert_same_family(fam, ref):
     assert family_shape(fam) == family_shape(ref)
     assert len(fam.solo) == len(ref.solo) and set(fam.solo) == set(ref.solo)
     parent, innermost = fam.forest()  # the generic laminarity check passes too
-    assert (parent, {x: i for x, i in innermost.items() if i >= 0}) == fam._forest
+    assert (parent, {x: i for x, i in innermost.items() if i >= 0}) == kept_forest(fam)
 
 
 # at h = 1 every type is a loop, no class has a multi-hinge member, and
