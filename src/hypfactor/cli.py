@@ -27,13 +27,13 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError, TimeLimitError
 from .hypercore import binom_over, int_text
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
-from .verify import LeastSubset, _first_bad_edge, verify_factorization
+from .verify import LeastSubset, _malformed, verify_factorization
 
 GENERATE_EDGE_GUARD = 10**6
 JSON_INT_DIGITS = 4300  # Python's default int-to-str digit limit
@@ -230,15 +230,14 @@ def cmd_verify(args) -> int:
         print(f"parse failure: {e}", file=sys.stderr)
         return 4
     # no verdict depends on the order of edges or vertices; the one witness
-    # that does, the first malformed edge, is named in canonical order.
-    # Sorting keeps the factor order, so that edge is the least malformed
-    # one, each edge sorted, of the factor the report names.
+    # that does, the first malformed edge, is named in canonical order: the
+    # least malformed edge, sorted, of the factor the report names
     rep = verify_factorization(f)
     shapes = rep.checks[0]
     if not shapes.passed and shapes.witness[0] != "factor count":
         i = shapes.witness[0]
-        edges = sorted(map(tuple, map(sorted, f.factors[i - 1])))
-        shapes = replace(shapes, witness=(i, _first_bad_edge([edges], f.h, f.n)[1]))
+        bad = compress(f.factors[i - 1], _malformed(f.factors[i - 1], f.h, f.n))
+        shapes = replace(shapes, witness=(i, min(map(tuple, map(sorted, bad)))))
         rep = replace(rep, checks=(shapes,) + rep.checks[1:])
     for c in rep.checks:
         extra = "" if c.witness is None else f"  {_cut(_witness_text(c.witness))}"

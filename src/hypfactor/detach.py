@@ -232,6 +232,7 @@ def construct(
     factors = [[] for _ in range(p.k)]
     for color, verts in G.edges():
         factors[color - 1].append(verts)
+    del G  # the graph is freed before the sort and the final check
     # each `verts` is already sorted, so only the factors need sorting
     fact = Factorization(
         p.n, p.h, p.lam, p.r, tuple(map(tuple, map(sorted, factors))),

@@ -114,6 +114,7 @@ class UnionFind:
 # `Edge` once built.  Records point at groups, never back, so no cycles form.
 NO_MEMBER: list = [(), 0, -1]
 C, P, KEY, IN_A, SOLO_A, WING, IN_B, SOLO_B, CELL, EDGE = range(10)
+_edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
 
 class Ground(Mapping):
@@ -199,8 +200,8 @@ class ColoredMultiHypergraph:
         for (color, rest, p), rec in compress(recs.items(), map(is_, map(itemgetter(EDGE), recs.values()),
                                                                  repeat(None))):
             i = bisect(rest, alpha)
-            rec[EDGE] = Edge._make((color, rest[:i] + (alpha,) * p + rest[i:]))
-        records = chain(map(Edge._make, map(itemgetter(0, 1), done)), map(itemgetter(EDGE), recs.values()))
+            rec[EDGE] = _edge((color, rest[:i] + (alpha,) * p + rest[i:]))
+        records = chain(map(_edge, map(itemgetter(0, 1), done)), map(itemgetter(EDGE), recs.values()))
         counts = chain(done.values(), map(itemgetter(C), recs.values()))
         return chain.from_iterable(map(repeat, records, counts))
 

@@ -79,26 +79,30 @@ class LaminarFamily:
     """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
 
     `entries` holds (elements, size, tag, parent entry index or -1), each
-    after its parent; nothing is checked.  `inner` maps each element, in
-    ground order, to its record: c, p, a key in (c, p) order, and at `at` its
-    innermost member's group [elements, size, member index] (or `NO_MEMBER`)
-    and its solo mark.
+    after its parent; nothing is checked, and `members` is built when read.
+    `inner` maps each element, in ground order, to its record: c, p, a key in
+    (c, p) order, and at `at` its innermost member's group [elements, size,
+    member index] (or `NO_MEMBER`) and its solo mark.
     The stage builders pass the records `G` keeps; else the last entry
     holding an element is its innermost and `solo` names the solo ones.
     Nothing is copied.
     """
 
     def __init__(self, ground, entries: Sequence[tuple], solo: Collection = (), inner=None, at: int = 3):
-        self.ground = ground
-        self.members = tuple([Member(xs, tag) for xs, _, tag, _ in entries])
-        self.sizes = tuple([size for _, size, _, _ in entries])
-        self.parents = [up for _, _, _, up in entries]
+        self.ground, self.entries = ground, entries
+        self.sizes = tuple(map(itemgetter(1), entries))
+        self.parents = [*map(itemgetter(3), entries)]
         if inner is None:  # the last entry holding an element is its innermost
             held = dict(chain.from_iterable(zip(xs, repeat([xs, size, i]))
                                             for i, (xs, size, _, _) in enumerate(entries)))
             inner = {x: (c, p, (c, p), held.get(x, NO_MEMBER), x in solo) for x, (c, p) in ground.items()}
             self.solo = solo
         self.inner, self.at = inner, at
+
+    @cached_property
+    def members(self) -> tuple:
+        """Each entry as a `Member` of its elements and tag, built once, when first read."""
+        return tuple([Member(xs, tag) for xs, _, tag, _ in self.entries])
 
     @cached_property
     def solo(self) -> dict:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse, islice
-from operator import indexOf, itemgetter
+from itertools import chain, combinations, compress, filterfalse, islice
+from operator import indexOf, itemgetter, not_, or_
 from typing import Optional
 
 from .hypercore import ColoredMultiHypergraph, binom, binom_passes
@@ -218,13 +218,18 @@ def verify_stage(G: ColoredMultiHypergraph, ell: int, p) -> VerificationReport:
     return _finish(ell, checks)
 
 
+def _malformed(edges, h: int, n: int) -> list:
+    """Per edge, whether it is not h distinct vertices of 1..n; the range test runs per distinct vertex."""
+    shapes = map(or_, map(h.__ne__, map(len, edges)), map(h.__ne__, map(len, map(set, edges))))
+    outside = {v for v in set(chain.from_iterable(edges)) if not 1 <= v <= n}
+    return [*map(or_, shapes, map(not_, map(outside.isdisjoint, edges)))] if outside else [*shapes]
+
+
 def _first_bad_edge(factors, h, n) -> Optional[tuple]:
     """(factor, edge) of the first edge, in input order, that is not h distinct vertices of 1..n."""
     for i, factor in enumerate(factors, start=1):
-        for e in factor:
-            vs = tuple(e)
-            if len(vs) != h or len(set(vs)) != h or any(not 1 <= v <= n for v in vs):
-                return (i, vs)
+        for e in compress(factor, _malformed(factor, h, n)):
+            return (i, tuple(e))
     return None
 
 

@@ -454,6 +454,47 @@ def test_verify_as_written_matches_the_canonical_report(capsys, tmp_path):
         assert rc == (edit != "none")
 
 
+def _first_bad_edge_walk(factors, h, n):
+    """(factor, edge) of the first edge, in input order, that is not h distinct vertices of 1..n."""
+    for i, factor in enumerate(factors, start=1):
+        for e in factor:
+            vs = tuple(e)
+            if len(vs) != h or len(set(vs)) != h or any(not 1 <= v <= n for v in vs):
+                return (i, vs)
+    return None
+
+
+def test_malformed_edge_witnesses_match_the_edge_walk(capsys, tmp_path):
+    # the report names the first malformed edge in input order; the command
+    # line names the first one of that factor with its edges and their
+    # vertices sorted, both as a walk over the edges defines them
+    rng = random.Random("malformed-witnesses")
+    path, failed = tmp_path / "doc.json", 0
+    for _ in range(400):
+        h = rng.randint(1, 4)
+        n = rng.randint(h + 1, 7)
+        sizes = (h,) * 6 + (h - 1, h + 1)
+        odd = rng.choice((0.0, 0.05, 0.2))
+        factors = [[[rng.randint(0, n + 1) if rng.random() < odd else rng.randint(1, n)
+                     for _ in range(rng.choice(sizes) if rng.random() < odd else h)]
+                    for _ in range(rng.randint(0, 8))] for _ in range(rng.randint(1, 3))]
+        f = Factorization(n, h, 1, (1,) * len(factors), factors)
+        want = _first_bad_edge_walk(factors, h, n)
+        assert verify_factorization(f).checks[0].witness == want
+        path.write_text(json.dumps({"n": n, "h": h, "lambda": 1, "r": [1] * len(factors), "factors": factors}))
+        main(["verify", str(path)])
+        line = capsys.readouterr().out.splitlines()[0]
+        if want is None:
+            assert line == "edge-shapes: pass"
+            continue
+        failed += 1
+        i = want[0]
+        edges = sorted(map(tuple, map(sorted, factors[i - 1])))
+        canon = (i, _first_bad_edge_walk([edges], h, n)[1])
+        assert line == f"edge-shapes: fail  {cli._cut(cli._witness_text(canon))}"
+    assert 100 < failed < 350
+
+
 # -- verify on fuzzed documents ---------------------------------------------
 
 

@@ -1,8 +1,10 @@
 """Tests for feasibility, the amalgam, split steps, and full construction."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from hypfactor import (
     initial_amalgam,
     split_step,
 )
+from hypfactor import detach
 from hypfactor.detach import Factorization, Params
 
 
@@ -327,3 +330,31 @@ def test_outputs_do_not_depend_on_hash_order():
         outs.append(out.stdout)
     assert outs[0].count('"factors"') == 10
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("mode", ["full", "final"])
+def test_construct_frees_the_graph_before_the_final_check(monkeypatch, mode):
+    # with the cycle collector off, the graph must be gone by reference
+    # counts alone once the edges are listed: no reference cycle holds it
+    build, check, graphs = detach.initial_amalgam, detach.verify_factorization, []
+
+    def kept(p):
+        G = build(p)
+        graphs.append(weakref.ref(G))
+        return G
+
+    def checked(f):
+        assert graphs and graphs[-1]() is None
+        return check(f)
+
+    monkeypatch.setattr(detach, "initial_amalgam", kept)
+    monkeypatch.setattr(detach, "verify_factorization", checked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for p in (Params(7, 2, 1, (2, 2, 2)), Params(6, 3, 1, (6, 4)), Params(8, 4, 1, (7,) * 5)):
+            assert construct(p, seed=1, check_mode=mode).report.overall
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(graphs) == 3

@@ -15,6 +15,7 @@ from hypfactor import (
     ParameterError,
     binom,
     initial_amalgam,
+    split_step,
 )
 from hypfactor.detach import Params
 from hypfactor.hypercore import C, CELL, EDGE, IN_A, IN_B, KEY, NO_MEMBER, P, WING
@@ -193,6 +194,21 @@ def test_edges_repeat_each_type_count_times():
     assert all(type(e) is Edge for e in edges)
     assert [(e.color, e.verts) for e in edges] == edges
     assert edges[0] is edges[2]  # one record per type
+
+
+def test_edges_are_the_edges_edge_make_builds():
+    # finished and amalgam-incident types alike come back as `Edge`s equal
+    # to what `Edge._make` builds from their keys, each `count` times
+    p = Params(7, 3, 1, (3, 3, 3, 3, 3))
+    G = initial_amalgam(p)
+    for ell in range(1, p.n):
+        split_step(G, ell, p, seed=ell)
+        want = [Edge._make((color, rest)) for (color, rest, _), c in G._done.items() for _ in range(c)]
+        want += [Edge._make((color, tuple(sorted(rest + (G.alpha,) * q))))
+                 for (color, rest, q), r in G._live.items() for _ in range(r[C])]
+        edges = list(G.edges())
+        assert edges == want and all(type(e) is Edge for e in edges)
+    assert len(edges) == binom(7, 3) and G._done and G._live  # the amalgam is vertex 7
 
 
 # -- hinge moves ------------------------------------------------------------

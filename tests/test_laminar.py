@@ -34,7 +34,7 @@ from hypfactor import (
 )
 from hypfactor import detach, laminar
 from hypfactor.detach import Params
-from hypfactor.laminar import bounds_for, selection_respects_bounds
+from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
 from test_acceptance import _fixture_vectors
 
 EMPTY = reference_family(frozenset(), [])
@@ -689,3 +689,46 @@ def test_wiring_matches_reference_on_the_acceptance_grid(monkeypatch):
         for seed in (0, 5):
             construct(p, seed=seed, check_mode="off")
     assert len(calls) == 2 * sum(p.n - 1 for p in grid) and sum(calls) > 0
+
+
+# -- members on first read ----------------------------------------------------
+
+
+def test_stage_families_leave_their_members_unbuilt(monkeypatch):
+    # nothing on the construction's path reads `members`; a first read
+    # builds one `Member` per entry, in entry order, around the entry's
+    # own elements, and every later read gets the same tuple
+    select, stages = detach.equalized_select, []
+
+    def watched(ground, famA, famB, m, seed=0):
+        sel = select(ground, famA, famB, m, seed)
+        assert "members" not in vars(famA) and "members" not in vars(famB)
+        for fam in (famA, famB):
+            assert list(fam.members) == [Member(xs, tag) for xs, _, tag, _ in fam.entries]
+            assert all(mb.elements is xs for mb, (xs, *_) in zip(fam.members, fam.entries))
+            assert fam.members is fam.members and type(fam.members) is tuple
+        stages.append(len(famA.members) + len(famB.members))
+        return sel
+
+    monkeypatch.setattr(detach, "equalized_select", watched)
+    grid = [Params(5, 2, 1, (2, 2)), Params(7, 2, 1, (2, 2, 2)), Params(6, 3, 1, (6, 4)),
+            Params(8, 4, 1, (7, 7, 7, 7, 7)), Params(6, 3, 2, (2,) * 10)]
+    for p in grid:
+        construct(p, seed=3, check_mode="full")
+    assert len(stages) == sum(p.n - 1 for p in grid) and min(stages) > 0
+
+
+def test_a_forced_bound_violation_names_its_member():
+    # at stage 1 of n=6, h=2, r=(3, 2) each color class must take exactly
+    # r_i; moving a unit from color 2 to color 1 keeps the ground total and
+    # every element's bounds, so the class of color 1 is the first to fail
+    p = Params(6, 2, 1, (3, 2))
+    G = initial_amalgam(p)
+    ground = G.hinges_at()
+    famA = build_wing_family(G, ground, wing_decompositions(G, ground))
+    famB = build_cell_family(G, ground)
+    assert "members" not in vars(famA)
+    bad = {(1, (), 2): 4, (2, (), 2): 1}
+    assert selection_respects_bounds(bad, ground, famA, famB, 6) == (("color", 1), 4, 3, 3)
+    assert famA.members[0].tag == famA.entries[0][2] == ("color", 1)
+    assert same_verdict(bad, ground, famA, famB, 6) == (("color", 1), 4, 3, 3)
