@@ -26,14 +26,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 from .detach import Factorization, Params, check_feasibility, construct
 from .errors import InternalInvariantError, ParameterError, TimeLimitError
 from .hypercore import binom_over, int_text
 from .oracle import MAX_ORACLE_EDGES, SearchBudget, brute_force_factorize, search_backend
-from .verify import LeastSubset, _malformed, verify_factorization
+from .verify import LeastSubset, verify_factorization
 
 GENERATE_EDGE_GUARD = 10**6
 JSON_INT_DIGITS = 4300  # Python's default int-to-str digit limit
@@ -229,16 +228,7 @@ def cmd_verify(args) -> int:
     except (ValueError, RecursionError) as e:  # bad fields or UTF-8, huge ints, deep nesting
         print(f"parse failure: {e}", file=sys.stderr)
         return 4
-    # no verdict depends on the order of edges or vertices; the one witness
-    # that does, the first malformed edge, is named in canonical order: the
-    # least malformed edge, sorted, of the factor the report names
     rep = verify_factorization(f)
-    shapes = rep.checks[0]
-    if not shapes.passed and shapes.witness[0] != "factor count":
-        i = shapes.witness[0]
-        bad = compress(f.factors[i - 1], _malformed(f.factors[i - 1], f.h, f.n))
-        shapes = replace(shapes, witness=(i, min(map(tuple, map(sorted, bad)))))
-        rep = replace(rep, checks=(shapes,) + rep.checks[1:])
     for c in rep.checks:
         extra = "" if c.witness is None else f"  {_cut(_witness_text(c.witness))}"
         print(f"{c.name}: {c.status}{extra}")

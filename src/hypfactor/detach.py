@@ -141,7 +141,7 @@ def split_step(G: ColoredMultiHypergraph, ell: int, p: Params, seed: int = 0) ->
     if not 1 <= ell <= p.n - 1:
         raise ParameterError(f"stage {ell} outside 1..{p.n - 1}")
     ground = G.hinges_at()
-    famA = build_wing_family(G, ground, wing_decompositions(G, ground))
+    famA = build_wing_family(G, ground, wing_decompositions(G))
     famB = build_cell_family(G, ground)
     sel = equalized_select(ground, famA, famB, p.n - ell + 1, seed)
     G.add_vertex(ell)

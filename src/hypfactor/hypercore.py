@@ -8,10 +8,11 @@ keyed `(color, rest, p)`, its sorted ordinary vertices and amalgam
 multiplicity: the paper's hinge group α^p U.  A finished type (p = 0)
 keeps a count, any other one record of all a split stage reads of it:
 c, p, its cell (the types of its (p, rest)), its wing (per color, a
-union-find over ordinary vertices; components only merge), per side its
-innermost member's group and solo mark, and its `Edge`.  `add_edge` and
-`move_hinges` update what they touch; a move takes (color, rest, p) to
-(color, rest + (to,), p - 1).  `hinges_at` views the records as (c, p).
+union-find over ordinary vertices; components only merge), and per side
+its innermost member's group and solo mark.  `add_edge` and `move_hinges`
+update what they touch; a move takes (color, rest, p) to (color, rest +
+(to,), p - 1).  `hinges_at` views the records as (c, p), and
+`wing_decompositions` lists per color the groups the wing family reads.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from bisect import bisect
 from collections.abc import Mapping
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import is_, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidHingeError, ParameterError
@@ -110,10 +111,10 @@ class UnionFind:
 # A kept group is [{type: None}, hinges Σ c·p, its member index in the family
 # last built over it, valid until the next move]; NO_MEMBER holds no member.
 # A type's record: c, p, its sort key c * (h + 1) + p, per side (wing, cell) its
-# innermost member's group, solo mark and own group (a loop has no wing), and its
-# `Edge` once built.  Records point at groups, never back, so no cycles form.
+# innermost member's group, solo mark and own group (a loop has no wing).
+# Records point at groups, never back, so no cycles form.
 NO_MEMBER: list = [(), 0, -1]
-C, P, KEY, IN_A, SOLO_A, WING, IN_B, SOLO_B, CELL, EDGE = range(10)
+C, P, KEY, IN_A, SOLO_A, WING, IN_B, SOLO_B, CELL = range(9)
 _edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
 
@@ -186,7 +187,6 @@ class ColoredMultiHypergraph:
         self._classes = {i: [Computed(_class_types, self._live, i), 0, -1] for i in self._wings}
         self._multi = {i: [Computed(_multi_types, self._live, w, (i, (), h) if h > 1 else None), 0, -1]
                        for i, w in self._wings.items()}
-        self._pairs = {i: Computed(map, itemgetter(0, 1), w.values()) for i, w in self._wings.items()}
 
     # -- basic accessors -------------------------------------------------
 
@@ -194,14 +194,12 @@ class ColoredMultiHypergraph:
         """Explicit edges: one `Edge(color, sorted verts)` per type, repeated `count` times.
 
         The finished types come first, then the others, each in the order it
-        gained its count; an amalgam-incident type keeps its `Edge` in its record.
+        gained its count; the `Edge` of an amalgam-incident type is built here.
         """
         alpha, done, recs = self.alpha, self._done, self._live
-        for (color, rest, p), rec in compress(recs.items(), map(is_, map(itemgetter(EDGE), recs.values()),
-                                                                 repeat(None))):
-            i = bisect(rest, alpha)
-            rec[EDGE] = _edge((color, rest[:i] + (alpha,) * p + rest[i:]))
-        records = chain(map(_edge, map(itemgetter(0, 1), done)), map(itemgetter(EDGE), recs.values()))
+        live = [_edge((color, rest[:i] + (alpha,) * p + rest[i:]))
+                for color, rest, p in recs for i in (bisect(rest, alpha),)]
+        records = chain(map(_edge, map(itemgetter(0, 1), done)), live)
         counts = chain(done.values(), map(itemgetter(C), recs.values()))
         return chain.from_iterable(map(repeat, records, counts))
 
@@ -275,7 +273,7 @@ class ColoredMultiHypergraph:
         new = rec is None
         if new:  # a loop's innermost member: the multi-wing union at h >= 2
             rec = live[key] = [0, p, p, (self._multi if self.h > 1 else self._classes)[color],
-                               False, None, None, False, None, None]
+                               False, None, None, False, None]
             cell = rec[CELL] = self._cells.get((p, rest)) or self._cells.setdefault((p, rest), [{}, 0, -1])
             cell[0][key] = None
             if rest:
@@ -334,6 +332,12 @@ class ColoredMultiHypergraph:
         return Ground(self._live)
 
 
-def wing_decompositions(G: ColoredMultiHypergraph, ground) -> dict[int, tuple]:
-    """Per color of `G`: its loop type (or None), and its other wings' (types, hinges) read in place."""
-    return {i: ((i, (), G.h) if (i, (), G.h) in ground else None, pairs) for i, pairs in G._pairs.items()}
+def wing_decompositions(G: ColoredMultiHypergraph) -> dict[int, tuple]:
+    """Per color of `G`: the groups of its class and of its multi-wing union, and its wings.
+
+    Each group is the one `G` keeps, [types, hinges, member index], read in
+    place: the class holds the color's types, the union the loop type (at
+    h >= 2) and the types of the wings with 2+ hinges; the wings are a live
+    view of the color's groups by union-find root.
+    """
+    return {i: (G._classes[i], G._multi[i], wings.values()) for i, wings in G._wings.items()}

@@ -10,8 +10,9 @@ family (color class, multi-hinge wing union, wing) and the cell family
 (amalgam multiplicity plus ordinary vertex set) group the types; each
 member gets the floor/ceiling of its weight over m.  A wing or cell of
 one type x is no member: x is solo, one item of size c * p inside x's own
-bounds.  The stage builders list the groups the graph keeps, whose records
-give each type's innermost members and solo marks; `forest()` checks them.
+bounds.  The wing builder lists the groups of the graph's wing view, the
+cell builder the graph's cells; the graph's records give each type's
+innermost members and solo marks, and `forest()` checks the members.
 
 For laminar inputs a selection always exists: the bounds form a
 circulation on the two forests (down A's, across one arc per element,
@@ -35,12 +36,7 @@ from operator import itemgetter, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import IN_A, IN_B, NO_MEMBER, ColoredMultiHypergraph
-
-
-def weighted(ground) -> dict:
-    """`ground` as {element: (c, p)}, c items of size p; unit items for a plain iterable."""
-    return dict(ground) if isinstance(ground, Mapping) else dict.fromkeys(ground, (1, 1))
+from .hypercore import IN_A, IN_B, ColoredMultiHypergraph
 
 
 class Member(NamedTuple):
@@ -76,28 +72,21 @@ def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list
 
 
 class LaminarFamily:
-    """A laminar family over `ground` {element: (c, p)}, from containment its builder knows.
+    """A laminar family over `ground`, from containment its builder knows.
 
     `entries` holds (elements, size, tag, parent entry index or -1), each
     after its parent; nothing is checked, and `members` is built when read.
-    `inner` maps each element, in ground order, to its record: c, p, a key in
-    (c, p) order, and at `at` its innermost member's group [elements, size,
-    member index] (or `NO_MEMBER`) and its solo mark.
-    The stage builders pass the records `G` keeps; else the last entry
-    holding an element is its innermost and `solo` names the solo ones.
-    Nothing is copied.
+    `inner` maps each element of `ground`, in ground order, to its record:
+    c, p, a key in (c, p) order, and at `at` its innermost member's group
+    [elements, size, member index] (or `hypercore.NO_MEMBER`) and at `at + 1`
+    its solo mark.  The stage builders pass the records `G` keeps.  Nothing
+    is copied.
     """
 
-    def __init__(self, ground, entries: Sequence[tuple], solo: Collection = (), inner=None, at: int = 3):
-        self.ground, self.entries = ground, entries
+    def __init__(self, ground, entries: Sequence[tuple], inner: Mapping, at: int):
+        self.ground, self.entries, self.inner, self.at = ground, entries, inner, at
         self.sizes = tuple(map(itemgetter(1), entries))
         self.parents = [*map(itemgetter(3), entries)]
-        if inner is None:  # the last entry holding an element is its innermost
-            held = dict(chain.from_iterable(zip(xs, repeat([xs, size, i]))
-                                            for i, (xs, size, _, _) in enumerate(entries)))
-            inner = {x: (c, p, (c, p), held.get(x, NO_MEMBER), x in solo) for x, (c, p) in ground.items()}
-            self.solo = solo
-        self.inner, self.at = inner, at
 
     @cached_property
     def members(self) -> tuple:
@@ -110,9 +99,7 @@ class LaminarFamily:
         return dict.fromkeys(compress(self.inner, map(itemgetter(self.at + 1), self.inner.values())))
 
     def forest(self) -> tuple[list[int], dict]:
-        """The members' containment forest, recomputed after the `solo` ground check."""
-        for x in filterfalse(self.ground.__contains__, self.solo):
-            raise InternalInvariantError(f"solo element {x!r} outside the ground set", witness=(("solo",), x))
+        """The members' containment forest, recomputed from the entries."""
         return containment_forest(self.ground, self.members)
 
     def totals(self, pairs: Iterable) -> list[int]:
@@ -187,7 +174,7 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
 
 
 def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> LaminarFamily:
-    """Wing-side family over `ground = G.hinges_at()`; `decomps` views the same wings.
+    """Wing-side family over `ground = G.hinges_at()`, from `decomps = wing_decompositions(G)`.
 
     Per color: the class, the union of its wings with 2+ hinges and each
     wing of 2+ types, groups `G` keeps and holds until the next move; a wing
@@ -195,18 +182,16 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
     type is no member: its type is solo.  Costs O(members) and a C-level pass.
     """
     entries = []
-    for i in range(1, G.k + 1):
+    for i, (whole, big, wings) in decomps.items():
         top = len(entries)
-        whole, big = G._classes[i], G._multi[i]
         whole[2], big[2] = top, top + 1
         entries += [(whole[0], whole[1], ("color", i), -1),
                     (big[0], big[1], ("multiwing", i), top if big[1] else -1)]
-        wings = G._wings[i].values()
         many = list(map((1).__lt__, map(len, map(itemgetter(0), wings))))
         for j, w in zip(compress(count(), many), compress(wings, many)):
             w[2] = len(entries)
             entries.append((w[0], w[1], ("wing", i, j), top + 1))
-    return LaminarFamily(ground, entries, inner=G._live, at=IN_A)
+    return LaminarFamily(ground, entries, G._live, IN_A)
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
@@ -221,7 +206,7 @@ def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
     for shape, cell in compress(cells.items(), many):
         cell[2] = len(entries)
         entries.append((cell[0], cell[1], ("cell",) + shape, -1))
-    return LaminarFamily(ground, entries, inner=G._live, at=IN_B)
+    return LaminarFamily(ground, entries, G._live, IN_B)
 
 
 # -- selection -------------------------------------------------------------
@@ -231,18 +216,18 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
                      seed: int = 0) -> Selection:
     """Choose an amount of every element meeting all floor/ceiling bounds.
 
-    Bounds apply to every element, to every member of both families and
-    to the ground total; an element solo in either family is one item of
-    size c * p.  Malformed families, for which no selection may exist,
-    raise an internal invariant error.  The seed rotates the ground, in
-    the order both families' records share, before its stable (c, p) sort.
+    `ground` must be both families' own ground object.  Bounds apply to
+    every element, to every member of both families and to the ground
+    total; an element solo in either family is one item of size c * p.
+    Malformed families, for which no selection may exist, raise an
+    internal invariant error.  The seed rotates the ground, in the order
+    both families' records share, before its stable (c, p) sort.
     """
     if m < 1:
         raise ParameterError(f"divisor m must be >= 1, got {m}")
-    g = ground if famA.ground is ground is famB.ground else weighted(ground)
+    if not (famA.ground is ground is famB.ground):
+        raise ParameterError("families must share the selection ground set, as one object")
     A, B = famA.inner, famB.inner
-    if g is not ground and not (famA.ground == g == famB.ground and list(A) == list(g) == list(B)):
-        raise ParameterError("families must share the selection ground set, in one order")
 
     # Nodes: A's members, A's root rA, B's members, B's root rB.  Node u
     # owns arc own[u] to its parent up[u]: into an A member, out of a B
@@ -344,7 +329,7 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
             if t is None:
                 raise InternalInvariantError(
                     "equalized selection infeasible; input families are not laminar "
-                    "or do not cover a common ground", witness=(len(g), m))
+                    "or do not cover a common ground", witness=(len(ground), m))
             path, v = [], t
             while v != s:
                 u, k = pred[v]
@@ -362,7 +347,7 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
     amounts = {x: t for x, t, _, _ in held}
     for x, t in compress(zip(live, over[rB:]), over[rB:]):
         amounts[x] = amounts.get(x, 0) + t
-    bad = selection_respects_bounds(amounts, g, famA, famB, m)
+    bad = selection_respects_bounds(amounts, ground, famA, famB, m)
     if bad is not None:
         raise InternalInvariantError("selection violates a family bound", witness=bad)
     return Selection(amounts, m)

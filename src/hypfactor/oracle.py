@@ -51,7 +51,7 @@ from typing import Optional
 from .detach import Factorization, Params
 from .errors import InternalInvariantError, ParameterError
 from .hypercore import binom, binom_over
-from .laminar import LaminarFamily, Selection, bounds_for, weighted
+from .laminar import LaminarFamily, Selection, bounds_for
 from .verify import VerificationReport, verify_factorization
 
 
@@ -334,13 +334,13 @@ def exhaustive_select(
 
     Bounds cover each member and each `solo` element of both families
     plus the ground set, the same constraint set the flow selector
-    enforces.  Refuses weighted elements and grounds over
-    MAX_EXHAUSTIVE_GROUND elements.  Returns selections in a
-    deterministic order.
+    enforces.  Refuses weighted elements, read as (c, p) off the families'
+    records, and grounds over MAX_EXHAUSTIVE_GROUND elements.  Returns
+    selections in a deterministic order.
     """
-    for x, w in weighted(ground).items():
-        if w != (1, 1):
-            raise ParameterError(f"exhaustive selection takes unit elements; {x!r} weighs {w}")
+    for x, (c, p, *_) in chain(famA.inner.items(), famB.inner.items()):
+        if (c, p) != (1, 1):
+            raise ParameterError(f"exhaustive selection takes unit elements; {x!r} weighs {(c, p)}")
     items = sorted(ground)
     g = len(items)
     if g > MAX_EXHAUSTIVE_GROUND:

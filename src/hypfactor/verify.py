@@ -8,16 +8,15 @@ witness for the first violation found (an edge is named by its position
 in `G.edges()`, the first of its type), in the JSON shape the command
 line emits.
 
-`verify_factorization` reads the factors as given: the order of the edges
-and of the vertices inside an edge decides no verdict, and only the
-witness of a malformed edge names an edge by its place in that order
-(the command line sorts the factor it names, so that its witness does
-not depend on the input order).  It costs O(E * h) time and memory
-for E edges of size h, up to the log factor of sorting each edge,
-whatever n, h and lambda the document declares: it builds nothing per
-declared vertex and never walks 1..n, so a 60-byte document declaring
-n = 10**8 is rejected in milliseconds; an edgeless document's cover
-witness (1, ..., h) is a `LeastSubset`.  The binomials C(n, h) and
+`verify_factorization` reads the factors as given, and neither the order
+of the edges nor that of the vertices inside an edge decides a verdict
+or a witness: a malformed edge is named as the least one, with its
+vertices sorted, of the first factor that holds one.  It costs O(E * h)
+time and memory for E edges of size h, up to the log factor of sorting
+each edge, whatever n, h and lambda the document declares: it builds
+nothing per declared vertex and never walks 1..n, so a 60-byte document
+declaring n = 10**8 is rejected in milliseconds; an edgeless document's
+cover witness (1, ..., h) is a `LeastSubset`.  The binomials C(n, h) and
 C(n - 1, h - 1) are computed exactly only up to an estimated
 `hypercore.BINOMIAL_BITS` bits; past that, `binom_passes` builds C(N, j)
 for j = 1, 2, ... only until it passes the count the document holds,
@@ -226,10 +225,15 @@ def _malformed(edges, h: int, n: int) -> list:
 
 
 def _first_bad_edge(factors, h, n) -> Optional[tuple]:
-    """(factor, edge) of the first edge, in input order, that is not h distinct vertices of 1..n."""
+    """(factor, edge) naming a malformed edge, one that is not h distinct vertices of 1..n.
+
+    The factor is the first that holds one, the edge its least, with its
+    vertices sorted, so the witness does not depend on the input order.
+    """
     for i, factor in enumerate(factors, start=1):
-        for e in compress(factor, _malformed(factor, h, n)):
-            return (i, tuple(e))
+        bad = [*compress(factor, _malformed(factor, h, n))]
+        if bad:
+            return (i, min(map(tuple, map(sorted, bad))))
     return None
 
 

@@ -5,13 +5,27 @@ from typing import Mapping, NamedTuple
 
 from hypfactor import ColoredMultiHypergraph, LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
-from hypfactor.laminar import (
-    Member,
-    bounds_for,
-    containment_forest,
-    selection_respects_bounds,
-    weighted,
-)
+from hypfactor.hypercore import NO_MEMBER
+from hypfactor.laminar import Member, bounds_for, containment_forest, selection_respects_bounds
+
+
+def weighted(ground) -> dict:
+    """`ground` as {element: (c, p)}, c items of size p; unit items for a plain iterable."""
+    return dict(ground) if isinstance(ground, Mapping) else dict.fromkeys(ground, (1, 1))
+
+
+def plain_family(ground, entries, solo=()) -> LaminarFamily:
+    """A family over the caller's `ground` object, its records built from `entries`.
+
+    `ground` is {element: (c, p)} or a plain iterable of unit elements.  The
+    last entry holding an element is its innermost member, and `solo`
+    names the solo elements; nothing is checked.
+    """
+    held = {}
+    for i, (xs, size, _, _) in enumerate(entries):
+        held.update(dict.fromkeys(xs, [xs, size, i]))
+    inner = {x: (c, p, (c, p), held.get(x, NO_MEMBER), x in solo) for x, (c, p) in weighted(ground).items()}
+    return LaminarFamily(ground, entries, inner, 3)
 
 
 def reference_family(ground, members) -> LaminarFamily:
@@ -28,7 +42,7 @@ def reference_family(ground, members) -> LaminarFamily:
     pairs = sorted(((frozenset(xs), tag) for xs, tag in members),
                    key=lambda m: (-len(m[0]), sorted(m[0])))
     parent, _ = containment_forest(g, [Member(*m) for m in pairs])
-    return LaminarFamily(g, [
+    return plain_family(ground, [
         (s, sum(c * p for c, p in map(g.__getitem__, s)), tag, up)
         for (s, tag), up in zip(pairs, parent)
     ])
@@ -51,13 +65,13 @@ def fold_singletons(fam, folds=lambda tag: True) -> LaminarFamily:
     for i, (mb, size, up) in enumerate(zip(fam.members, fam.sizes, parent)):
         if len(mb.elements) == 1 and folds(mb.tag):
             (x,) = mb.elements
-            c, p = fam.ground[x]
+            c, p = fam.inner[x][:2]
             assert size == c * p, (mb.tag, size, c * p)
             solo[x] = None
         else:
             at[i] = len(entries)
             entries.append((mb.elements, size, mb.tag, at[up]))
-    return LaminarFamily(fam.ground, entries, solo)
+    return plain_family(fam.ground, entries, solo)
 
 
 def reference_respects_bounds(chosen, ground, famA, famB, m):

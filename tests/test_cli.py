@@ -454,6 +454,26 @@ def test_verify_as_written_matches_the_canonical_report(capsys, tmp_path):
         assert rc == (edit != "none")
 
 
+def test_shuffled_malformed_documents_get_the_witness_the_command_line_prints(capsys, tmp_path):
+    # the report as the library returns it for the document as written is
+    # what `verify` prints, the malformed-edge witness included
+    docs = [
+        factorization_to_doc(construct(Params(*spec), seed=1, check_mode="off"))
+        for spec in ((6, 2, 1, (2, 2, 1)), (6, 3, 1, (2, 2, 2, 2, 2)), (8, 4, 1, (7, 7, 7, 7, 7)))
+    ]
+    rng = random.Random("malformed-as-written")
+    path, unsorted = tmp_path / "doc.json", 0
+    for t in range(90):
+        doc = _shuffled(docs[t % len(docs)], ("repeated vertex", "over-long")[t // 3 % 2], rng)
+        path.write_text(json.dumps(doc))
+        rc = main(["verify", str(path)])
+        rep = verify_factorization(doc_to_factorization(doc))
+        assert (rc, capsys.readouterr().out) == _rendered(rep) and rc == 1
+        i, edge = rep.checks[0].witness
+        unsorted += edge not in map(tuple, doc["factors"][i - 1])
+    assert unsorted >= 30
+
+
 def _first_bad_edge_walk(factors, h, n):
     """(factor, edge) of the first edge, in input order, that is not h distinct vertices of 1..n."""
     for i, factor in enumerate(factors, start=1):
@@ -465,9 +485,9 @@ def _first_bad_edge_walk(factors, h, n):
 
 
 def test_malformed_edge_witnesses_match_the_edge_walk(capsys, tmp_path):
-    # the report names the first malformed edge in input order; the command
-    # line names the first one of that factor with its edges and their
-    # vertices sorted, both as a walk over the edges defines them
+    # the report and the command line name the first factor holding a
+    # malformed edge, as a walk in input order finds it, and the first
+    # malformed edge of that factor with its edges and their vertices sorted
     rng = random.Random("malformed-witnesses")
     path, failed = tmp_path / "doc.json", 0
     for _ in range(400):
@@ -480,17 +500,18 @@ def test_malformed_edge_witnesses_match_the_edge_walk(capsys, tmp_path):
                     for _ in range(rng.randint(0, 8))] for _ in range(rng.randint(1, 3))]
         f = Factorization(n, h, 1, (1,) * len(factors), factors)
         want = _first_bad_edge_walk(factors, h, n)
-        assert verify_factorization(f).checks[0].witness == want
         path.write_text(json.dumps({"n": n, "h": h, "lambda": 1, "r": [1] * len(factors), "factors": factors}))
         main(["verify", str(path)])
         line = capsys.readouterr().out.splitlines()[0]
         if want is None:
+            assert verify_factorization(f).checks[0].witness is None
             assert line == "edge-shapes: pass"
             continue
         failed += 1
         i = want[0]
         edges = sorted(map(tuple, map(sorted, factors[i - 1])))
         canon = (i, _first_bad_edge_walk([edges], h, n)[1])
+        assert verify_factorization(f).checks[0].witness == canon
         assert line == f"edge-shapes: fail  {cli._cut(cli._witness_text(canon))}"
     assert 100 < failed < 350
 

@@ -18,7 +18,7 @@ from hypfactor import (
     split_step,
 )
 from hypfactor.detach import Params
-from hypfactor.hypercore import C, CELL, EDGE, IN_A, IN_B, KEY, NO_MEMBER, P, WING
+from hypfactor.hypercore import C, CELL, IN_A, IN_B, KEY, NO_MEMBER, P, WING
 
 
 def _degree(G, u, color=None):
@@ -50,18 +50,16 @@ def _kept(G):
     every wing group sits at the union-find root of its types' ordinary
     vertices, so roots that a rebuild picks differently still compare
     equal, and that each record holds its type's count, p and sort key, its
-    cell `_cells[p, rest]` and its wing, the group at the root of rest, and
-    that an `Edge` it keeps is its type's.
+    cell `_cells[p, rest]` and its wing, the group at the root of rest.
     """
     for i, wings in G._wings.items():
         for root, (types, _, _) in wings.items():
             assert {G._uf[i].find(v) for _, rest, _ in types for v in rest} == {root}
     for (i, rest, p), r in G._live.items():
-        assert r[C] >= 1 and r[P] == p == G.h - len(rest) and len(r) == EDGE + 1
+        assert r[C] >= 1 and r[P] == p == G.h - len(rest) and len(r) == CELL + 1
         assert r[KEY] == r[C] * (G.h + 1) + p
         assert r[CELL] is G._cells[p, rest]
         assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else None)
-        assert r[EDGE] in (None, Edge(i, tuple(sorted(rest + (G.alpha,) * p))))
     cells = {shape: (frozenset(ts), x) for shape, (ts, x, _) in G._cells.items()}
     wings = {i: Counter((frozenset(ts), x) for ts, x, _ in ws.values()) for i, ws in G._wings.items()}
     tops = {i: (G._classes[i][1], frozenset(G._classes[i][0]), G._multi[i][1], frozenset(G._multi[i][0]))
@@ -267,19 +265,19 @@ def test_move_hinges_rejects_more_edges_than_the_type_has(amalgam_533):
 
 
 def test_a_type_that_empties_and_comes_back_gets_a_fresh_record(amalgam_533):
-    # moving every edge of a type away drops its record and its kept
-    # `Edge`; when a move makes the type again, it starts a new record
+    # moving every edge of a type away drops its record; when a move makes
+    # the type again, it starts a new record
     G = amalgam_533
     G.add_vertex(1)
     G.move_hinges({LOOP: 2}, 1)
     succ = type_key(Edge(1, (1, 5, 5)), 5)
     old = G._live[succ]
-    assert list(G.edges()).count(Edge(1, (1, 5, 5))) == 2 and old[EDGE] == Edge(1, (1, 5, 5))
+    assert list(G.edges()).count(Edge(1, (1, 5, 5))) == 2
     G.add_vertex(2)
     G.move_hinges({succ: 2}, 2)
     assert succ not in G._live and succ not in G.hinges_at()
     G.move_hinges({LOOP: 1}, 1)
-    assert G._live[succ] is not old and G._live[succ][C] == 1 and G._live[succ][EDGE] is None
+    assert G._live[succ] is not old and G._live[succ][C] == 1
     assert _kept(G) == _kept(rebuilt(G)) and _kept(G)[2:] == _defined(G)
 
 

@@ -12,14 +12,15 @@ from conftest import (
     breaks,
     fold_singletons,
     kept_forest,
+    plain_family,
     random_laminar_family,
     random_laminar_pair,
     reference_family,
     same_verdict,
+    weighted,
 )
 from hypfactor import (
     InternalInvariantError,
-    LaminarFamily,
     ParameterError,
     binom,
     build_cell_family,
@@ -32,7 +33,7 @@ from hypfactor import (
     split_step,
     wing_decompositions,
 )
-from hypfactor import detach, laminar
+from hypfactor import detach
 from hypfactor.detach import Params
 from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
 from test_acceptance import _fixture_vectors
@@ -50,7 +51,7 @@ def _empty_over(ground):
 
 def _wing_family(G):
     ground = G.hinges_at()
-    return build_wing_family(G, ground, wing_decompositions(G, ground))
+    return build_wing_family(G, ground, wing_decompositions(G))
 
 
 def _degree(G, u, color=None):
@@ -99,9 +100,9 @@ def test_equal_sets_chain():
 def test_forest_rejects_a_child_listed_before_its_parent():
     ground = {1: (1, 1), 2: (1, 1), 3: (1, 1)}
     child, parent = ([1], 1, ("child",)), ([1, 2], 2, ("parent",))
-    fam = LaminarFamily(ground, [(*parent, -1), (*child, 0)])
+    fam = plain_family(ground, [(*parent, -1), (*child, 0)])
     assert fam.forest() == ([-1, 0], {1: 1, 2: 0, 3: -1})
-    fam = LaminarFamily(ground, [(*child, 1), (*parent, -1)])
+    fam = plain_family(ground, [(*child, 1), (*parent, -1)])
     with pytest.raises(InternalInvariantError) as exc:
         fam.forest()
     assert exc.value.witness == (("parent",), [-1, 0])
@@ -131,16 +132,14 @@ def test_element_outside_ground_rejected():
 
 
 def test_forest_rejects_a_solo_element_outside_the_ground():
-    # a stray `solo` element is named as a stray member element is: (tag, element)
+    # a stray member element is named as (tag, element); a solo mark is read
+    # off the records, which cover the ground and nothing else
     ground = {1: (2, 1), 2: (1, 1)}
     pair = [([1, 2], 3, ("pair",), -1)]
-    assert LaminarFamily(ground, pair, {1: None}).forest() == ([-1], {1: 0, 2: 0})
-    for solo in ([3], {1: None, 3: None}):
-        with pytest.raises(InternalInvariantError, match="solo element 3 outside the ground") as exc:
-            LaminarFamily(ground, pair, solo).forest()
-        assert exc.value.witness == (("solo",), 3)
+    assert plain_family(ground, pair, {1: None}).forest() == ([-1], {1: 0, 2: 0})
+    assert list(plain_family(ground, pair, [1, 3]).solo) == [1]
     with pytest.raises(InternalInvariantError, match="outside the ground") as exc:
-        LaminarFamily(ground, [([1, 3], 2, ("stray",), -1)]).forest()
+        plain_family(ground, [([1, 3], 2, ("stray",), -1)]).forest()
     assert exc.value.witness == (("stray",), 3)
 
 
@@ -277,7 +276,7 @@ def test_every_seed_is_valid():
 
 
 def test_empty_ground():
-    sel = equalized_select(frozenset(), EMPTY, EMPTY, m=3)
+    sel = equalized_select(EMPTY.ground, EMPTY, EMPTY, m=3)
     assert sel.chosen == frozenset()
 
 
@@ -285,6 +284,23 @@ def test_rejects_mismatched_ground():
     ground = frozenset(range(4))
     with pytest.raises(ParameterError):
         equalized_select(ground, _fam({1, 2}, {1}), _empty_over(ground), m=2)
+
+
+def test_rejects_an_equal_ground_that_is_another_object():
+    # the selector reads the families' records, so it takes their own ground
+    # object and nothing equal to it: a copy, or a second view of the graph
+    ground = {"a": (2, 1), "b": (1, 3)}
+    fam = plain_family(ground, [(["a", "b"], 5, ("ab",), -1)])
+    assert equalized_select(ground, fam, fam, m=2).amounts
+    p = Params(6, 3, 1, (2, 2, 2, 2, 2))
+    G = initial_amalgam(p)
+    stage = G.hinges_at()
+    famA = build_wing_family(G, stage, wing_decompositions(G))
+    famB = build_cell_family(G, stage)
+    for other, A, B in ((dict(ground), fam, fam), (G.hinges_at(), famA, famB), (dict(stage), famA, famB)):
+        assert other == A.ground
+        with pytest.raises(ParameterError, match="as one object"):
+            equalized_select(other, A, B, m=2)
 
 
 def test_rejects_bad_divisor():
@@ -301,7 +317,7 @@ def test_pipeline_families_select_cleanly():
     split_step(G, 1, p, seed=0)
     split_step(G, 2, p, seed=0)
     ground = G.hinges_at()
-    famA = build_wing_family(G, ground, wing_decompositions(G, ground))
+    famA = build_wing_family(G, ground, wing_decompositions(G))
     famB = build_cell_family(G, ground)
     m = 6 - 3 + 1
     sel = equalized_select(ground, famA, famB, m, seed=5)
@@ -313,7 +329,7 @@ def test_weighted_element_bounds():
     # 5 items of size 3 at m = 2 take between 5 and 10; the ground total
     # 15 + 2 asks for 8 or 9 in all
     ground = {"a": (5, 3), "b": (1, 2)}
-    fam = LaminarFamily(ground, [])
+    fam = plain_family(ground, [])
     sel = equalized_select(ground, fam, fam, m=2)
     assert 5 <= sel.amounts["a"] <= 10 and sel.amounts.get("b", 0) == 1
     assert 8 <= sum(sel.amounts.values()) <= 9
@@ -328,8 +344,8 @@ def test_elements_outside_every_member_select_cleanly():
     # the stage builders cover their whole ground, but the constructor does
     # not ask it: "c" and "d" lie in no member of A, and only "c" in one of B
     ground = {"a": (2, 3), "b": (1, 2), "c": (1, 1), "d": (3, 1)}
-    famA = LaminarFamily(ground, [(["a", "b"], 8, ("pair",), -1), (["a"], 6, ("a",), 0)])
-    famB = LaminarFamily(ground, [(["c"], 1, ("c",), -1)])
+    famA = plain_family(ground, [(["a", "b"], 8, ("pair",), -1), (["a"], 6, ("a",), 0)])
+    famB = plain_family(ground, [(["c"], 1, ("c",), -1)])
     assert famA.forest() == ([-1, 0], {"a": 1, "b": 0, "c": -1, "d": -1})
     assert famB.forest() == ([-1], {"a": -1, "b": -1, "c": 0, "d": -1})
     assert "d" not in kept_forest(famA)[1] and "d" not in kept_forest(famB)[1]
@@ -507,8 +523,8 @@ def test_family_sizes_that_lie_are_infeasible():
     # floor 2 above the element's ceiling 1, and one claiming 1 hinge
     # over x of weight 4 has its ceiling 1 below x's floor 2
     for ground, size in (({"x": (1, 1)}, 4), ({"x": (1, 4), "y": (1, 1)}, 1)):
-        fam = LaminarFamily(ground, [(["x"], size, ("lie",), -1)])
-        for famB in (fam, LaminarFamily(ground, [])):
+        fam = plain_family(ground, [(["x"], size, ("lie",), -1)])
+        for famB in (fam, plain_family(ground, [])):
             with pytest.raises(InternalInvariantError, match="equalized selection infeasible") as exc:
                 equalized_select(ground, fam, famB, 2)
             assert exc.value.witness == (len(ground), 2)
@@ -571,7 +587,7 @@ def reference_select(ground, famA, famB, m, seed=0):
     its full need, so a selection exists, and returns the amounts of the
     elements, taken in seeded order, with the number of arcs with lo == hi.
     """
-    g = laminar.weighted(ground)
+    g = weighted(ground)
     parentA, innerA = kept_forest(famA)
     parentB, innerB = kept_forest(famB)
     offB = 4 + len(famA.members)
@@ -725,7 +741,7 @@ def test_a_forced_bound_violation_names_its_member():
     p = Params(6, 2, 1, (3, 2))
     G = initial_amalgam(p)
     ground = G.hinges_at()
-    famA = build_wing_family(G, ground, wing_decompositions(G, ground))
+    famA = build_wing_family(G, ground, wing_decompositions(G))
     famB = build_cell_family(G, ground)
     assert "members" not in vars(famA)
     bad = {(1, (), 2): 4, (2, (), 2): 1}

@@ -36,6 +36,7 @@ from hypfactor import (
 )
 from hypfactor import detach
 from hypfactor.detach import Params
+from hypfactor.hypercore import CELL
 from hypfactor.laminar import selection_respects_bounds
 
 
@@ -104,7 +105,7 @@ def expand(edges, amounts, alpha):
 def wing_family(G):
     """The count-level wing family a split stage builds on `G`."""
     ground = G.hinges_at()
-    return build_wing_family(G, ground, wing_decompositions(G, ground))
+    return build_wing_family(G, ground, wing_decompositions(G))
 
 
 def cell_family(G):
@@ -253,7 +254,7 @@ def generic_wing_family(G, ground, decomps):
     """
     members = []
     for i in range(1, G.k + 1):
-        wings = [frozenset(w) for w, _ in decomps[i][1]]
+        wings = [frozenset(w[0]) for w in decomps[i][2]]
         whole = {type_key(e, G.alpha) for e in G.edges() if e.color == i and G.alpha in e.verts}
         big = {key for key in whole if ground[key][1] == G.h >= 2}
         big.update(*(w for w in wings if sum(c * p for c, p in map(ground.get, w)) >= 2))
@@ -296,6 +297,18 @@ def assert_same_family(fam, ref):
 H1 = [(3, 1, 1, (1,)), (5, 1, 2, (1, 1)), (6, 1, 3, (2, 1))]
 
 
+@pytest.mark.parametrize("spec", GRID + H1, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
+def test_every_stage_keeps_no_edge_and_lists_the_edges_of_a_rebuild(spec):
+    # a record ends at its cell: `edges()` builds each type's `Edge` when
+    # called, and lists the edges a graph rebuilt from them lists
+    p = Params(*spec)
+    G = initial_amalgam(p)
+    for ell in range(1, p.n):
+        split_step(G, ell, p, seed=ell)
+        assert all(len(r) == CELL + 1 for r in G._live.values())
+        assert Counter(G.edges()) == Counter(rebuilt(G).edges())
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("spec", GRID + H1, ids=lambda s: f"n{s[0]}h{s[1]}l{s[2]}k{len(s[3])}")
 def test_every_stage_builds_the_generic_families(spec, seed):
@@ -303,7 +316,7 @@ def test_every_stage_builds_the_generic_families(spec, seed):
     G = initial_amalgam(p)
     for ell in range(1, p.n):
         ground = G.hinges_at()
-        decomps = wing_decompositions(G, ground)
+        decomps = wing_decompositions(G)
         assert_same_family(build_wing_family(G, ground, decomps), generic_wing_family(G, ground, decomps))
         assert_same_family(build_cell_family(G, ground), generic_cell_family(G, ground))
         split_step(G, ell, p, seed=seed)

@@ -534,13 +534,11 @@ def reference_factorization(f):
     if len(factors) != len(r):
         bad = ("factor count", len(factors), len(r))
     else:
-        for i, factor in enumerate(factors, start=1):
-            for e in factor:
-                vs = tuple(e)
-                if len(vs) != h or len(set(vs)) != h or any(not 1 <= v <= n for v in vs):
-                    bad = (i, vs)
-                    break
-            if bad:
+        for i, factor in enumerate(factors, start=1):  # the least malformed edge, sorted
+            malformed = [tuple(sorted(e)) for e in factor
+                         if len(e) != h or len(set(e)) != h or any(not 1 <= v <= n for v in e)]
+            if malformed:
+                bad = (i, min(malformed))
                 break
     checks.append(CheckResult("edge-shapes", bad is None, bad))
     if bad is not None:

@@ -102,28 +102,35 @@ def test_mixed_class_wing_decomposition():
 
 
 def test_wings_partition_amalgam_hinges():
-    # per class, the loop types and the non-loop wings partition the
-    # class's amalgam-incident types, one wing per union-find component
+    # per class, the view's groups are the family's class and multi-wing
+    # members, and the loop type and the wings partition the class's
+    # amalgam-incident types, one wing per union-find component
     p = Params(6, 3, 1, (2, 2, 2, 2, 2))
     G = initial_amalgam(p)
     for ell in (1, 2):
         split_step(G, ell, p, seed=4)
     ground = G.hinges_at()
-    decomps = wing_decompositions(G, ground)
+    decomps = wing_decompositions(G)
     fam = build_wing_family(G, ground, decomps)
+
+    def hinges(types):
+        return sum(c * q for c, q in map(ground.get, types))
+
     for i in range(1, p.k + 1):
-        loop, wings = decomps[i]
-        whole = _member(fam, ("color", i))
-        loops = {key for key in whole if ground[key][1] == G.h}
-        assert loops == ({loop} if loop else set())
+        whole, big, wings = decomps[i]
+        assert _member(fam, ("color", i)) is whole[0] and _member(fam, ("multiwing", i)) is big[0]
+        loops = {key for key in whole[0] if ground[key][1] == G.h}
+        assert loops == ({(i, (), G.h)} if (i, (), G.h) in ground else set())
         seen = set(loops)
-        for w, _ in wings:
-            assert not (seen & set(w))
-            seen |= set(w)
-            roots = {G._uf[i].find(next(v for v in key[1] if v != G.alpha)) for key in w}
-            assert len(roots) == 1
-        assert len(whole) == len(seen) == len(set(whole))
-        assert seen == set(whole) == {key for key in ground if key[0] == i}
+        for w in wings:
+            assert not (seen & set(w[0])) and w[1] == hinges(w[0])
+            seen |= set(w[0])
+            assert len({G._uf[i].find(key[1][0]) for key in w[0]}) == 1
+        assert len(whole[0]) == len(seen) == len(set(whole[0]))
+        assert seen == set(whole[0]) == {key for key in ground if key[0] == i}
+        assert whole[1] == hinges(whole[0])
+        assert set(big[0]) == loops.union(*(w[0] for w in wings if w[1] >= 2))
+        assert big[1] == hinges(big[0])
         cls = [e for e in G.edges() if e.color == i]
         assert _big_hinges(fam, i, ground) == wing_decomposition(cls, G.alpha).delta
 
@@ -132,7 +139,7 @@ def test_base_amalgam_delta_is_class_degree():
     # every loop carries h >= 2 hinges, so delta equals r_i * n
     G = initial_amalgam(Params(5, 3, 1, (3, 3)))
     ground = G.hinges_at()
-    fam = build_wing_family(G, ground, wing_decompositions(G, ground))
+    fam = build_wing_family(G, ground, wing_decompositions(G))
     assert _big_hinges(fam, 1, ground) == 3 * 5
     assert _big_hinges(fam, 2, ground) == 3 * 5
 
