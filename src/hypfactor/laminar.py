@@ -143,12 +143,14 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
     element, each element left out with c * p >= m (no other can have a
     floor above 0), then every member with an amount or a size >= m (any
     other meets its bounds 0 and 1), totalled in one pass over the amounts.
-    `ground` is any container (the families' own is probed via their records);
-    the rest reads those records, and a solo element is one item of size c * p.
+    `ground` must be both families' own ground object, as in `equalized_select`;
+    all is read off their records, and a solo element is one item of size c * p.
     """
+    if not (famA.ground is ground is famB.ground):
+        raise ParameterError("families must share the selection ground set, as one object")
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
     A, B, a, b = famA.inner, famB.inner, famA.at + 1, famB.at + 1
-    for x in filterfalse((A if ground is famA.ground else ground).__contains__, amounts):
+    for x in filterfalse(A.__contains__, amounts):
         return ("stray", x)
     weights = [r[0] * r[1] for r in A.values()]
     lo, hi = bounds_for(sum(weights), m)

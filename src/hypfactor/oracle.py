@@ -1,13 +1,15 @@
 """Independent brute-force oracles for cross-checking the pipeline.
 
 Two oracles live here.  `brute_force_factorize` decides small instances
-by backtracking over color assignments (restart attempts to find a
-witness, then an exhaustive scan to refute), entirely separate from the
-splitting pipeline: it shares no code path with `construct` beyond the
-result container and the final verifier.  `exhaustive_select` enumerates
-every selection satisfying the floor/ceiling bounds of two laminar
-families over arbitrary elements, used to check that the flow-based
-selector only ever returns members of that space.
+by backtracking over color assignments in one restart loop: capped
+attempts in reshuffled edge orders find a witness, and the last attempt,
+an uncapped scan in the canonical order, refutes.  It is entirely
+separate from the splitting pipeline: it shares no code path with
+`construct` beyond the result container and the final verifier.
+`exhaustive_select` enumerates every selection satisfying the
+floor/ceiling bounds of two laminar families over arbitrary elements,
+used to check that the flow-based selector only ever returns members of
+that space.
 
 The backtracking search (`solve`) walks edges in the order it is given
 and tries colors in ascending order, so equal inputs always give the
@@ -63,9 +65,10 @@ def search_backend() -> str:
 MAX_ORACLE_EDGES = 40
 MAX_EXHAUSTIVE_GROUND = 20
 
-# Witness-finding phase: number of restart attempts and the node cap per
-# attempt.  Attempt 0 uses the canonical lexicographic edge order; later
-# attempts reshuffle the distinct edges with a fixed per-attempt seed.
+# Number of restart attempts and the node cap per attempt.  Attempt 0
+# uses the canonical lexicographic edge order; later attempts reshuffle
+# the distinct edges with a fixed per-attempt seed, and attempt
+# FINDER_RESTARTS, the last, is the uncapped scan in canonical order.
 # Restarts attack the heavy-tailed runtime of depth-first search on the
 # few balanced instances (e.g. n=7, h=4, five 4-regular classes) where
 # one fixed order can wander for billions of nodes before a witness.
@@ -234,15 +237,16 @@ def brute_force_factorize(
     """Decide an instance by backtracking search over edge colorings.
 
     Instances over lam * C(n, h) = 40 edges return 'unknown' immediately.
-    Two phases share the budget.  A finder phase runs restart attempts
-    (canonical lexicographic order first, then reshuffled orders under
-    fixed seeds, each capped at FINDER_NODE_CAP nodes) with connectivity
-    demanded of every class with r_i >= 2, so that any witness passes the
-    full final verification; the certificate is checked before 'found' is
-    returned.  If no attempt lands a witness, an exhaustive scan in the
-    canonical order spends the remaining budget, with connectivity pruned
-    only when `require_connected` asks for it, so its exhaustion refutes
-    exactly the question posed.
+    One loop of FINDER_RESTARTS + 1 attempts shares the budget.  Each
+    restart (canonical lexicographic order first, then reshuffled orders
+    under fixed seeds) is capped at FINDER_NODE_CAP nodes and demands
+    connectivity of every class with r_i >= 2, so that any witness passes
+    the full final verification, and a witness that fails it raises.  The
+    last attempt scans the canonical order with the remaining budget,
+    pruning connectivity only when `require_connected` asks for it, so its
+    exhaustion refutes exactly the question posed; its witness that fails
+    the full verification gives 'unknown'.  Every certificate is verified
+    before 'found' is returned.
 
     'none' is only ever returned on sound grounds: either a counting
     refutation at the root (a class size r_i * n / h that is not an
@@ -276,52 +280,37 @@ def brute_force_factorize(
     deadline = time.monotonic() + budget.time_limit
     nodes_used = 0
 
-    # finder phase: always ask for the strong (connected) witness, which
-    # exists whenever any factorization does
-    for attempt in range(FINDER_RESTARTS):
+    # restarts ask for the strong (connected) witness, which exists
+    # whenever any factorization does
+    for attempt in range(FINDER_RESTARTS + 1):
+        last = attempt == FINDER_RESTARTS
         time_left = deadline - time.monotonic()
         if nodes_used >= budget.max_nodes or time_left <= 0:
-            break
-        order = distinct
-        if attempt > 0:
-            order = distinct[:]
+            return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")
+        order = distinct[:]
+        if 0 < attempt < FINDER_RESTARTS:
             random.Random(attempt).shuffle(order)
         edges = [e for e in order for _ in range(lam)]
-        status, colors, nodes = solve(
-            p, edges, True, min(FINDER_NODE_CAP, budget.max_nodes - nodes_used), time_left
-        )
+        cap = budget.max_nodes - nodes_used
+        status, colors, nodes = solve(p, edges, require_connected or not last,
+                                      cap if last else min(FINDER_NODE_CAP, cap), time_left)
         nodes_used += nodes
         if status == "found":
             f, report = _witness(p, edges, colors)
-            if not report.overall:
+            if report.overall:
+                return OracleResult("found", f, nodes_used)
+            if not last:
                 raise InternalInvariantError(
                     "search witness failed verification",
                     witness=[c.name for c in report.failures()],
                 )
-            return OracleResult("found", f, nodes_used)
-
-    # exhaustive phase in canonical order
-    time_left = deadline - time.monotonic()
-    if nodes_used >= budget.max_nodes or time_left <= 0:
-        return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")
-    edges = [e for e in distinct for _ in range(lam)]
-    status, colors, nodes = solve(
-        p, edges, require_connected, budget.max_nodes - nodes_used, time_left
-    )
-    nodes_used += nodes
-    if status == "unknown":
-        return OracleResult("unknown", nodes=nodes_used, reason="budget exhausted")
-    if status == "none":
-        return OracleResult("none", nodes=nodes_used, reason="search exhausted")
-    # a witness the finder missed; keep only a certificate that survives
-    # the same verification 'found' always promises
-    f, report = _witness(p, edges, colors)
-    if not report.overall:
-        return OracleResult(
-            "unknown", nodes=nodes_used,
-            reason="witness exists but fails the connected-strength checks",
-        )
-    return OracleResult("found", f, nodes_used)
+            return OracleResult(
+                "unknown", nodes=nodes_used,
+                reason="witness exists but fails the connected-strength checks",
+            )
+        if last:
+            return OracleResult(status, nodes=nodes_used,
+                                reason="search exhausted" if status == "none" else "budget exhausted")
 
 
 def exhaustive_select(

@@ -86,8 +86,6 @@ class LeastSubset:
 def _jsonable(x):
     if isinstance(x, (list, tuple, LeastSubset)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_jsonable(v) for v in x)
     return x
 
 

@@ -22,7 +22,8 @@ from hypfactor.cli import (
     main,
 )
 from hypfactor.detach import Factorization, Params
-from hypfactor.verify import verify_factorization
+from hypfactor.oracle import OracleResult
+from hypfactor.verify import CheckResult, VerificationReport, verify_factorization
 
 
 def run(capsys, *argv):
@@ -103,6 +104,16 @@ def test_generate_writes_into_out_dir(capsys, tmp_path, monkeypatch):
     assert doc["n"] == 5
 
 
+def test_generate_internal_failure_exits_3_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    failed = VerificationReport("final", (CheckResult("regularity", False, (1, 1, 3, 2)),), False)
+    monkeypatch.setattr(detach, "verify_factorization", lambda f: failed)
+    out_file = tmp_path / "result.json"
+    rc, out, err = run(capsys, "generate", "--n", "5", "--h", "2", "--r", "2,2", "-o", str(out_file))
+    assert rc == 3
+    assert err.startswith("internal invariant failure: final verification failed")
+    assert out == "" and not out_file.exists()
+
+
 def test_generate_time_limit_ends_within_one_stage(tmp_path):
     # n = 120 takes seconds: a 0.2 s limit stops it at a stage boundary,
     # past the limit by less than the stage that crossed it, with exit 2,
@@ -122,6 +133,16 @@ def test_generate_time_limit_ends_within_one_stage(tmp_path):
     at, done, last = float(found[1]), int(found[2]), float(found[3])
     assert 0 < done < 119
     assert 0.2 <= at <= 0.2 + last + 0.001  # three decimals each
+
+
+def test_generate_zero_time_limit_exits_2_in_process(capsys, tmp_path):
+    # the test above runs the command in a child process; this one runs it
+    # in process, where a zero limit has passed at the first clock read
+    path = tmp_path / "out.json"
+    rc, out, err = run(capsys, "generate", "--n", "5", "--h", "2", "--r", "2,2",
+                       "--time-limit", "0", "-o", str(path))
+    assert (rc, out, path.exists()) == (2, "", False)
+    assert err.startswith("time limit: 0 s passed at ") and "after 0 of 4 stages" in err
 
 
 @pytest.mark.parametrize("limit", ["nan", "-1"])
@@ -150,6 +171,9 @@ def test_bad_degree_list_is_a_parameter_error(capsys):
     rc, out, err = run(capsys, "generate", "--n", "5", "--h", "2", "--lambda", "1", "--r", "2,x")
     assert rc == 2
     assert "parameter error" in err
+    rc, out, err = run(capsys, "generate", "--n", "5", "--h", "2", "--r", ",")
+    assert (rc, out) == (2, "")
+    assert err == "parameter error: --r must list at least one factor degree\n"
 
 
 # -- verify -----------------------------------------------------------------
@@ -688,6 +712,16 @@ def test_oracle_connected_walecki_instance(capsys):
     )
     assert rc == 0
     assert "search: found" in out
+
+
+def test_oracle_disagreement_exit_code(capsys, monkeypatch):
+    # a search that contradicts the counting conditions exits 1
+    monkeypatch.setattr(cli, "brute_force_factorize",
+                        lambda p, **kw: OracleResult("none", nodes=7, reason="search exhausted"))
+    rc, out, err = run(capsys, "oracle", "--n", "4", "--h", "2", "--lambda", "1", "--r", "2,1")
+    assert rc == 1
+    assert "feasibility: ok" in out and "search: none (nodes=7)" in out
+    assert "DISAGREEMENT" in err
 
 
 def test_oracle_guard_exit_code(capsys):

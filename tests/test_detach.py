@@ -21,6 +21,7 @@ from hypfactor import (
 )
 from hypfactor import detach
 from hypfactor.detach import Factorization, Params
+from hypfactor.verify import CheckResult, VerificationReport
 
 
 def _degree(G, u, color):
@@ -180,11 +181,13 @@ def test_split_stage_mismatch_rejected():
 
 
 def test_split_stage_out_of_range_rejected():
+    # after the last stage the graph has n vertices, so a stage n passes
+    # the vertex count and is refused for its range
     p = Params(5, 2, 1, (2, 2))
     G = initial_amalgam(p)
-    for ell in range(1, p.n - 1):
+    for ell in range(1, p.n):
         split_step(G, ell, p)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"stage 5 outside 1\.\.4"):
         split_step(G, p.n, p)
 
 
@@ -246,6 +249,29 @@ def test_check_mode_full_collects_stage_reports():
     f = construct(p, check_mode="full")
     assert len(f.stage_reports) == p.n - 1
     assert all(rep.overall for rep in f.stage_reports)
+
+
+def _failing(stage, name="degrees", witness=(1, 2, 0, 2)):
+    """A report whose one check, `name`, failed with `witness`."""
+    return VerificationReport(stage, (CheckResult(name, False, witness),), False)
+
+
+def test_failed_stage_check_names_the_stage(monkeypatch):
+    # with check_mode="full" a stage whose invariants fail stops the run,
+    # naming the stage and carrying each failed check's (name, witness)
+    check = detach.verify_stage
+    monkeypatch.setattr(detach, "verify_stage",
+                        lambda G, ell, p: _failing(ell) if ell == 3 else check(G, ell, p))
+    with pytest.raises(InternalInvariantError, match="stage 3 invariants failed") as exc:
+        construct(Params(6, 3, 1, (2, 2, 2, 2, 2)), check_mode="full")
+    assert exc.value.witness == [("degrees", (1, 2, 0, 2))]
+
+
+def test_failed_final_check_raises(monkeypatch):
+    monkeypatch.setattr(detach, "verify_factorization", lambda f: _failing("final", "connectivity", (1,)))
+    with pytest.raises(InternalInvariantError, match="final verification failed") as exc:
+        construct(Params(5, 2, 1, (2, 2)), check_mode="final")
+    assert exc.value.witness == [("connectivity", (1,))]
 
 
 def test_check_mode_final_skips_stage_reports():

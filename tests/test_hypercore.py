@@ -412,6 +412,19 @@ def test_add_edge_rejects_undeclared_vertex():
         G.add_edge((0, 7), 1)
 
 
+def test_add_edge_rejects_zero_multiplicity():
+    G = ColoredMultiHypergraph([0, 1], alpha=0, h=2, k=1)
+    with pytest.raises(ParameterError, match="multiplicity must be >= 1, got 0"):
+        G.add_edge((0, 1), 1, mult=0)
+    assert list(G.edges()) == []
+
+
+def test_edge_size_and_color_count_must_be_positive():
+    for h, k in ((0, 1), (2, 0)):
+        with pytest.raises(ParameterError, match="need h >= 1 and k >= 1"):
+            ColoredMultiHypergraph([0, 1], alpha=0, h=h, k=k)
+
+
 def test_add_vertex_rejects_duplicate():
     G = ColoredMultiHypergraph([0], alpha=0, h=2, k=1)
     with pytest.raises(ParameterError):

@@ -33,7 +33,7 @@ from hypfactor import (
     split_step,
     wing_decompositions,
 )
-from hypfactor import detach
+from hypfactor import detach, laminar
 from hypfactor.detach import Params
 from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
 from test_acceptance import _fixture_vectors
@@ -303,6 +303,37 @@ def test_rejects_an_equal_ground_that_is_another_object():
             equalized_select(other, A, B, m=2)
 
 
+def test_recheck_rejects_an_equal_ground_that_is_another_object():
+    # the re-check reads the families' records too, so it takes only their
+    # own ground: a dict copy and a second view of the graph are refused
+    ground = {"a": (2, 1), "b": (1, 3)}
+    fam = plain_family(ground, [(["a", "b"], 5, ("ab",), -1)])
+    assert selection_respects_bounds({"a": 1, "b": 2}, ground, fam, fam, 2) is None
+    p = Params(6, 3, 1, (2, 2, 2, 2, 2))
+    G = initial_amalgam(p)
+    stage = G.hinges_at()
+    famA = build_wing_family(G, stage, wing_decompositions(G))
+    famB = build_cell_family(G, stage)
+    chosen = equalized_select(stage, famA, famB, m=6).amounts
+    assert selection_respects_bounds(chosen, stage, famA, famB, 6) is None
+    for other, A, B, amounts, m in ((dict(ground), fam, fam, {"a": 1, "b": 2}, 2),
+                                    (G.hinges_at(), famA, famB, chosen, 6)):
+        assert other == A.ground
+        with pytest.raises(ParameterError, match="as one object"):
+            selection_respects_bounds(amounts, other, A, B, m)
+
+
+def test_selection_the_recheck_refuses_raises_with_its_witness(monkeypatch):
+    # the selector returns nothing its re-check refuses: a failed re-check
+    # raises, carrying the checker's witness
+    ground = frozenset(range(4))
+    fam = _fam(ground, ground)
+    monkeypatch.setattr(laminar, "selection_respects_bounds", lambda *args: ("ground", 0, 2, 2))
+    with pytest.raises(InternalInvariantError, match="selection violates a family bound") as exc:
+        equalized_select(ground, fam, _empty_over(ground), m=2)
+    assert exc.value.witness == ("ground", 0, 2, 2)
+
+
 def test_rejects_bad_divisor():
     ground = frozenset(range(4))
     fam = _fam(ground, ground)
@@ -487,6 +518,12 @@ def test_exhaustive_refuses_large_ground():
     ground = frozenset(range(21))
     with pytest.raises(ParameterError):
         exhaustive_select(ground, _fam(ground, ground), _empty_over(ground), m=2)
+
+
+def test_exhaustive_refuses_bad_divisor():
+    ground = frozenset(range(4))
+    with pytest.raises(ParameterError, match="divisor m must be >= 1, got 0"):
+        exhaustive_select(ground, _fam(ground, ground), _empty_over(ground), m=0)
 
 
 def test_containment_in_exhaustive_space():

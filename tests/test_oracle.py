@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hypfactor import (
+    InternalInvariantError,
     ParameterError,
     Params,
     SearchBudget,
@@ -18,7 +19,9 @@ from hypfactor import (
     search_backend,
     verify_factorization,
 )
+from hypfactor import oracle
 from hypfactor.oracle import MAX_ORACLE_EDGES, solve
+from hypfactor.verify import CheckResult, VerificationReport
 
 
 def _degrees(factor, n):
@@ -150,6 +153,51 @@ def test_search_order_is_pinned():
         budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
         res = brute_force_factorize(Params(*args), require_connected=connected, budget=budget)
         assert (res.status, res.nodes) == (status, nodes), (args, connected, max_nodes)
+
+
+def test_last_attempt_alone_is_pinned(monkeypatch):
+    # with no restarts only the last attempt runs: the scan in canonical
+    # order, uncapped, pruning connectivity only when asked to.  Unasked, it
+    # lands a disconnected witness, which 'found' would not survive
+    monkeypatch.setattr(oracle, "FINDER_RESTARTS", 0)
+    p = Params(6, 2, 1, (2, 2, 1))
+    res = brute_force_factorize(p)
+    assert (res.status, res.nodes, res.reason) == (
+        "unknown", 30, "witness exists but fails the connected-strength checks")
+    res = brute_force_factorize(p, require_connected=True)
+    assert (res.status, res.nodes) == ("found", 39)
+    assert verify_factorization(res.factorization).overall
+    res = brute_force_factorize(p, budget=SearchBudget(max_nodes=5))
+    assert (res.status, res.nodes, res.reason) == ("unknown", 6, "budget exhausted")
+
+
+def test_search_exhausts_an_instance_without_a_coloring():
+    # a 3-regular class on 5 vertices would hold 7.5 edges; the kernel
+    # sizes it 7 and exhausts the tree, where the oracle refutes at its root
+    p = Params(5, 2, 1, (3, 1))
+    assert solve(p, list(combinations(range(1, 6), 2)), False, 10**6, 10.0) == ("none", None, 44)
+
+
+def test_witness_that_fails_verification(monkeypatch):
+    # a restart's witness is connected by construction, so its failing the
+    # full verification is a bug and raises; the last attempt's may lack
+    # the connectivity nobody asked for, and gives 'unknown'
+    real = oracle.verify_factorization
+
+    def broken(f):
+        rep = real(f)
+        checks = [CheckResult(c.name, False, (1,)) if c.name == "connectivity" else c for c in rep.checks]
+        return VerificationReport(rep.stage, tuple(checks), False)
+
+    monkeypatch.setattr(oracle, "verify_factorization", broken)
+    p = Params(6, 2, 1, (2, 2, 1))
+    with pytest.raises(InternalInvariantError, match="search witness failed verification") as exc:
+        brute_force_factorize(p)
+    assert exc.value.witness == ["connectivity"]
+    monkeypatch.setattr(oracle, "FINDER_RESTARTS", 0)
+    res = brute_force_factorize(p, require_connected=True)
+    assert (res.status, res.nodes, res.reason) == (
+        "unknown", 39, "witness exists but fails the connected-strength checks")
 
 
 def test_found_factors_are_canonically_ordered():
