@@ -7,11 +7,11 @@ several times within an edge; each occurrence is a "hinge".  A type is
 keyed `(color, rest, p)`, its sorted ordinary vertices and amalgam
 multiplicity: the paper's hinge group α^p U.  A finished type (p = 0)
 keeps a count, any other one record of all a split stage reads of it:
-c, p, its cell (the types of its (p, rest)), its wing (per color, a
-union-find over ordinary vertices; components only merge), and per side
-its innermost member's group and solo mark.  `add_edge` and `move_hinges`
-update what they touch; a move takes (color, rest, p) to (color, rest +
-(to,), p - 1).  `hinges_at` views the records as (c, p), and
+c, p, its wing (per color, a union-find over ordinary vertices; components
+only merge) and its cell (the types of its (p, rest)).  Each group carries
+the place of its types in the family last built over it.  `add_edge` and
+`move_hinges` update what they touch; a move takes (color, rest, p) to
+(color, rest + (to,), p - 1).  `hinges_at` views the records as (c, p), and
 `wing_decompositions` lists per color the groups the wing family reads.
 """
 
@@ -108,13 +108,13 @@ class UnionFind:
         return ra != rb
 
 
-# A kept group is [{type: None}, hinges Σ c·p, its member index in the family
-# last built over it, valid until the next move]; NO_MEMBER holds no member.
-# A type's record: c, p, its sort key c * (h + 1) + p, per side (wing, cell) its
-# innermost member's group, solo mark and own group (a loop has no wing).
-# Records point at groups, never back, so no cycles form.
-NO_MEMBER: list = [(), 0, -1]
-C, P, KEY, IN_A, SOLO_A, WING, IN_B, SOLO_B, CELL = range(9)
+# A kept group is [{type: None}, hinges Σ c·p, index, solo]: the family last
+# built over it writes its types' innermost member index (-1: none) and whether
+# it is a wing or cell of one type, valid until the next move.  A type's record:
+# c, p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
+# h >= 2, its class at h = 1) and its cell.  Records point at groups, never
+# back, so no cycles form.
+C, P, KEY, WING, CELL = range(5)
 _edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
 
@@ -156,12 +156,6 @@ def _multi_types(live: dict, wings: dict, loop: Optional[tuple]) -> list:
     return ([loop] if loop in live else []) + [x for w in wings.values() if w[1] >= 2 for x in w[0]]
 
 
-def _seat(live: dict, group: list, at: int, lone) -> None:
-    """Seat at `at` the types of a group of one (on `lone`, solo) or two (on the group)."""
-    for r in map(live.__getitem__, group[0]):
-        r[at], r[at + 1] = (lone, True) if len(group[0]) == 1 else (group, False)
-
-
 class ColoredMultiHypergraph:
     """Edge-colored multi-hypergraph with uniform edge size `h`, counted with multiplicity.
 
@@ -184,8 +178,8 @@ class ColoredMultiHypergraph:
         # union, whose types are computed when read, and its wings by root
         self._cells: dict[tuple, list] = {}
         self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
-        self._classes = {i: [Computed(_class_types, self._live, i), 0, -1] for i in self._wings}
-        self._multi = {i: [Computed(_multi_types, self._live, w, (i, (), h) if h > 1 else None), 0, -1]
+        self._classes = {i: [Computed(_class_types, self._live, i), 0, -1, False] for i in self._wings}
+        self._multi = {i: [Computed(_multi_types, self._live, w, (i, (), h) if h > 1 else None), 0, -1, False]
                        for i, w in self._wings.items()}
 
     # -- basic accessors -------------------------------------------------
@@ -252,7 +246,7 @@ class ColoredMultiHypergraph:
                 root = tops.get(color) or tops.setdefault(color, self._uf[color].find(to))
                 self._classes[color][1] -= t  # t·p hinges leave, t·(p - 1) come back
                 self._add(key, -t, rec=rec)
-                if rec[WING] is not None and rec[WING] is not self._wings[color].get(root):
+                if rest and rec[WING] is not self._wings[color].get(root):
                     self._union(color, rest[0], to)  # `to` joins the first ordinary vertex
                 i = bisect(rest, to)
                 self._add((color, rest[:i] + (to,) + rest[i:], p - 1), t, root)
@@ -260,9 +254,9 @@ class ColoredMultiHypergraph:
     def _add(self, key: tuple, t: int, root: Optional[int] = None, rec: Optional[list] = None) -> None:
         """Add t edges (t < 0: remove -t) of `key`, whose record is `rec` if it has one.
 
-        A new type gets a record in its cell and its wing at `root` (None for a
-        loop); an emptied type or group goes.  `_seat` runs when a join leaves 1-2
-        types or a leave 1, or a lone wing crosses 2 hinges; the caller keeps the class total.
+        A new type gets a record in its cell and its wing at `root` (a loop in
+        its color's union, or class at h = 1); an emptied type or group goes.
+        The caller keeps the class total.
         """
         color, rest, p = key
         if not p:
@@ -270,16 +264,16 @@ class ColoredMultiHypergraph:
             return
         live, hinges = self._live, t * p
         rec = rec or live.get(key)
-        new = rec is None
-        if new:  # a loop's innermost member: the multi-wing union at h >= 2
-            rec = live[key] = [0, p, p, (self._multi if self.h > 1 else self._classes)[color],
-                               False, None, None, False, None]
-            cell = rec[CELL] = self._cells.get((p, rest)) or self._cells.setdefault((p, rest), [{}, 0, -1])
-            cell[0][key] = None
+        if rec is None:
+            cell = self._cells.get((p, rest)) or self._cells.setdefault((p, rest), [{}, 0, -1, False])
             if rest:
                 wings = self._wings[color]
-                wing = rec[WING] = wings.get(root) or wings.setdefault(root, [{}, 0, -1])
+                wing = wings.get(root) or wings.setdefault(root, [{}, 0, -1, False])
                 wing[0][key] = None
+            else:
+                wing = (self._multi if self.h > 1 else self._classes)[color]
+            rec = live[key] = [0, p, p, wing, cell]
+            cell[0][key] = None
         c = rec[C] = rec[C] + t
         rec[KEY] += t * (self.h + 1)
         cell, wing = rec[CELL], rec[WING]
@@ -288,11 +282,7 @@ class ColoredMultiHypergraph:
             del live[key], cell[0][key]
             if not cell[0]:
                 del self._cells[p, rest]
-        if new and len(cell[0]) > 2:  # seated in a group of 3+, as its others are
-            rec[IN_B] = cell
-        elif new or not c and len(cell[0]) == 1:
-            _seat(live, cell, IN_B, NO_MEMBER)
-        if wing is None:
+        if not rest:
             self._multi[color][1] += hinges if self.h > 1 else 0
             return
         wing[1] += hinges
@@ -302,10 +292,6 @@ class ColoredMultiHypergraph:
                 del self._wings[color][self._uf[color].find(rest[0])]
         was_big, big = wing[1] - hinges >= 2, wing[1] >= 2
         self._multi[color][1] += (wing[1] if big else 0) - (wing[1] - hinges if was_big else 0)
-        if new and len(wing[0]) > 2:
-            rec[IN_A] = wing
-        elif new or len(wing[0]) == 1 and (not c or big != was_big):
-            _seat(live, wing, IN_A, (self._multi if big else self._classes)[color])
 
     def _union(self, color: int, a: int, b: int) -> int:
         """Join the components of `a` and `b` and their wing groups under b's root; return it."""
@@ -323,8 +309,8 @@ class ColoredMultiHypergraph:
                 self._multi[color][1] += (into[1] == 1) + (group[1] == 1)  # lone hinges join it
                 into[0].update(group[0])
                 into[1] += group[1]
-                for r in map(self._live.__getitem__, into[0] if len(into[0]) == 2 else group[0]):
-                    r[IN_A], r[SOLO_A], r[WING] = into, False, into
+                for r in map(self._live.__getitem__, group[0]):
+                    r[WING] = into
         return rb
 
     def hinges_at(self) -> Mapping[tuple, tuple[int, int]]:
@@ -335,7 +321,7 @@ class ColoredMultiHypergraph:
 def wing_decompositions(G: ColoredMultiHypergraph) -> dict[int, tuple]:
     """Per color of `G`: the groups of its class and of its multi-wing union, and its wings.
 
-    Each group is the one `G` keeps, [types, hinges, member index], read in
+    Each group is the one `G` keeps, [types, hinges, index, solo], read in
     place: the class holds the color's types, the union the loop type (at
     h >= 2) and the types of the wings with 2+ hinges; the wings are a live
     view of the color's groups by union-find root.

@@ -11,8 +11,9 @@ family (color class, multi-hinge wing union, wing) and the cell family
 member gets the floor/ceiling of its weight over m.  A wing or cell of
 one type x is no member: x is solo, one item of size c * p inside x's own
 bounds.  The wing builder lists the groups of the graph's wing view, the
-cell builder the graph's cells; the graph's records give each type's
-innermost members and solo marks, and `forest()` checks the members.
+cell builder the graph's cells; each writes into every group it visits
+its types' innermost member index and solo flag, a type's record points
+at its wing and its cell, and `forest()` checks the members.
 
 For laminar inputs a selection always exists: the bounds form a
 circulation on the two forests (down A's, across one arc per element,
@@ -36,7 +37,7 @@ from operator import itemgetter, or_
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, ParameterError
-from .hypercore import IN_A, IN_B, ColoredMultiHypergraph
+from .hypercore import CELL, WING, ColoredMultiHypergraph
 
 
 class Member(NamedTuple):
@@ -77,10 +78,10 @@ class LaminarFamily:
     `entries` holds (elements, size, tag, parent entry index or -1), each
     after its parent; nothing is checked, and `members` is built when read.
     `inner` maps each element of `ground`, in ground order, to its record:
-    c, p, a key in (c, p) order, and at `at` its innermost member's group
-    [elements, size, member index] (or `hypercore.NO_MEMBER`) and at `at + 1`
-    its solo mark.  The stage builders pass the records `G` keeps.  Nothing
-    is copied.
+    c, p, a key in (c, p) order, and at `at` its group [elements, size,
+    index, solo], whose index is the element's innermost member (-1: none)
+    and whose flag marks the element solo.  The stage builders pass the
+    records `G` keeps, at each type's wing or cell.  Nothing is copied.
     """
 
     def __init__(self, ground, entries: Sequence[tuple], inner: Mapping, at: int):
@@ -95,8 +96,9 @@ class LaminarFamily:
 
     @cached_property
     def solo(self) -> dict:
-        """The solo elements, read off the marks in `inner` once."""
-        return dict.fromkeys(compress(self.inner, map(itemgetter(self.at + 1), self.inner.values())))
+        """The solo elements, read off the flags of their groups in `inner` once."""
+        groups = map(itemgetter(self.at), self.inner.values())
+        return dict.fromkeys(compress(self.inner, map(itemgetter(3), groups)))
 
     def forest(self) -> tuple[list[int], dict]:
         """The members' containment forest, recomputed from the entries."""
@@ -149,7 +151,7 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
     if not (famA.ground is ground is famB.ground):
         raise ParameterError("families must share the selection ground set, as one object")
     amounts = chosen if isinstance(chosen, Mapping) else dict.fromkeys(chosen, 1)
-    A, B, a, b = famA.inner, famB.inner, famA.at + 1, famB.at + 1
+    A, B, a, b = famA.inner, famB.inner, famA.at, famB.at
     for x in filterfalse(A.__contains__, amounts):
         return ("stray", x)
     weights = [r[0] * r[1] for r in A.values()]
@@ -160,7 +162,7 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
     floored = [x for x, w in zip(A, weights) if w >= m and x not in amounts]
     for x, got in chain(amounts.items(), zip(floored, repeat(0))):
         r = A[x]
-        c, p = (1, r[0] * r[1]) if r[a] or (r if B is A else B[x])[b] else (r[0], r[1])
+        c, p = (1, r[0] * r[1]) if r[a][3] or (r if B is A else B[x])[b][3] else (r[0], r[1])
         if not c * (p // m) <= got <= c * -(-p // m):
             return ("element", x, got, c * (p // m), c * -(-p // m))
     for fam in (famA, famB):
@@ -179,9 +181,10 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
     """Wing-side family over `ground = G.hinges_at()`, from `decomps = wing_decompositions(G)`.
 
     Per color: the class, the union of its wings with 2+ hinges and each
-    wing of 2+ types, groups `G` keeps and holds until the next move; a wing
-    with 2+ hinges lies in the union, any other in the class.  A wing of one
-    type is no member: its type is solo.  Costs O(members) and a C-level pass.
+    wing of 2+ types, groups `G` keeps; a wing with 2+ hinges lies in the
+    union, any other in the class.  A wing of one type is no member: its
+    type is solo, inside the union or the class.  Every group gets its
+    index and solo flag, which hold until the next move.  Costs O(groups).
     """
     entries = []
     for i, (whole, big, wings) in decomps.items():
@@ -189,26 +192,31 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
         whole[2], big[2] = top, top + 1
         entries += [(whole[0], whole[1], ("color", i), -1),
                     (big[0], big[1], ("multiwing", i), top if big[1] else -1)]
-        many = list(map((1).__lt__, map(len, map(itemgetter(0), wings))))
-        for j, w in zip(compress(count(), many), compress(wings, many)):
-            w[2] = len(entries)
-            entries.append((w[0], w[1], ("wing", i, j), top + 1))
-    return LaminarFamily(ground, entries, G._live, IN_A)
+        for j, w in enumerate(wings):
+            if len(w[0]) > 1:
+                w[2], w[3] = len(entries), False
+                entries.append((w[0], w[1], ("wing", i, j), top + 1))
+            else:
+                w[2], w[3] = top + (w[1] >= 2), True
+    return LaminarFamily(ground, entries, G._live, WING)
 
 
 def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
     """Cell-side family over `ground = G.hinges_at()`: the types of one shape (p, rest).
 
-    The cells of 2+ types that `G` keeps and holds until the next move; a
-    cell of one type is no member, and its type is solo.  Cells are disjoint,
-    so the family is flat; its bounds keep shapes on schedule across splits.
+    The cells of 2+ types that `G` keeps; a cell of one type is no member,
+    and its type is solo.  Every cell gets its index (-1: none) and solo
+    flag, which hold until the next move.  Cells are disjoint, so the family
+    is flat; its bounds keep shapes on schedule across splits.
     """
-    cells, entries = G._cells, []
-    many = map((1).__lt__, map(len, map(itemgetter(0), cells.values())))
-    for shape, cell in compress(cells.items(), many):
-        cell[2] = len(entries)
-        entries.append((cell[0], cell[1], ("cell",) + shape, -1))
-    return LaminarFamily(ground, entries, G._live, IN_B)
+    entries = []
+    for shape, cell in G._cells.items():
+        if len(cell[0]) > 1:
+            cell[2], cell[3] = len(entries), False
+            entries.append((cell[0], cell[1], ("cell",) + shape, -1))
+        else:
+            cell[2], cell[3] = -1, True
+    return LaminarFamily(ground, entries, G._live, CELL)
 
 
 # -- selection -------------------------------------------------------------
@@ -247,9 +255,10 @@ def equalized_select(ground: Iterable, famA: LaminarFamily, famB: LaminarFamily,
     for _, x, ra, rb in sorted(rows[r:] + rows[:r], key=itemgetter(0)):
         c, p = ra[0], ra[1]
         total += c * p
-        k = 1 if ra[ia + 1] or rb[ib + 1] else c  # k items of size q, the element's arc bounds
+        ga, gb = ra[ia], rb[ib]
+        k = 1 if ga[3] or gb[3] else c  # k items of size q, the element's arc bounds
         q = c * p // k
-        a, b = ra[ia][2], rb[ib][2]
+        a, b = ga[2], gb[2]
         if q >= m:  # its floor
             held.append((x, k * (q // m), a, b))
         if q % m:  # it can rise: live element j is arc rB + j

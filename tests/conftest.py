@@ -5,8 +5,9 @@ from typing import Mapping, NamedTuple
 
 from hypfactor import ColoredMultiHypergraph, LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
-from hypfactor.hypercore import NO_MEMBER
 from hypfactor.laminar import Member, bounds_for, containment_forest, selection_respects_bounds
+
+OUTSIDE = [(), 0, -1, False]  # the group of an element in no member
 
 
 def weighted(ground) -> dict:
@@ -18,13 +19,17 @@ def plain_family(ground, entries, solo=()) -> LaminarFamily:
     """A family over the caller's `ground` object, its records built from `entries`.
 
     `ground` is {element: (c, p)} or a plain iterable of unit elements.  The
-    last entry holding an element is its innermost member, and `solo`
-    names the solo elements; nothing is checked.
+    last entry holding an element is its innermost member, whose group the
+    element's record holds; `solo` names the solo elements, each of which
+    gets a group of its own inside that member.  Nothing is checked.
     """
     held = {}
     for i, (xs, size, _, _) in enumerate(entries):
-        held.update(dict.fromkeys(xs, [xs, size, i]))
-    inner = {x: (c, p, (c, p), held.get(x, NO_MEMBER), x in solo) for x, (c, p) in weighted(ground).items()}
+        held.update(dict.fromkeys(xs, [xs, size, i, False]))
+    inner = {}
+    for x, (c, p) in weighted(ground).items():
+        group = held.get(x, OUTSIDE)
+        inner[x] = (c, p, (c, p), [(x,), c * p, group[2], True] if x in solo else group)
     return LaminarFamily(ground, entries, inner, 3)
 
 

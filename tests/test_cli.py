@@ -115,23 +115,23 @@ def test_generate_internal_failure_exits_3_and_writes_nothing(capsys, tmp_path, 
 
 
 def test_generate_time_limit_ends_within_one_stage(tmp_path):
-    # n = 120 takes seconds: a 0.2 s limit stops it at a stage boundary,
-    # past the limit by less than the stage that crossed it, with exit 2,
-    # one line on stderr and no document
+    # n = 200 runs several times longer than 0.2 s: the limit stops it at
+    # a stage boundary, past the limit by less than the stage that crossed
+    # it, with exit 2, one line on stderr and no document
     path = tmp_path / "out.json"
-    r = ",".join(["2"] * 59 + ["1"])
+    r = ",".join(["2"] * 99 + ["1"])
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "hypfactor.cli", "generate", "--n", "120", "--h", "2",
+        [sys.executable, "-m", "hypfactor.cli", "generate", "--n", "200", "--h", "2",
          "--r", r, "--time-limit", "0.2", "-o", str(path)],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert (proc.returncode, proc.stdout, path.exists()) == (2, "", False)
-    found = re.fullmatch(r"time limit: 0.2 s passed at ([0-9.]+) s, after (\d+) of 119 stages "
+    found = re.fullmatch(r"time limit: 0.2 s passed at ([0-9.]+) s, after (\d+) of 199 stages "
                          r"\(the last took ([0-9.]+) s\)\n", proc.stderr)
     assert found, proc.stderr
     at, done, last = float(found[1]), int(found[2]), float(found[3])
-    assert 0 < done < 119
+    assert 0 < done < 199
     assert 0.2 <= at <= 0.2 + last + 0.001  # three decimals each
 
 

@@ -18,7 +18,8 @@ from hypfactor import (
     split_step,
 )
 from hypfactor.detach import Params
-from hypfactor.hypercore import C, CELL, IN_A, IN_B, KEY, NO_MEMBER, P, WING
+from hypfactor.hypercore import C, CELL, KEY, P, WING, wing_decompositions
+from hypfactor.laminar import build_cell_family, build_wing_family
 
 
 def _degree(G, u, color=None):
@@ -45,32 +46,34 @@ def _kept(G):
 
     The cells by shape and per color the multiset of wing groups, each as
     (types, hinges); per color the class and multi-wing totals and types;
-    per side (wing, cell) each type's innermost member, named by its
-    group, and the solo types, read off the records.  Also checks that
-    every wing group sits at the union-find root of its types' ordinary
-    vertices, so roots that a rebuild picks differently still compare
-    equal, and that each record holds its type's count, p and sort key, its
-    cell `_cells[p, rest]` and its wing, the group at the root of rest.
+    per side (wing, cell) each type's innermost member and the solo types,
+    read off families built afresh and named by their entries.  Also
+    checks that every wing group sits at the union-find root of its types'
+    ordinary vertices, so roots that a rebuild picks differently still
+    compare equal, and that each record holds its type's count, p and sort
+    key, its cell `_cells[p, rest]` and its wing: the group at the root of
+    rest, or for a loop its color's union at h >= 2 and its class at h = 1.
     """
     for i, wings in G._wings.items():
-        for root, (types, _, _) in wings.items():
+        for root, (types, _, _, _) in wings.items():
             assert {G._uf[i].find(v) for _, rest, _ in types for v in rest} == {root}
     for (i, rest, p), r in G._live.items():
         assert r[C] >= 1 and r[P] == p == G.h - len(rest) and len(r) == CELL + 1
         assert r[KEY] == r[C] * (G.h + 1) + p
         assert r[CELL] is G._cells[p, rest]
-        assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else None)
-    cells = {shape: (frozenset(ts), x) for shape, (ts, x, _) in G._cells.items()}
-    wings = {i: Counter((frozenset(ts), x) for ts, x, _ in ws.values()) for i, ws in G._wings.items()}
+        loop = (G._multi if G.h > 1 else G._classes)[i]
+        assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else loop)
+    cells = {shape: (frozenset(ts), x) for shape, (ts, x, _, _) in G._cells.items()}
+    wings = {i: Counter((frozenset(ts), x) for ts, x, _, _ in ws.values()) for i, ws in G._wings.items()}
     tops = {i: (G._classes[i][1], frozenset(G._classes[i][0]), G._multi[i][1], frozenset(G._multi[i][0]))
             for i in G._classes}
-    name = {id(NO_MEMBER): None}
-    name.update({id(g): ("color", i) for i, g in G._classes.items()})
-    name.update({id(g): ("multiwing", i) for i, g in G._multi.items()})
-    name.update({id(g): ("cell", shape) for shape, g in G._cells.items()})
-    name.update({id(w): ("wing", frozenset(w[0])) for ws in G._wings.values() for w in ws.values()})
-    inner = [{x: name[id(r[at])] for x, r in G._live.items()} for at in (IN_A, IN_B)]
-    return cells, wings, tops, inner, [{x for x, r in G._live.items() if r[at + 1]} for at in (IN_A, IN_B)]
+    ground, inner, solo = G.hinges_at(), [], []
+    for fam in (build_wing_family(G, ground, wing_decompositions(G)), build_cell_family(G, ground)):
+        name = [("wing", frozenset(xs)) if tag[0] == "wing" else ("cell", tag[1:]) if tag[0] == "cell" else tag
+                for xs, _, tag, _ in fam.entries] + [None]  # index -1: no member
+        inner.append({x: name[r[fam.at][2]] for x, r in G._live.items()})
+        solo.append(set(fam.solo))
+    return cells, wings, tops, inner, solo
 
 
 def _records(G):
@@ -389,6 +392,39 @@ def test_random_adds_and_moves_keep_the_state_of_a_rebuild(data, h, high):
         assert _kept(G)[2:] == _defined(G)
         assert G.hinges_at() == R.hinges_at()
         assert Counter(G.edges()) == Counter(R.edges())
+
+
+def test_a_stage_move_rewrites_only_the_records_of_the_types_it_moves():
+    # the groups carry their types' place, so a move leaves the record of
+    # every type it neither moves nor makes as it was, but for the wing
+    # slot of a type whose wing a union absorbed: that now holds its root's
+    rewritten, watched = [], 0
+    for spec in [(7, 3, 1, (3,) * 5), (8, 2, 1, (2, 2, 2, 1)), (6, 4, 2, (10, 10)), (10, 2, 1, (9,)),
+                 (9, 3, 1, (4,) * 7)]:
+        p = Params(*spec)
+        G = initial_amalgam(p)
+        move = G.move_hinges
+
+        def watching(amounts, to, G=G, move=move):
+            nonlocal watched
+            moved = [x for x, t in amounts.items() if t]
+            touched = {*moved, *((i, tuple(sorted(rest + (to,))), q - 1) for i, rest, q in moved)}
+            before = {x: (r, r[:]) for x, r in G._live.items() if x not in touched}
+            move(amounts, to)
+            kept = {id(w) for ws in G._wings.values() for w in ws.values()}  # the old groups are held
+            for (i, rest, q), (r, old) in before.items():
+                now = r[:]
+                if rest and id(old[WING]) not in kept and r[WING] is G._wings[i][G._uf[i].find(rest[0])]:
+                    now[WING] = old[WING]  # its wing was absorbed
+                if G._live.get((i, rest, q)) is not r or not all(
+                        u is v if type(u) is list else u == v for u, v in zip(now, old)):
+                    rewritten.append((spec, i, rest, q))
+            watched += len(before)
+
+        G.move_hinges = watching
+        for ell in range(1, p.n):
+            split_step(G, ell, p, seed=ell)
+    assert watched and rewritten == []
 
 
 # -- construction and validation --------------------------------------------
