@@ -18,6 +18,7 @@ the place of its types in the family last built over it.  `add_edge` and
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect
 from collections.abc import Mapping
 from functools import partial
@@ -112,8 +113,9 @@ class UnionFind:
 # built over it writes its types' innermost member index (-1: none) and whether
 # it is a wing or cell of one type, valid until the next move.  A type's record:
 # c, p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
-# h >= 2, its class at h = 1) and its cell.  Records point at groups, never
-# back, so no cycles form.
+# h >= 2, its class at h = 1) and its cell.  Records point at groups, and the
+# class and union groups reach the graph only by a weak reference, so a dropped
+# graph is freed by reference counts alone: no cycles form.
 C, P, KEY, WING, CELL = range(5)
 _edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
@@ -138,7 +140,7 @@ class Ground(Mapping):
 
 
 class Computed(partial):
-    """A collection this call computes when read, from a graph's containers (not the graph)."""
+    """A collection this call computes when read, from a weakly referenced graph."""
 
     def __iter__(self):
         return iter(self())
@@ -147,13 +149,16 @@ class Computed(partial):
         return len(self())
 
 
-def _class_types(live: dict, color: int) -> list:
-    return [x for x in live if x[0] == color]
+def _class_types(graph: weakref.ref, color: int) -> list:
+    return [x for x in graph()._live if x[0] == color]
 
 
-def _multi_types(live: dict, wings: dict, loop: Optional[tuple]) -> list:
+def _multi_types(graph: weakref.ref, color: int) -> list:
     """The loop type, if in the union (h >= 2), and the types of the wings with 2+ hinges."""
-    return ([loop] if loop in live else []) + [x for w in wings.values() if w[1] >= 2 for x in w[0]]
+    G = graph()
+    loop = (color, (), G.h)
+    return ([loop] if G.h > 1 and loop in G._live else []) + [
+        x for w in G._wings[color].values() if w[1] >= 2 for x in w[0]]
 
 
 class ColoredMultiHypergraph:
@@ -178,9 +183,9 @@ class ColoredMultiHypergraph:
         # union, whose types are computed when read, and its wings by root
         self._cells: dict[tuple, list] = {}
         self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
-        self._classes = {i: [Computed(_class_types, self._live, i), 0, -1, False] for i in self._wings}
-        self._multi = {i: [Computed(_multi_types, self._live, w, (i, (), h) if h > 1 else None), 0, -1, False]
-                       for i, w in self._wings.items()}
+        me = weakref.ref(self)
+        self._classes = {i: [Computed(_class_types, me, i), 0, -1, False] for i in self._wings}
+        self._multi = {i: [Computed(_multi_types, me, i), 0, -1, False] for i in self._wings}
 
     # -- basic accessors -------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, filterfalse, islice
-from operator import indexOf, itemgetter, not_, or_
+from operator import ge, indexOf, itemgetter, not_, or_
 from typing import Optional
 
 from .hypercore import ColoredMultiHypergraph, binom, binom_passes
@@ -222,17 +222,27 @@ def _malformed(edges, h: int, n: int) -> list:
     return [*map(or_, shapes, map(not_, map(outside.isdisjoint, edges)))] if outside else [*shapes]
 
 
-def _first_bad_edge(factors, h, n) -> Optional[tuple]:
+def _strictly_increasing(keys, h: int) -> bool:
+    """Whether every key, a tuple of length h, is strictly increasing.
+
+    A sorted key holds h distinct vertices iff it is.  With the keys laid
+    end to end, position j of every key is the slice flat[j::h], so the
+    test is h - 1 C-level passes and builds no set per key.
+    """
+    flat = [*chain.from_iterable(keys)]
+    return not any(any(map(ge, flat[j::h], flat[j + 1::h])) for j in range(h - 1))
+
+
+def _first_bad_edge(factors, h, n) -> tuple:
     """(factor, edge) naming a malformed edge, one that is not h distinct vertices of 1..n.
 
     The factor is the first that holds one, the edge its least, with its
     vertices sorted, so the witness does not depend on the input order.
+    The caller has found a malformed key, so some factor holds one.
     """
-    for i, factor in enumerate(factors, start=1):
-        bad = [*compress(factor, _malformed(factor, h, n))]
-        if bad:
-            return (i, min(map(tuple, map(sorted, bad))))
-    return None
+    marked = ([*compress(factor, _malformed(factor, h, n))] for factor in factors)
+    i, bad = next((i, b) for i, b in enumerate(marked, start=1) if b)
+    return (i, min(map(tuple, map(sorted, bad))))
 
 
 def _least_unseen(seen, n: int, count: int) -> list:
@@ -281,10 +291,10 @@ def verify_factorization(f) -> VerificationReport:
         # every edge maps to its key, so the shapes hold iff every key is
         # h distinct vertices of 1..n
         cover = Counter(map(tuple, map(sorted, chain.from_iterable(factors))))
-        seen = set(chain.from_iterable(cover))
+        seen = set().union(*degs)
         keys_ok = not cover or (
             set(map(len, cover)) == {h}
-            and set(map(len, map(set, cover))) == {h}
+            and _strictly_increasing(cover, h)
             and 1 <= min(seen, default=1)
             and max(seen, default=n) <= n
         )

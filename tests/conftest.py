@@ -1,13 +1,26 @@
 """Shared helpers: the reference family builder, random laminar instances, perturbations."""
 
+import gc
 import random
 from typing import Mapping, NamedTuple
+
+import pytest
 
 from hypfactor import ColoredMultiHypergraph, LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
 from hypfactor.laminar import Member, bounds_for, containment_forest, selection_respects_bounds
 
 OUTSIDE = [(), 0, -1, False]  # the group of an element in no member
+
+
+@pytest.fixture()
+def collector(request):
+    """The cyclic collector, off unless parametrized True, emptied first and restored after the test."""
+    enabled, on = gc.isenabled(), getattr(request, "param", False)
+    (gc.enable if on else gc.disable)()
+    gc.collect()
+    yield on
+    (gc.enable if enabled else gc.disable)()
 
 
 def weighted(ground) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -10,11 +11,12 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypfactor import TimeLimitError, cli, construct, detach
+from hypfactor import InternalInvariantError, TimeLimitError, cli, construct, detach
 from hypfactor.cli import (
     doc_to_factorization,
     dumps_canonical,
@@ -24,6 +26,7 @@ from hypfactor.cli import (
 from hypfactor.detach import Factorization, Params
 from hypfactor.oracle import OracleResult
 from hypfactor.verify import CheckResult, VerificationReport, verify_factorization
+from test_stage_exactness import GRID
 
 
 def run(capsys, *argv):
@@ -795,3 +798,105 @@ def test_reused_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
     assert [rc for rc, _, _ in expected] == [0, 0, 0, 0]
     monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
     assert [run(capsys, *argv) for argv in calls + calls] == expected + expected
+
+
+# -- the collector and the encoder ------------------------------------------
+
+
+@pytest.mark.parametrize("collector", [True, False], indirect=True)
+def test_main_pauses_the_collector_and_leaves_it_as_found(capsys, tmp_path, monkeypatch, collector):
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({"n": 3, "h": 2, "lambda": 1, "r": [2], "factors": [[[1, 1]]]}))
+    params = ("--n", "5", "--h", "2", "--r", "2,2")
+    during = []
+    real = cli.check_feasibility
+
+    def watched(p):
+        during.append(gc.isenabled())
+        if p.r == (2, 1, 1):
+            raise InternalInvariantError("planted")
+        if p.r == (1, 1, 1, 1):
+            raise KeyError("planted")
+        return real(p)
+
+    monkeypatch.setattr(cli, "check_feasibility", watched)
+    calls = [
+        (0, ("feasible", *params)),
+        (1, ("verify", str(tampered))),
+        (2, ("feasible", "--n", "5", "--h", "2", "--r", "3,1")),
+        (2, ("generate", "--n", "5", "--h", "2", "--r", "x")),
+        (3, ("generate", "--n", "5", "--h", "2", "--r", "2,1,1")),
+        (4, ("verify", str(tmp_path / "missing.json"))),
+    ]
+    for code, argv in calls:
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collector
+    with pytest.raises(KeyError, match="planted"):
+        main(["feasible", "--n", "5", "--h", "2", "--r", "1,1,1,1"])
+    assert gc.isenabled() is collector
+    assert during and not any(during)
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, collector):
+    # the premise of main's pause: what a command builds is freed by
+    # reference counts alone, but for the fixed closures json's pure-Python
+    # encoder leaves per indented call (its only cycle, whatever the size)
+    json.dumps({"a": [1]}, indent=2)
+    per_indented_call = gc.collect()
+    path = tmp_path / "doc.json"
+    params = ("--n", "7", "--h", "2", "--r", "2,2,2")
+    calls = [
+        (1, ("generate", *params, "--check", "full", "-o", str(path))),
+        (1, ("generate", "--n", "5", "--h", "1", "--lambda", "3", "--r", "1,2")),
+        (0, ("generate", "--n", "6", "--h", "3", "--r", "2,2,2,2,2", "--format", "text")),
+        (0, ("verify", str(path))),
+        (1, ("feasible", *params, "--format", "json")),
+        (0, ("feasible", *params)),
+        (0, ("oracle", "--n", "5", "--h", "2", "--r", "2,2", "--require-connected")),
+    ]
+    for indented, argv in calls:
+        run(capsys, *argv)  # the first call of each fills lazy caches
+        gc.collect()
+        rc, _, _ = run(capsys, *argv)
+        assert rc == 0 and gc.collect() == indented * per_indented_call, argv
+
+
+def _grid_docs():
+    """The canonical documents of the stage-exactness grid, each with and without its stage reports."""
+    for spec in GRID:
+        f = construct(Params(*spec), seed=1, check_mode="full")
+        doc = factorization_to_doc(f)
+        yield doc
+        yield {**doc, "stage_reports": [rep.to_dict() for rep in f.stage_reports]}
+
+
+def test_canonical_text_is_the_indented_json_text():
+    docs = [
+        *_grid_docs(),
+        factorization_to_doc(construct(Params(5, 1, 3, (1, 2)))),  # h = 1
+        {"n": 3, "h": 2, "lambda": 1, "r": [2, 0], "factors": [[[1, 2], [1, 3], [2, 3]], []]},
+        {"n": 3, "h": 2, "lambda": 1, "r": [2], "factors": [[[1, 2], []]]},
+        {"n": 3, "h": 2, "lambda": 1, "r": [2], "factors": [[[1, 2], [1, "3"]]]},
+        {"n": 3, "h": 2, "lambda": 1, "r": [2], "factors": [[[1, 2.0]], [[True, 2]]]},
+        {"n": 3, "h": 2, "lambda": 1, "r": [2], "factors": []},
+        {"factors": [[[-1, 10**30]], [[3, 4], [5, 6]]], "a": [{"factors": 0}], "z": '\n  "factors": 0'},
+        {"n": 3},
+    ]
+    assert len(docs) > 80
+    for doc in docs:
+        assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", doc
+
+
+# the line `benchmarks/verify_digest.py --tiny` prints
+VERIFY_DIGEST_TINY = "ec1a1cdb26c19e5bfea91623042da6fb0e954313de043c1b199169c2dc531e09  81 cases"
+
+
+def test_verify_reports_match_the_pinned_digest():
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "verify_digest.py"), "--tiny"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == VERIFY_DIGEST_TINY

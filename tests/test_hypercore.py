@@ -1,6 +1,8 @@
 """Tests for the edge-colored multi-hypergraph container."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -511,3 +513,18 @@ def test_degree_sum_is_h_times_edges(n, h):
         n = h + 1
     G = initial_amalgam(Params(n, h, 1, (binom(n - 1, h - 1),)))
     assert sum(_degree(G, u) for u in G.vertices) == h * _edge_count(G)
+
+
+@pytest.mark.parametrize("spec", [(5, 1, 3, (1, 2)), (7, 2, 1, (2, 2, 2)), (7, 3, 1, (3,) * 5),
+                                  (6, 4, 2, (10, 10))])
+def test_a_graph_dropped_after_any_stage_is_freed_without_the_collector(spec, collector):
+    # records point at groups, and the class and union groups reach the
+    # graph only weakly, so no cycle holds a graph, loops left or not
+    p = Params(*spec)
+    for stages in range(p.n):
+        G = initial_amalgam(p)
+        for ell in range(1, stages + 1):
+            split_step(G, ell, p, seed=ell)
+        held = weakref.ref(G)
+        del G
+        assert held() is None and gc.collect() == 0, stages

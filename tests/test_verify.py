@@ -1,5 +1,6 @@
 """Tests for stage-invariant and final-factorization verification."""
 
+import gc
 import json
 import math
 import random
@@ -7,6 +8,8 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
+
+import pytest
 
 from conftest import perturbation_fixtures
 from hypfactor import (
@@ -23,9 +26,10 @@ from hypfactor import (
     verify_stage,
     wing_decomposition,
 )
+from hypfactor.cli import doc_to_factorization
 from hypfactor.detach import Factorization, Params
 from hypfactor.hypercore import UnionFind
-from hypfactor.verify import LeastSubset, _finish
+from hypfactor.verify import LeastSubset, _finish, _strictly_increasing
 from test_stage_exactness import GRID
 
 STAGE_CHECKS = ["degrees", "multiplicities", "edge-amalgam-bound", "connectivity", "wing-balance"]
@@ -688,3 +692,32 @@ def test_final_checks_match_reference_on_mutated_documents():
         assert rep.to_dict() == ref.to_dict()
         failed.update(c.name for c in rep.checks if c.passed is False)
     assert min(failed[name] for name in FINAL_CHECKS) >= 50, failed
+
+
+@pytest.mark.parametrize("h", range(1, 6))
+def test_the_strided_check_agrees_with_a_set_per_key(h):
+    # sorted keys laid end to end: a key repeats a vertex iff one of the
+    # h - 1 strided passes finds a position equal to the next
+    rng = random.Random(f"strided/{h}")
+    for _ in range(300):
+        keys = [tuple(sorted(rng.choices(range(1, 2 * h + 2), k=h))) for _ in range(rng.randrange(1, 8))]
+        cases = [keys] + [
+            keys[:i] + [key[:j + 1] + (key[j],) + key[j + 2:]] + keys[i + 1:]  # a repeat at position j
+            for i, key in enumerate(keys) for j in range(h - 1)
+        ]
+        for ks in cases:
+            assert _strictly_increasing(ks, h) == all(len(set(k)) == h for k in ks), ks
+    assert _strictly_increasing([tuple(range(1, h + 1))] * 3, h)
+
+
+def test_verify_factorization_leaves_no_cyclic_garbage(collector):
+    # the premise of the command line's collector pause: a parsed cover
+    # document and a construction are freed by reference counts alone
+    n, h = 9, 3
+    edges = [list(e)[::-1] for e in combinations(range(1, n + 1), h)]
+    text = json.dumps({"n": n, "h": h, "lambda": 1, "r": [math.comb(n - 1, h - 1)], "factors": [edges]})
+    assert verify_factorization(doc_to_factorization(json.loads(text))).overall
+    assert gc.collect() == 0
+    for spec in [(7, 2, 1, (2, 2, 2)), (5, 1, 3, (1, 2)), (8, 3, 1, (3,) * 7), (8, 4, 1, (7,) * 5)]:
+        assert verify_factorization(construct(Params(*spec), seed=2, check_mode="full")).overall
+        assert gc.collect() == 0, spec
