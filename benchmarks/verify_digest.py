@@ -37,7 +37,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import hypfactor  # noqa: E402,F401  (imported first, from src/)
 from hypfactor import cli, detach, verify  # noqa: E402
 from workloads import make_workload  # noqa: E402
 

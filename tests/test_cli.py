@@ -837,7 +837,8 @@ def test_main_pauses_the_collector_and_leaves_it_as_found(capsys, tmp_path, monk
     assert during and not any(during)
 
 
-def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, collector):
+@pytest.mark.usefixtures("collector")
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     # the premise of main's pause: what a command builds is freed by
     # reference counts alone, but for the fixed closures json's pure-Python
     # encoder leaves per indented call (its only cycle, whatever the size)

@@ -517,7 +517,8 @@ def test_degree_sum_is_h_times_edges(n, h):
 
 @pytest.mark.parametrize("spec", [(5, 1, 3, (1, 2)), (7, 2, 1, (2, 2, 2)), (7, 3, 1, (3,) * 5),
                                   (6, 4, 2, (10, 10))])
-def test_a_graph_dropped_after_any_stage_is_freed_without_the_collector(spec, collector):
+@pytest.mark.usefixtures("collector")
+def test_a_graph_dropped_after_any_stage_is_freed_without_the_collector(spec):
     # records point at groups, and the class and union groups reach the
     # graph only weakly, so no cycle holds a graph, loops left or not
     p = Params(*spec)

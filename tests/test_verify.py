@@ -710,7 +710,8 @@ def test_the_strided_check_agrees_with_a_set_per_key(h):
     assert _strictly_increasing([tuple(range(1, h + 1))] * 3, h)
 
 
-def test_verify_factorization_leaves_no_cyclic_garbage(collector):
+@pytest.mark.usefixtures("collector")
+def test_verify_factorization_leaves_no_cyclic_garbage():
     # the premise of the command line's collector pause: a parsed cover
     # document and a construction are freed by reference counts alone
     n, h = 9, 3
