@@ -8,19 +8,23 @@ witness for the first violation found (an edge is named by its position
 in `G.edges()`, the first of its type), in the JSON shape the command
 line emits.
 
-`verify_factorization` reads the factors as given, and neither the order
-of the edges nor that of the vertices inside an edge decides a verdict
-or a witness: a malformed edge is named as the least one, with its
-vertices sorted, of the first factor that holds one.  It costs O(E * h)
-time and memory for E edges of size h, up to the log factor of sorting
-each edge, whatever n, h and lambda the document declares: it builds
-nothing per declared vertex and never walks 1..n, so a 60-byte document
-declaring n = 10**8 is rejected in milliseconds; an edgeless document's
-cover witness (1, ..., h) is a `LeastSubset`.  The binomials C(n, h) and
-C(n - 1, h - 1) are computed exactly only up to an estimated
-`hypercore.BINOMIAL_BITS` bits; past that, `binom_passes` builds C(N, j)
-for j = 1, 2, ... only until it passes the count the document holds,
-which proves the equality false at a cost that follows the document.
+`verify_factorization` reads the factors as given and never changes
+them, and neither the order of the edges nor that of the vertices inside
+an edge decides a verdict or a witness: a malformed edge is named as the
+least one, with its vertices sorted, of the first factor that holds one.
+Edges of h strictly increasing vertices, as `construct` returns them and
+`hypfactor verify` hands them over after sorting each parsed edge in
+place, are their own cover keys; only other input is counted by sorted
+copies.  It costs O(E * h) time and memory for E edges of size h, up to
+the log factor of sorting each edge of such input, whatever n, h and
+lambda the document declares: it builds nothing per declared vertex and
+never walks 1..n, so a 60-byte document declaring n = 10**8 is rejected
+in milliseconds; an edgeless document's cover witness (1, ..., h) is a
+`LeastSubset`.  The binomials C(n, h) and C(n - 1, h - 1) are computed
+exactly only up to an estimated `hypercore.BINOMIAL_BITS` bits; past
+that, `binom_passes` builds C(N, j) for j = 1, 2, ... only until it
+passes the count the document holds, which proves the equality false at
+a cost that follows the document.
 """
 
 from __future__ import annotations
@@ -223,9 +227,10 @@ def _malformed(edges, h: int, n: int) -> list:
 
 
 def _strictly_increasing(keys, h: int) -> bool:
-    """Whether every key, a tuple of length h, is strictly increasing.
+    """Whether every key, a sequence of length h, is strictly increasing.
 
-    A sorted key holds h distinct vertices iff it is.  With the keys laid
+    A sorted key holds h distinct vertices iff it is, and an edge that is
+    strictly increasing is its own sorted key.  With the keys laid
     end to end, position j of every key is the slice flat[j::h], so the
     test is h - 1 C-level passes and builds no set per key.
     """
@@ -266,7 +271,10 @@ def verify_factorization(f) -> VerificationReport:
     """Full independent check of a finished factorization.
 
     `f` supplies (n, h, lam, r, factors) where factors[i] is a sequence
-    of edges, each a sequence of vertices, in any order.  Five checks:
+    of edges, each a sequence of vertices, in any order; none is changed.
+    When every edge holds h strictly increasing vertices, the edges are
+    their own cover keys (tuples are counted as they are, lists copied
+    once), and otherwise each key is a sorted copy.  Five checks:
     edge shapes, cover multiplicity, per-factor regularity, connectivity
     of factors with r_i >= 2 (for h >= 2), and the declared degree sum.
     Cover and regularity are skipped when shapes fail, since their counts
@@ -289,12 +297,14 @@ def verify_factorization(f) -> VerificationReport:
         bad = ("factor count", len(factors), len(r))
     else:
         # every edge maps to its key, so the shapes hold iff every key is
-        # h distinct vertices of 1..n
-        cover = Counter(map(tuple, map(sorted, chain.from_iterable(factors))))
+        # h distinct vertices of 1..n; edges of h strictly increasing
+        # vertices are their own keys, and only other input is sorted
+        edges = [*chain.from_iterable(factors)]
+        canonical = set(map(len, edges)) == {h} and _strictly_increasing(edges, h)
+        cover = Counter(map(tuple, edges if canonical else map(sorted, edges)))
         seen = set().union(*degs)
         keys_ok = not cover or (
-            set(map(len, cover)) == {h}
-            and _strictly_increasing(cover, h)
+            (canonical or (set(map(len, cover)) == {h} and _strictly_increasing(cover, h)))
             and 1 <= min(seen, default=1)
             and max(seen, default=n) <= n
         )

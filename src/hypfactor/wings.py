@@ -52,12 +52,19 @@ def joins(edges: Iterable[Sequence[int]], need: int) -> bool:
     """
     if need <= 0:
         return True
-    dsu = UnionFind()
+    parent: dict = {}  # non-roots only; a walk to a root halves its path
     for e in edges:
         it = iter(e)
-        first = next(it, None)
-        for v in it:
-            if dsu.union(first, v):
+        a = next(it, None)
+        while a in parent:
+            p = parent[a]
+            parent[a] = a = parent.get(p, p)
+        for v in it:  # each v's root joins a, which stays a root
+            while v in parent:
+                p = parent[v]
+                parent[v] = v = parent.get(p, p)
+            if v != a:
+                parent[v] = a
                 need -= 1
                 if not need:
                     return True

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,13 @@ def test_verify_restores_the_digit_limit(capsys, tmp_path):
         sys.set_int_max_str_digits(old)
 
 
+def test_load_json_without_a_digit_limit(monkeypatch):
+    # an interpreter without `set_int_max_str_digits` has no limit to cap:
+    # the document is parsed as it is, with no call into `sys`
+    monkeypatch.setattr(cli, "sys", SimpleNamespace())
+    assert cli._load_json('{"n": ' + "5" * 400 + "}") == {"n": int("5" * 400)}
+
+
 def test_verify_missing_file_is_io_failure(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert rc == 4
@@ -479,6 +487,25 @@ def test_verify_as_written_matches_the_canonical_report(capsys, tmp_path):
         canonical = Factorization.canonical(doc["n"], doc["h"], doc["lambda"], doc["r"], doc["factors"])
         assert (rc, capsys.readouterr().out) == _rendered(verify_factorization(canonical)), doc
         assert rc == (edit != "none")
+
+
+def test_verify_prints_one_report_whatever_the_vertex_order(capsys, tmp_path):
+    # the command sorts each parsed edge in place, so a valid document with
+    # its vertices shuffled inside the edges prints its canonical report
+    rng = random.Random("vertex-order")
+    for spec in ((6, 2, 1, (2, 2, 1)), (6, 3, 1, (6, 4)), (7, 4, 1, (4,) * 5)):
+        doc = factorization_to_doc(construct(Params(*spec), seed=1, check_mode="off"))
+        shuffled = {**doc, "factors": [[rng.sample(e, len(e)) for e in f] for f in doc["factors"]]}
+        assert shuffled != doc
+        # parsing keeps the lists as written; only the command sorts them
+        before = json.loads(json.dumps(shuffled))
+        assert doc_to_factorization(shuffled).factors is shuffled["factors"] and shuffled == before
+        outs = []
+        for d in (doc, shuffled):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(d))
+            outs.append(run(capsys, "verify", str(path)))
+        assert outs[0] == outs[1] and outs[0][0] == 0, outs
 
 
 def test_shuffled_malformed_documents_get_the_witness_the_command_line_prints(capsys, tmp_path):

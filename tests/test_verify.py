@@ -1,5 +1,6 @@
 """Tests for stage-invariant and final-factorization verification."""
 
+import copy
 import gc
 import json
 import math
@@ -26,7 +27,7 @@ from hypfactor import (
     verify_stage,
     wing_decomposition,
 )
-from hypfactor.cli import doc_to_factorization
+from hypfactor.cli import doc_to_factorization, factorization_to_doc
 from hypfactor.detach import Factorization, Params
 from hypfactor.hypercore import UnionFind
 from hypfactor.verify import LeastSubset, _finish, _strictly_increasing
@@ -722,3 +723,63 @@ def test_verify_factorization_leaves_no_cyclic_garbage():
     for spec in [(7, 2, 1, (2, 2, 2)), (5, 1, 3, (1, 2)), (8, 3, 1, (3,) * 7), (8, 4, 1, (7,) * 5)]:
         assert verify_factorization(construct(Params(*spec), seed=2, check_mode="full")).overall
         assert gc.collect() == 0, spec
+
+
+def _canonical_path_docs():
+    """A valid two-factor document (as `generate` writes it) per h = 1..5 and lambda = 1, 2."""
+    for h in range(1, 6):
+        for lam in (1, 2):
+            n = h + 2
+            S, d = lam * math.comb(n - 1, h - 1), h // math.gcd(h, n)
+            p = Params(n, h, lam, (S - d, d) if S > d else (S,))
+            yield factorization_to_doc(construct(p, seed=h + lam, check_mode="off"))
+
+
+def _corruptions(doc, rng):
+    """(name, factors) of `doc` as written, then after each corruption of one edge or factor."""
+    n, h = doc["n"], doc["h"]
+
+    def edited(edit):
+        factors = [[list(e) for e in factor] for factor in doc["factors"]]
+        factor = rng.choice([factor for factor in factors if factor])
+        edit(factor, factor[rng.randrange(len(factor))])
+        return factors
+
+    yield "as written", doc["factors"]
+    for j in range(h if h >= 2 else 0):  # position j repeats the vertex before it
+        yield f"repeat at {j}", edited(lambda factor, e: e.__setitem__(j, e[j - 1]))
+    for j in range(h):
+        yield f"vertex 0 at {j}", edited(lambda factor, e: e.__setitem__(j, 0))
+        yield f"vertex n + 1 at {j}", edited(lambda factor, e: e.__setitem__(j, n + 1))
+    yield "too long", edited(lambda factor, e: e.append(rng.randint(1, n)))
+    yield "too short", edited(lambda factor, e: e.pop())
+    yield "empty factor", edited(lambda factor, e: factor.clear())
+    yield "dropped edge", edited(lambda factor, e: factor.remove(e))
+
+
+def test_reports_do_not_depend_on_the_form_of_the_edges():
+    # edges as written (sorted lists), with their vertices shuffled, and as
+    # tuples give one report, valid or not: canonical edges are their own
+    # cover keys and any other input is counted by sorted copies; and the
+    # verifier leaves every form as it was handed over
+    rng = random.Random("canonical-path")
+    failed = Counter()
+    for doc in _canonical_path_docs():
+        n, h, lam, r = doc["n"], doc["h"], doc["lambda"], tuple(doc["r"])
+        for name, factors in _corruptions(doc, rng):
+            forms = [
+                factors,
+                [[rng.sample(e, len(e)) for e in factor] for factor in factors],
+                [[*map(tuple, factor)] for factor in factors],
+            ]
+            dicts = []
+            for form in forms:
+                before = copy.deepcopy(form)
+                dicts.append(verify_factorization(Factorization(n, h, lam, r, form)).to_dict())
+                assert form == before, (h, lam, name)
+            assert dicts[0] == dicts[1] == dicts[2], (h, lam, name)
+            assert dicts[0]["overall"] == (name == "as written"), (h, lam, name, dicts[0])
+            shapes = dicts[0]["checks"][0]["status"]
+            assert (shapes == "fail") == (name not in ("as written", "empty factor", "dropped edge"))
+            failed.update(c["name"] for c in dicts[0]["checks"] if c["status"] == "fail")
+    assert failed["cover-multiplicity"] and failed["regularity"], failed

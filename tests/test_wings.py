@@ -17,7 +17,8 @@ from hypfactor import (
     wing_decompositions,
 )
 from hypfactor.detach import Params, split_step
-from hypfactor.hypercore import Edge
+from hypfactor.hypercore import Edge, UnionFind
+from hypfactor.wings import joins
 
 from conftest import detached_is_connected as _detached_is_connected
 from conftest import random_connected_class as _random_connected_class
@@ -55,6 +56,22 @@ def test_isolated_declared_vertex_breaks_connectivity():
 
 def test_single_vertex_no_edges_is_connected():
     assert is_connected([7], [])
+
+
+def test_joins_agrees_with_a_union_find_reference():
+    # the inline unions count the joins a UnionFind makes, and stop at
+    # `need`: edges of size 1 to 4 with repeated vertices, empty edges,
+    # need <= 0 and need above the number of vertices
+    rng = random.Random("joins-reference")
+    for _ in range(3000):
+        size = rng.randint(1, 12)
+        edges = [rng.choices(range(size), k=rng.choice((1, rng.randint(0, 4))))
+                 for _ in range(rng.randrange(12))]
+        dsu = UnionFind()
+        made = sum(dsu.union(e[0], v) for e in edges for v in e[1:])
+        for need in (-1, 0, made - 1, made, made + 1, size + 1):
+            assert joins(edges, need) == (made >= need), (edges, need)
+    assert joins([], 0) and not joins([], 1) and not joins([(5,)] * 3, 1)
 
 
 # -- wing structure ---------------------------------------------------------
