@@ -9,16 +9,17 @@ multiplicity: the paper's hinge group α^p U.  A finished type (p = 0)
 keeps a count, any other one record of all a split stage reads of it:
 c, p, its wing (per color, a union-find over ordinary vertices; components
 only merge) and its cell (the types of its (p, rest)).  Each group carries
-the place of its types in the family last built over it.  `add_edge` and
-`move_hinges` update what they touch; a move takes (color, rest, p) to
-(color, rest + (to,), p - 1).  `hinges_at` views the records as (c, p), and
-`wing_decompositions` lists per color the groups the wing family reads.
+the place of its types in the family last built over it; a color's class
+and multi-wing union list no types, which the records name by that place.
+`add_edge` and `move_hinges` update what they touch; a move takes (color,
+rest, p) to (color, rest + (to,), p - 1).  `hinges_at` views the records
+as (c, p), and `wing_decompositions` lists per color the groups the wing
+family reads.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect
 from collections.abc import Mapping
 from functools import partial
@@ -109,13 +110,14 @@ class UnionFind:
         return ra != rb
 
 
-# A kept group is [{type: None}, hinges Σ c·p, index, solo]: the family last
-# built over it writes its types' innermost member index (-1: none) and whether
-# it is a wing or cell of one type, valid until the next move.  A type's record:
-# c, p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
-# h >= 2, its class at h = 1) and its cell.  Records point at groups, and the
-# class and union groups reach the graph only by a weak reference, so a dropped
-# graph is freed by reference counts alone: no cycles form.
+# A kept group is [types, hinges Σ c·p, index, solo]: the family last built
+# over it writes its types' innermost member index (-1: none) and whether it is
+# a wing or cell of one type, valid until the next move.  A wing or cell keeps
+# its types as {type: None}; a class or union keeps None.  A type's record: c,
+# p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
+# h >= 2, its class at h = 1) and its cell.  Records point at groups, and no
+# group points back at the graph, so a dropped graph is freed by reference
+# counts alone: no cycles form.
 C, P, KEY, WING, CELL = range(5)
 _edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
@@ -139,28 +141,6 @@ class Ground(Mapping):
         return x in self.records
 
 
-class Computed(partial):
-    """A collection this call computes when read, from a weakly referenced graph."""
-
-    def __iter__(self):
-        return iter(self())
-
-    def __len__(self):
-        return len(self())
-
-
-def _class_types(graph: weakref.ref, color: int) -> list:
-    return [x for x in graph()._live if x[0] == color]
-
-
-def _multi_types(graph: weakref.ref, color: int) -> list:
-    """The loop type, if in the union (h >= 2), and the types of the wings with 2+ hinges."""
-    G = graph()
-    loop = (color, (), G.h)
-    return ([loop] if G.h > 1 and loop in G._live else []) + [
-        x for w in G._wings[color].values() if w[1] >= 2 for x in w[0]]
-
-
 class ColoredMultiHypergraph:
     """Edge-colored multi-hypergraph with uniform edge size `h`, counted with multiplicity.
 
@@ -180,12 +160,11 @@ class ColoredMultiHypergraph:
         self._done: dict[tuple, int] = {}
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
         # the groups: cells by (p, rest); per color its class and multi-wing
-        # union, whose types are computed when read, and its wings by root
+        # union, which list no types, and its wings by root
         self._cells: dict[tuple, list] = {}
         self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
-        me = weakref.ref(self)
-        self._classes = {i: [Computed(_class_types, me, i), 0, -1, False] for i in self._wings}
-        self._multi = {i: [Computed(_multi_types, me, i), 0, -1, False] for i in self._wings}
+        self._classes = {i: [None, 0, -1, False] for i in self._wings}
+        self._multi = {i: [None, 0, -1, False] for i in self._wings}
 
     # -- basic accessors -------------------------------------------------
 
@@ -327,8 +306,10 @@ def wing_decompositions(G: ColoredMultiHypergraph) -> dict[int, tuple]:
     """Per color of `G`: the groups of its class and of its multi-wing union, and its wings.
 
     Each group is the one `G` keeps, [types, hinges, index, solo], read in
-    place: the class holds the color's types, the union the loop type (at
-    h >= 2) and the types of the wings with 2+ hinges; the wings are a live
-    view of the color's groups by union-find root.
+    place.  The class and the union list no types: the class holds the
+    color's types, the union the loop type (at h >= 2) and the types of the
+    wings with 2+ hinges, and a record names its class or union by its
+    wing's index.  The wings are a live view of the color's groups by
+    union-find root, each listing its types.
     """
     return {i: (G._classes[i], G._multi[i], wings.values()) for i, wings in G._wings.items()}

@@ -41,7 +41,7 @@ from .hypercore import CELL, WING, ColoredMultiHypergraph
 
 
 class Member(NamedTuple):
-    """One family set, as the collection its builder made, and its builder's tag."""
+    """One family set, as a collection of its elements, and its builder's tag."""
 
     elements: Collection
     tag: tuple
@@ -75,24 +75,34 @@ def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list
 class LaminarFamily:
     """A laminar family over `ground`, from containment its builder knows.
 
-    `entries` holds (elements, size, tag, parent entry index or -1), each
-    after its parent; nothing is checked, and `members` is built when read.
-    `inner` maps each element of `ground`, in ground order, to its record:
-    c, p, a key in (c, p) order, and at `at` its group [elements, size,
-    index, solo], whose index is the element's innermost member (-1: none)
-    and whose flag marks the element solo.  The stage builders pass the
-    records `G` keeps, at each type's wing or cell.  Nothing is copied.
+    `entries` holds (size, tag, parent entry index or -1), each after its
+    parent; nothing is checked.  `inner` maps each element of `ground`, in
+    ground order, to its record: c, p, a key in (c, p) order, and at `at`
+    its group [_, size, index, solo], whose index is the element's
+    innermost member (-1: none) and whose flag marks the element solo.
+    The stage builders pass the records `G` keeps, at each type's wing or
+    cell.  Nothing is copied, and the members' elements are read off the
+    records only when `members` is.
     """
 
     def __init__(self, ground, entries: Sequence[tuple], inner: Mapping, at: int):
         self.ground, self.entries, self.inner, self.at = ground, entries, inner, at
-        self.sizes = tuple(map(itemgetter(1), entries))
-        self.parents = [*map(itemgetter(3), entries)]
+        self.sizes = tuple(map(itemgetter(0), entries))
+        self.parents = [*map(itemgetter(2), entries)]
 
     @cached_property
     def members(self) -> tuple:
-        """Each entry as a `Member` of its elements and tag, built once, when first read."""
-        return tuple([Member(xs, tag) for xs, _, tag, _ in self.entries])
+        """Each entry as a `Member` of its elements, in ground order, and tag; built on first read.
+
+        Element x lies in member i when i is on the parent chain of x's innermost member.
+        """
+        held, parents, at = [[] for _ in self.entries], self.parents, self.at
+        for x, r in self.inner.items():
+            i = r[at][2]
+            while i >= 0:
+                held[i].append(x)
+                i = parents[i]
+        return tuple(map(Member, held, map(itemgetter(1), self.entries)))
 
     @cached_property
     def solo(self) -> dict:
@@ -170,7 +180,7 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
         for i in compress(count(), map(or_, total, map(m.__le__, sizes))):
             lo, hi = sizes[i] // m, -(-sizes[i] // m)
             if not lo <= total[i] <= hi:
-                return (fam.members[i].tag, total[i], lo, hi)
+                return (fam.entries[i][1], total[i], lo, hi)
     return None
 
 
@@ -181,21 +191,22 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
     """Wing-side family over `ground = G.hinges_at()`, from `decomps = wing_decompositions(G)`.
 
     Per color: the class, the union of its wings with 2+ hinges and each
-    wing of 2+ types, groups `G` keeps; a wing with 2+ hinges lies in the
-    union, any other in the class.  A wing of one type is no member: its
-    type is solo, inside the union or the class.  Every group gets its
-    index and solo flag, which hold until the next move.  Costs O(groups).
+    wing of 2+ types, groups `G` keeps, as (size, tag, parent) entries; a
+    wing with 2+ hinges lies in the union, any other in the class.  A wing
+    of one type is no member: its type is solo, inside the union or the
+    class.  Every group gets its index and solo flag, which hold until the
+    next move; a type's members are then the chain of parents above its
+    wing's index.  Costs O(groups).
     """
     entries = []
     for i, (whole, big, wings) in decomps.items():
         top = len(entries)
         whole[2], big[2] = top, top + 1
-        entries += [(whole[0], whole[1], ("color", i), -1),
-                    (big[0], big[1], ("multiwing", i), top if big[1] else -1)]
+        entries += [(whole[1], ("color", i), -1), (big[1], ("multiwing", i), top if big[1] else -1)]
         for j, w in enumerate(wings):
             if len(w[0]) > 1:
                 w[2], w[3] = len(entries), False
-                entries.append((w[0], w[1], ("wing", i, j), top + 1))
+                entries.append((w[1], ("wing", i, j), top + 1))
             else:
                 w[2], w[3] = top + (w[1] >= 2), True
     return LaminarFamily(ground, entries, G._live, WING)
@@ -213,7 +224,7 @@ def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
     for shape, cell in G._cells.items():
         if len(cell[0]) > 1:
             cell[2], cell[3] = len(entries), False
-            entries.append((cell[0], cell[1], ("cell",) + shape, -1))
+            entries.append((cell[1], ("cell",) + shape, -1))
         else:
             cell[2], cell[3] = -1, True
     return LaminarFamily(ground, entries, G._live, CELL)

@@ -31,10 +31,13 @@ def weighted(ground) -> dict:
 def plain_family(ground, entries, solo=()) -> LaminarFamily:
     """A family over the caller's `ground` object, its records built from `entries`.
 
-    `ground` is {element: (c, p)} or a plain iterable of unit elements.  The
+    Each entry is (elements, size, tag, parent).  `ground` is
+    {element: (c, p)} or a plain iterable of unit elements.  The
     last entry holding an element is its innermost member, whose group the
     element's record holds; `solo` names the solo elements, each of which
-    gets a group of its own inside that member.  Nothing is checked.
+    gets a group of its own inside that member.  The family's entries keep
+    (size, tag, parent), so its members are read off those records alone.
+    Nothing is checked.
     """
     held = {}
     for i, (xs, size, _, _) in enumerate(entries):
@@ -43,7 +46,7 @@ def plain_family(ground, entries, solo=()) -> LaminarFamily:
     for x, (c, p) in weighted(ground).items():
         group = held.get(x, OUTSIDE)
         inner[x] = (c, p, (c, p), [(x,), c * p, group[2], True] if x in solo else group)
-    return LaminarFamily(ground, entries, inner, 3)
+    return LaminarFamily(ground, [entry[1:] for entry in entries], inner, 3)
 
 
 def reference_family(ground, members) -> LaminarFamily:
@@ -211,12 +214,17 @@ def _random_laminar_sets(rng: random.Random, items: list, depth: int) -> list:
     return out
 
 
-def random_laminar_family(rng: random.Random, ground) -> LaminarFamily:
-    """A random laminar family over `ground`, possibly including it."""
-    items = sorted(ground)
+def random_laminar_sets(rng: random.Random, items: list) -> list:
+    """Random distinct laminar sets over `items`, possibly including all of them."""
     sets = _random_laminar_sets(rng, items, depth=rng.randrange(1, 4))
     if rng.random() < 0.5:
         sets.append(frozenset(items))
+    return sets
+
+
+def random_laminar_family(rng: random.Random, ground) -> LaminarFamily:
+    """A random laminar family over `ground`, possibly including it."""
+    sets = random_laminar_sets(rng, sorted(ground))
     return reference_family(ground, [(s, ("set", i)) for i, s in enumerate(sets)])
 
 

@@ -47,9 +47,10 @@ def _kept(G):
     """Everything the graph keeps for a stage, in terms a rebuild must match.
 
     The cells by shape and per color the multiset of wing groups, each as
-    (types, hinges); per color the class and multi-wing totals and types;
-    per side (wing, cell) each type's innermost member and the solo types,
-    read off families built afresh and named by their entries.  Also
+    (types, hinges); per color the class and multi-wing totals, and their
+    types as the members of a wing family built afresh; per side (wing,
+    cell) each type's innermost member and the solo types, read off
+    families built afresh and named by their members.  Also
     checks that every wing group sits at the union-find root of its types'
     ordinary vertices, so roots that a rebuild picks differently still
     compare equal, and that each record holds its type's count, p and sort
@@ -67,14 +68,16 @@ def _kept(G):
         assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else loop)
     cells = {shape: (frozenset(ts), x) for shape, (ts, x, _, _) in G._cells.items()}
     wings = {i: Counter((frozenset(ts), x) for ts, x, _, _ in ws.values()) for i, ws in G._wings.items()}
-    tops = {i: (G._classes[i][1], frozenset(G._classes[i][0]), G._multi[i][1], frozenset(G._multi[i][0]))
-            for i in G._classes}
     ground, inner, solo = G.hinges_at(), [], []
-    for fam in (build_wing_family(G, ground, wing_decompositions(G)), build_cell_family(G, ground)):
+    wing_side = build_wing_family(G, ground, wing_decompositions(G))
+    for fam in (wing_side, build_cell_family(G, ground)):
         name = [("wing", frozenset(xs)) if tag[0] == "wing" else ("cell", tag[1:]) if tag[0] == "cell" else tag
-                for xs, _, tag, _ in fam.entries] + [None]  # index -1: no member
+                for xs, tag in fam.members] + [None]  # index -1: no member
         inner.append({x: name[r[fam.at][2]] for x, r in G._live.items()})
         solo.append(set(fam.solo))
+    types = {tag: frozenset(xs) for xs, tag in wing_side.members}
+    tops = {i: (G._classes[i][1], types[("color", i)], G._multi[i][1], types[("multiwing", i)])
+            for i in G._classes}
     return cells, wings, tops, inner, solo
 
 
@@ -519,8 +522,8 @@ def test_degree_sum_is_h_times_edges(n, h):
                                   (6, 4, 2, (10, 10))])
 @pytest.mark.usefixtures("collector")
 def test_a_graph_dropped_after_any_stage_is_freed_without_the_collector(spec):
-    # records point at groups, and the class and union groups reach the
-    # graph only weakly, so no cycle holds a graph, loops left or not
+    # records point at groups and no group points back at the graph, so
+    # no cycle holds a graph, loops left or not
     p = Params(*spec)
     for stages in range(p.n):
         G = initial_amalgam(p)

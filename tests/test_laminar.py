@@ -15,6 +15,7 @@ from conftest import (
     plain_family,
     random_laminar_family,
     random_laminar_pair,
+    random_laminar_sets,
     reference_family,
     same_verdict,
     weighted,
@@ -35,7 +36,7 @@ from hypfactor import (
 )
 from hypfactor import detach, laminar
 from hypfactor.detach import Params
-from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
+from hypfactor.laminar import Member, bounds_for, containment_forest, selection_respects_bounds
 from test_acceptance import _fixture_vectors
 
 EMPTY = reference_family(frozenset(), [])
@@ -98,13 +99,15 @@ def test_equal_sets_chain():
 
 
 def test_forest_rejects_a_child_listed_before_its_parent():
+    # a family's members are read off its records, which name one innermost
+    # member per element, so the misordered list goes to the check itself
     ground = {1: (1, 1), 2: (1, 1), 3: (1, 1)}
     child, parent = ([1], 1, ("child",)), ([1, 2], 2, ("parent",))
     fam = plain_family(ground, [(*parent, -1), (*child, 0)])
-    assert fam.forest() == ([-1, 0], {1: 1, 2: 0, 3: -1})
-    fam = plain_family(ground, [(*child, 1), (*parent, -1)])
+    members = [Member([1, 2], ("parent",)), Member([1], ("child",))]
+    assert fam.forest() == containment_forest(ground, members) == ([-1, 0], {1: 1, 2: 0, 3: -1})
     with pytest.raises(InternalInvariantError) as exc:
-        fam.forest()
+        containment_forest(ground, members[::-1])
     assert exc.value.witness == (("parent",), [-1, 0])
 
 
@@ -139,7 +142,7 @@ def test_forest_rejects_a_solo_element_outside_the_ground():
     assert plain_family(ground, pair, {1: None}).forest() == ([-1], {1: 0, 2: 0})
     assert list(plain_family(ground, pair, [1, 3]).solo) == [1]
     with pytest.raises(InternalInvariantError, match="outside the ground") as exc:
-        plain_family(ground, [([1, 3], 2, ("stray",), -1)]).forest()
+        containment_forest(ground, [Member([1, 3], ("stray",))])
     assert exc.value.witness == (("stray",), 3)
 
 
@@ -747,18 +750,55 @@ def test_wiring_matches_reference_on_the_acceptance_grid(monkeypatch):
 # -- members on first read ----------------------------------------------------
 
 
+@pytest.mark.parametrize("weights", [False, True], ids=["unit", "weighted"])
+def test_members_read_off_the_records_are_the_sets_the_entries_came_from(weights):
+    # over random laminar sets plus a copy of one of them, which chains
+    # below it, an empty set, a root like an empty multi-wing union, and an
+    # element in no set: each member is its set, in ground order
+    rng = random.Random(31)
+    for _ in range(300):
+        size = rng.randrange(1, 9)
+        out = size  # in no set
+        ground = range(size + 1)
+        if weights:
+            ground = {x: (rng.randrange(1, 4), rng.randrange(1, 4)) for x in ground}
+        sets = random_laminar_sets(rng, list(range(size)))
+        twin = rng.randrange(len(sets)) if sets else None
+        sets += ([] if twin is None else [sets[twin]]) + [frozenset()]
+        fam = reference_family(ground, [(s, ("set", i)) for i, s in enumerate(sets)])
+        assert len(fam.members) == len(fam.entries) == len(sets)
+        at = {}
+        for i, (mb, (_, tag, _)) in enumerate(zip(fam.members, fam.entries)):
+            at[tag[1]] = i
+            assert mb.tag == tag and list(mb.elements) == [x for x in ground if x in sets[tag[1]]]
+        assert fam.parents[at[len(sets) - 1]] == -1 and fam.members[at[len(sets) - 1]].elements == []
+        if twin is not None:
+            assert fam.parents[at[len(sets) - 2]] == at[twin]
+        assert fam.inner[out][fam.at][2] == -1 and all(out not in mb.elements for mb in fam.members)
+
+
 def test_stage_families_leave_their_members_unbuilt(monkeypatch):
     # nothing on the construction's path reads `members`; a first read
-    # builds one `Member` per entry, in entry order, around the entry's
-    # own elements, and every later read gets the same tuple
+    # builds one `Member` per entry, in entry order and with its tag, of
+    # the types, in ground order, whose chain of parents from their
+    # innermost member passes through it, and every later read gets the
+    # same tuple
     select, stages = detach.equalized_select, []
 
     def watched(ground, famA, famB, m, seed=0):
         sel = select(ground, famA, famB, m, seed)
         assert "members" not in vars(famA) and "members" not in vars(famB)
         for fam in (famA, famB):
-            assert list(fam.members) == [Member(xs, tag) for xs, _, tag, _ in fam.entries]
-            assert all(mb.elements is xs for mb, (xs, *_) in zip(fam.members, fam.entries))
+            chains = {}
+            for x, r in fam.inner.items():
+                i, chains[x] = r[fam.at][2], set()
+                while i >= 0:
+                    chains[x].add(i)
+                    i = fam.parents[i]
+            assert len(fam.members) == len(fam.entries)
+            for i, (mb, (_, tag, _)) in enumerate(zip(fam.members, fam.entries)):
+                assert type(mb) is Member and mb.tag == tag
+                assert list(mb.elements) == [x for x in ground if i in chains[x]]
             assert fam.members is fam.members and type(fam.members) is tuple
         stages.append(len(famA.members) + len(famB.members))
         return sel
@@ -783,5 +823,6 @@ def test_a_forced_bound_violation_names_its_member():
     assert "members" not in vars(famA)
     bad = {(1, (), 2): 4, (2, (), 2): 1}
     assert selection_respects_bounds(bad, ground, famA, famB, 6) == (("color", 1), 4, 3, 3)
-    assert famA.members[0].tag == famA.entries[0][2] == ("color", 1)
+    assert "members" not in vars(famA) and "members" not in vars(famB)  # the witness is the entry's tag
+    assert famA.members[0].tag == famA.entries[0][1] == ("color", 1)
     assert same_verdict(bad, ground, famA, famB, 6) == (("color", 1), 4, 3, 3)

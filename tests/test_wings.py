@@ -119,9 +119,10 @@ def test_mixed_class_wing_decomposition():
 
 
 def test_wings_partition_amalgam_hinges():
-    # per class, the view's groups are the family's class and multi-wing
-    # members, and the loop type and the wings partition the class's
-    # amalgam-incident types, one wing per union-find component
+    # per class, the family's class and multi-wing members, read off the
+    # records, are the sets of types their definitions give and carry the
+    # view's hinge totals, and the loop type and the wings partition the
+    # class's amalgam-incident types, one wing per union-find component
     p = Params(6, 3, 1, (2, 2, 2, 2, 2))
     G = initial_amalgam(p)
     for ell in (1, 2):
@@ -135,19 +136,20 @@ def test_wings_partition_amalgam_hinges():
 
     for i in range(1, p.k + 1):
         whole, big, wings = decomps[i]
-        assert _member(fam, ("color", i)) is whole[0] and _member(fam, ("multiwing", i)) is big[0]
-        loops = {key for key in whole[0] if ground[key][1] == G.h}
+        assert whole[0] is big[0] is None  # the class and union list no types
+        cls, multi = _member(fam, ("color", i)), _member(fam, ("multiwing", i))
+        loops = {key for key in cls if ground[key][1] == G.h}
         assert loops == ({(i, (), G.h)} if (i, (), G.h) in ground else set())
         seen = set(loops)
         for w in wings:
             assert not (seen & set(w[0])) and w[1] == hinges(w[0])
             seen |= set(w[0])
             assert len({G._uf[i].find(key[1][0]) for key in w[0]}) == 1
-        assert len(whole[0]) == len(seen) == len(set(whole[0]))
-        assert seen == set(whole[0]) == {key for key in ground if key[0] == i}
-        assert whole[1] == hinges(whole[0])
-        assert set(big[0]) == loops.union(*(w[0] for w in wings if w[1] >= 2))
-        assert big[1] == hinges(big[0])
+        assert len(cls) == len(seen) == len(set(cls))
+        assert seen == set(cls) == {key for key in ground if key[0] == i}
+        assert whole[1] == hinges(cls)
+        assert set(multi) == loops.union(*(w[0] for w in wings if w[1] >= 2))
+        assert big[1] == hinges(multi)
         cls = [e for e in G.edges() if e.color == i]
         assert _big_hinges(fam, i, ground) == wing_decomposition(cls, G.alpha).delta
 
