@@ -13,9 +13,10 @@ BENCH_construct.json at the root of the checkout, so the file keeps the
 rows of every measured commit.  Each row records the commit checked out,
 whether `src/` differed from it, the Python version, the CPU count and
 `src_tree`: the git tree id of `src/` as measured, computed from the
-files.  It equals `git rev-parse C:src` for every commit C that holds the
-same code, so rows measured on an uncommitted change name the commit
-that later holds it.
+files on disk, so a copy made with `git archive` is labelled too (its
+`commit` reads `unknown`).  It equals `git rev-parse C:src` for every
+commit C that holds the same code, so rows measured on an uncommitted
+change name the commit that later holds it.
 
 The package is imported from `src/` of the checkout this script sits in.
 
@@ -69,38 +70,32 @@ def git(*args) -> str:
     return out.stdout.strip()
 
 
-def src_tree_id() -> str:
-    """Git tree id of `src/` from its tracked and unignored files on disk."""
-    listed = git("ls-files", "-co", "--exclude-standard", "--", "src")
-    if not listed:
-        return "unknown"
-    root: dict = {}
-    for path in listed.splitlines():
-        if os.path.isfile(os.path.join(ROOT, path)):  # skip tracked files deleted on disk
-            node = root
-            *dirs, name = path.split("/")
-            for d in dirs:
-                node = node.setdefault(d, {})
-            node[name] = path
+def src_tree_id(root: str) -> str:
+    """Git tree id of `root/src/` from its files on disk, with no git checkout.
 
+    Skips what `.gitignore` ignores there (`__pycache__/`, `*.so`,
+    `*.egg-info/`), and a directory left empty, which git does not store.
+    """
     def obj(kind: bytes, body: bytes) -> bytes:
         return hashlib.sha1(b"%s %d\0%s" % (kind, len(body), body)).digest()
 
-    def tree(node: dict) -> bytes:
+    def tree(path: str) -> bytes | None:
         entries = []
-        for name, sub in node.items():
-            if isinstance(sub, dict):  # git orders a directory as its name plus "/"
-                entries.append((name + "/", b"40000", tree(sub)))
-            else:
-                full = os.path.join(ROOT, sub)
-                mode = b"100755" if os.access(full, os.X_OK) else b"100644"
-                with open(full, "rb") as fh:
-                    entries.append((name, mode, obj(b"blob", fh.read())))
-        entries.sort(key=lambda e: e[0].encode())
+        for e in os.scandir(path):
+            if e.is_dir(follow_symlinks=False):
+                if e.name != "__pycache__" and not e.name.endswith(".egg-info"):
+                    sub = tree(e.path)  # git orders a directory as its name plus "/"
+                    if sub is not None:
+                        entries.append((e.name + "/", b"40000", sub))
+            elif not e.name.endswith(".so"):
+                mode = b"100755" if os.access(e.path, os.X_OK) else b"100644"
+                with open(e.path, "rb") as fh:
+                    entries.append((e.name, mode, obj(b"blob", fh.read())))
+        entries.sort(key=lambda x: x[0].encode())
         return obj(b"tree", b"".join(m + b" " + n.rstrip("/").encode() + b"\0" + h
-                                     for n, m, h in entries))
+                                     for n, m, h in entries)) if entries else None
 
-    return tree(root["src"]).hex()
+    return tree(os.path.join(root, "src")).hex()
 
 
 def best_times(p: Params, repeat: int, check_mode: str = "off") -> tuple[float, float]:
@@ -132,7 +127,7 @@ def main(argv=None) -> int:
     common = {
         "commit": git("rev-parse", "--short", "HEAD") or "unknown",
         "src_modified": bool(git("status", "--porcelain", "--", "src")),
-        "src_tree": src_tree_id(),
+        "src_tree": src_tree_id(ROOT),
         "recorded": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

@@ -9,8 +9,8 @@ multiplicity: the paper's hinge group α^p U.  A finished type (p = 0)
 keeps a count, any other one record of all a split stage reads of it:
 c, p, its wing (per color, a union-find over ordinary vertices; components
 only merge) and its cell (the types of its (p, rest)).  Each group carries
-the place of its types in the family last built over it; a color's class
-and multi-wing union list no types, which the records name by that place.
+the place of its types in the family last built over it; a wing lists its
+types, a cell counts them, and the records alone name a class's or union's.
 `add_edge` and `move_hinges` update what they touch; a move takes (color,
 rest, p) to (color, rest + (to,), p - 1).  `hinges_at` views the records
 as (c, p), and `wing_decompositions` lists per color the groups the wing
@@ -112,12 +112,11 @@ class UnionFind:
 
 # A kept group is [types, hinges Σ c·p, index, solo]: the family last built
 # over it writes its types' innermost member index (-1: none) and whether it is
-# a wing or cell of one type, valid until the next move.  A wing or cell keeps
-# its types as {type: None}; a class or union keeps None.  A type's record: c,
-# p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
-# h >= 2, its class at h = 1) and its cell.  Records point at groups, and no
-# group points back at the graph, so a dropped graph is freed by reference
-# counts alone: no cycles form.
+# a wing or cell of one type, valid until the next move.  A wing keeps its types
+# as {type: None}, a cell their count, a class or union None.  A type's record:
+# c, p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
+# h >= 2, its class at h = 1) and its cell.  Records point at groups and no group
+# points back, so no cycle forms and a dropped graph is freed by reference counts.
 C, P, KEY, WING, CELL = range(5)
 _edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
@@ -159,8 +158,8 @@ class ColoredMultiHypergraph:
         self._live: dict[tuple, list] = {}
         self._done: dict[tuple, int] = {}
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
-        # the groups: cells by (p, rest); per color its class and multi-wing
-        # union, which list no types, and its wings by root
+        # the groups: cells by (p, rest), which count their types; per color
+        # its class and multi-wing union, which list none, and its wings by root
         self._cells: dict[tuple, list] = {}
         self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
         self._classes = {i: [None, 0, -1, False] for i in self._wings}
@@ -205,7 +204,6 @@ class ColoredMultiHypergraph:
         for v in rest:
             root = self._union(color, v, rest[0])
         key = (color, rest, self.h - len(rest))
-        self._classes[color][1] += mult * key[2]
         self._add(key, mult, root)
         return key
 
@@ -228,7 +226,6 @@ class ColoredMultiHypergraph:
             if t:
                 color, rest, p = key
                 root = tops.get(color) or tops.setdefault(color, self._uf[color].find(to))
-                self._classes[color][1] -= t  # t·p hinges leave, t·(p - 1) come back
                 self._add(key, -t, rec=rec)
                 if rest and rec[WING] is not self._wings[color].get(root):
                     self._union(color, rest[0], to)  # `to` joins the first ordinary vertex
@@ -238,9 +235,9 @@ class ColoredMultiHypergraph:
     def _add(self, key: tuple, t: int, root: Optional[int] = None, rec: Optional[list] = None) -> None:
         """Add t edges (t < 0: remove -t) of `key`, whose record is `rec` if it has one.
 
-        A new type gets a record in its cell and its wing at `root` (a loop in
-        its color's union, or class at h = 1); an emptied type or group goes.
-        The caller keeps the class total.
+        A new type gets a record in its cell, which counts it, and its wing at
+        `root` (a loop in its color's union, or class at h = 1); an emptied
+        type or group goes.  It keeps every group total, the class's too.
         """
         color, rest, p = key
         if not p:
@@ -249,7 +246,7 @@ class ColoredMultiHypergraph:
         live, hinges = self._live, t * p
         rec = rec or live.get(key)
         if rec is None:
-            cell = self._cells.get((p, rest)) or self._cells.setdefault((p, rest), [{}, 0, -1, False])
+            cell = self._cells.get((p, rest)) or self._cells.setdefault((p, rest), [0, 0, -1, False])
             if rest:
                 wings = self._wings[color]
                 wing = wings.get(root) or wings.setdefault(root, [{}, 0, -1, False])
@@ -257,13 +254,15 @@ class ColoredMultiHypergraph:
             else:
                 wing = (self._multi if self.h > 1 else self._classes)[color]
             rec = live[key] = [0, p, p, wing, cell]
-            cell[0][key] = None
+            cell[0] += 1
         c = rec[C] = rec[C] + t
         rec[KEY] += t * (self.h + 1)
         cell, wing = rec[CELL], rec[WING]
         cell[1] += hinges
+        self._classes[color][1] += hinges
         if not c:
-            del live[key], cell[0][key]
+            del live[key]
+            cell[0] -= 1
             if not cell[0]:
                 del self._cells[p, rest]
         if not rest:

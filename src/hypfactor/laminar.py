@@ -215,14 +215,14 @@ def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> Lamin
 def build_cell_family(G: ColoredMultiHypergraph, ground) -> LaminarFamily:
     """Cell-side family over `ground = G.hinges_at()`: the types of one shape (p, rest).
 
-    The cells of 2+ types that `G` keeps; a cell of one type is no member,
-    and its type is solo.  Every cell gets its index (-1: none) and solo
-    flag, which hold until the next move.  Cells are disjoint, so the family
-    is flat; its bounds keep shapes on schedule across splits.
+    The cells that `G` keeps whose count is 2+ types; a cell of one type is
+    no member, and its type is solo.  Every cell gets its index (-1: none)
+    and solo flag, which hold until the next move.  Cells are disjoint, so
+    the family is flat; its bounds keep shapes on schedule across splits.
     """
     entries = []
     for shape, cell in G._cells.items():
-        if len(cell[0]) > 1:
+        if cell[0] > 1:
             cell[2], cell[3] = len(entries), False
             entries.append((cell[1], ("cell",) + shape, -1))
         else:

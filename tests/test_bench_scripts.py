@@ -5,13 +5,16 @@ of its output is checked: which rows it prints, never their timings.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
+from bench_construct import src_tree_id  # noqa: E402
 from workloads import COVERS, HUGE_N, MULTI, SPLIT_DENSE, SPLIT_H2, _label  # noqa: E402
 
 
@@ -45,3 +48,21 @@ def test_bench_verify_prints_one_line_per_input():
     built = [f"{name} n={spec[0]} h={spec[1]} k={len(spec[3])}"
              for name, specs in (("split-h2", SPLIT_H2), ("split-dense", SPLIT_DENSE)) for spec in specs]
     assert [line[:34].rstrip() for line in lines] == docs + built
+
+
+def test_src_tree_id_is_the_git_tree_of_src_without_a_checkout(tmp_path):
+    # git stores the unignored files of `src/`; a copy without `.git`, as
+    # `git archive` makes, must give the same tree id from its files alone
+    files = {"pkg/__init__.py": "", "pkg/sub/mod.py": "x = 1\n", "pkg/run.sh": "#!/bin/sh\n",
+             "pkg/__pycache__/x.pyc": "cached", "pkg/ext.so": "built", "pkg.egg-info/PKG-INFO": "meta"}
+    for name, text in files.items():
+        (tmp_path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "src" / name).write_text(text)
+    (tmp_path / "src" / "pkg" / "run.sh").chmod(0o755)
+    shutil.copy(ROOT / ".gitignore", tmp_path / ".gitignore")
+    for args in (["init", "-q"], ["add", "src"]):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True)
+    tree = subprocess.run(["git", "-C", str(tmp_path), "write-tree", "--prefix=src/"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    shutil.copytree(tmp_path / "src", tmp_path / "copy" / "src")
+    assert src_tree_id(str(tmp_path / "copy")) == tree

@@ -43,14 +43,29 @@ def _multiplicity(G, p, U):
     return sum(e.verts == verts for e in G.edges())
 
 
+def _cell_types(G):
+    """Each kept cell's types by shape, read off the records whose cell slot is that group.
+
+    Checks that every record names a kept cell and that each cell's count
+    is the number of records naming it, at least 1.
+    """
+    types = {id(cell): set() for cell in G._cells.values()}
+    for x, r in G._live.items():
+        types[id(r[CELL])].add(x)
+    for cell in G._cells.values():
+        assert cell[0] == len(types[id(cell)]) >= 1
+    return {shape: frozenset(types[id(cell)]) for shape, cell in G._cells.items()}
+
+
 def _kept(G):
     """Everything the graph keeps for a stage, in terms a rebuild must match.
 
-    The cells by shape and per color the multiset of wing groups, each as
-    (types, hinges); per color the class and multi-wing totals, and their
-    types as the members of a wing family built afresh; per side (wing,
-    cell) each type's innermost member and the solo types, read off
-    families built afresh and named by their members.  Also
+    The cells by shape, their types read off the records, and per color the
+    multiset of wing groups, each as (types, hinges); per color the class
+    and multi-wing totals, and their types as the members of a wing family
+    built afresh; per side (wing, cell) each type's innermost member and
+    the solo types, read off families built afresh and named by their
+    members.  Also
     checks that every wing group sits at the union-find root of its types'
     ordinary vertices, so roots that a rebuild picks differently still
     compare equal, and that each record holds its type's count, p and sort
@@ -66,7 +81,7 @@ def _kept(G):
         assert r[CELL] is G._cells[p, rest]
         loop = (G._multi if G.h > 1 else G._classes)[i]
         assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else loop)
-    cells = {shape: (frozenset(ts), x) for shape, (ts, x, _, _) in G._cells.items()}
+    cells = {shape: (ts, G._cells[shape][1]) for shape, ts in _cell_types(G).items()}
     wings = {i: Counter((frozenset(ts), x) for ts, x, _, _ in ws.values()) for i, ws in G._wings.items()}
     ground, inner, solo = G.hinges_at(), [], []
     wing_side = build_wing_family(G, ground, wing_decompositions(G))
@@ -96,6 +111,7 @@ def _defined(G):
     the union at h >= 2).  A cell or wing of one type makes that type solo.
     """
     live, tops, inner, solo = G.hinges_at(), {}, [{}, {}], [set(), set()]
+    cells = _cell_types(G)
     for i in G._classes:
         wings = G._wings[i].values()
         loop = [x for x in live if x[:2] == (i, ()) and G.h > 1]
@@ -106,7 +122,7 @@ def _defined(G):
                    frozenset(loop).union(*(w[0] for w in big)))
     for x in live:
         i, rest, p = x
-        cell = G._cells[p, rest][0]
+        cell = cells[p, rest]
         inner[1][x] = ("cell", (p, rest)) if len(cell) > 1 else None
         if len(cell) == 1:
             solo[1].add(x)
@@ -368,7 +384,8 @@ def test_edges_that_join_two_wings_add_their_totals():
     G.add_edge((1, 2, 3), 1)
     assert [w[1] for w in G._wings[1].values()] == [4 + 2 + 1 + 2]
     assert _kept(G) == _kept(rebuilt(G))
-    assert G._cells[2, (3,)][:2] == [{type_key(Edge(1, (0, 0, 3)), 0): None}, 2]
+    lone = type_key(Edge(1, (0, 0, 3)), 0)
+    assert G._cells[2, (3,)][:2] == [1, 2] and G._live[lone][CELL] is G._cells[2, (3,)]
 
 
 @settings(max_examples=80, deadline=None)
