@@ -14,9 +14,9 @@ rows of every measured commit.  Each row records the commit checked out,
 whether `src/` differed from it, the Python version, the CPU count and
 `src_tree`: the git tree id of `src/` as measured, computed from the
 files on disk, so a copy made with `git archive` is labelled too (its
-`commit` reads `unknown`).  It equals `git rev-parse C:src` for every
-commit C that holds the same code, so rows measured on an uncommitted
-change name the commit that later holds it.
+`commit` reads `unknown` and its `src_modified` null).  It equals
+`git rev-parse C:src` for every commit C that holds the same code, so
+rows measured on an uncommitted change name the commit that later holds it.
 
 The package is imported from `src/` of the checkout this script sits in.
 
@@ -62,11 +62,12 @@ SEED = 1
 OUT = os.path.join(ROOT, "BENCH_construct.json")
 
 
-def git(*args) -> str:
+def git(root: str, *args) -> str | None:
+    """The output of `git -C root args`, or None if git fails, as it does outside a checkout."""
     try:
-        out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True, check=True)
+        out = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
-        return ""
+        return None
     return out.stdout.strip()
 
 
@@ -98,6 +99,18 @@ def src_tree_id(root: str) -> str:
     return tree(os.path.join(root, "src")).hex()
 
 
+def checkout_labels(root: str) -> dict:
+    """The row's `commit`, `src_modified` and `src_tree` for the checkout at `root`.
+
+    Outside a git checkout `commit` is `unknown` and `src_modified` None,
+    since nothing says which commit the files would differ from.
+    """
+    status = git(root, "status", "--porcelain", "--", "src")
+    return {"commit": git(root, "rev-parse", "--short", "HEAD") or "unknown",
+            "src_modified": None if status is None else bool(status),
+            "src_tree": src_tree_id(root)}
+
+
 def best_times(p: Params, repeat: int, check_mode: str = "off") -> tuple[float, float]:
     """The best wall time and the best process CPU time over `repeat` runs."""
     wall = cpu = math.inf
@@ -125,9 +138,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     common = {
-        "commit": git("rev-parse", "--short", "HEAD") or "unknown",
-        "src_modified": bool(git("status", "--porcelain", "--", "src")),
-        "src_tree": src_tree_id(ROOT),
+        **checkout_labels(ROOT),
         "recorded": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

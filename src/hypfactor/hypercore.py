@@ -8,13 +8,13 @@ keyed `(color, rest, p)`, its sorted ordinary vertices and amalgam
 multiplicity: the paper's hinge group α^p U.  A finished type (p = 0)
 keeps a count, any other one record of all a split stage reads of it:
 c, p, its wing (per color, a union-find over ordinary vertices; components
-only merge) and its cell (the types of its (p, rest)).  Each group carries
-the place of its types in the family last built over it; a wing lists its
-types, a cell counts them, and the records alone name a class's or union's.
-`add_edge` and `move_hinges` update what they touch; a move takes (color,
-rest, p) to (color, rest + (to,), p - 1).  `hinges_at` views the records
-as (c, p), and `wing_decompositions` lists per color the groups the wing
-family reads.
+only merge, or for a loop its color's loop group) and its cell (the types
+of its (p, rest)).  A group's total is the hinges of the records that name
+it, and it carries the place of its types in the family last built over
+it; a wing lists its types, a cell counts them.  `add_edge` and
+`move_hinges` update what they touch; a move takes (color, rest, p) to
+(color, rest + (to,), p - 1).  `hinges_at` views the records as (c, p),
+and `wing_decompositions` lists per color the groups the wing family reads.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ class UnionFind:
         return ra != rb
 
 
-# A kept group is [types, hinges Σ c·p, index, solo]: the family last built
-# over it writes its types' innermost member index (-1: none) and whether it is
-# a wing or cell of one type, valid until the next move.  A wing keeps its types
-# as {type: None}, a cell their count, a class or union None.  A type's record:
-# c, p, its sort key c * (h + 1) + p, its wing (a loop's: the color's union at
-# h >= 2, its class at h = 1) and its cell.  Records point at groups and no group
-# points back, so no cycle forms and a dropped graph is freed by reference counts.
+# A kept group is [types, hinges Σ c·p over the records naming it, index, solo]:
+# the family last built over it writes its types' innermost member index (-1:
+# none) and whether it is a wing or cell of one type, valid until the next move.
+# A wing keeps its types as {type: None}, a cell their count, a loop group None.
+# A type's record: c, p, its sort key c * (h + 1) + p, its wing (a loop's: its
+# color's loop group) and its cell.  Records point at groups and no group points
+# back, so no cycle forms and a dropped graph is freed by reference counts.
 C, P, KEY, WING, CELL = range(5)
 _edge = partial(tuple.__new__, Edge)  # Edge((color, verts)) in one C-level call, unchecked
 
@@ -159,11 +159,10 @@ class ColoredMultiHypergraph:
         self._done: dict[tuple, int] = {}
         self._uf = {i: UnionFind() for i in range(1, k + 1)}
         # the groups: cells by (p, rest), which count their types; per color
-        # its class and multi-wing union, which list none, and its wings by root
+        # its wings by root and the group of its loop type, which lists none
         self._cells: dict[tuple, list] = {}
         self._wings: dict[int, dict] = {i: {} for i in range(1, k + 1)}
-        self._classes = {i: [None, 0, -1, False] for i in self._wings}
-        self._multi = {i: [None, 0, -1, False] for i in self._wings}
+        self._loops = {i: [None, 0, -1, False] for i in self._wings}
 
     # -- basic accessors -------------------------------------------------
 
@@ -236,8 +235,8 @@ class ColoredMultiHypergraph:
         """Add t edges (t < 0: remove -t) of `key`, whose record is `rec` if it has one.
 
         A new type gets a record in its cell, which counts it, and its wing at
-        `root` (a loop in its color's union, or class at h = 1); an emptied
-        type or group goes.  It keeps every group total, the class's too.
+        `root` (a loop in its color's loop group); an emptied type or group
+        goes.  The hinges go to the two groups the record names, and to no other.
         """
         color, rest, p = key
         if not p:
@@ -252,29 +251,23 @@ class ColoredMultiHypergraph:
                 wing = wings.get(root) or wings.setdefault(root, [{}, 0, -1, False])
                 wing[0][key] = None
             else:
-                wing = (self._multi if self.h > 1 else self._classes)[color]
+                wing = self._loops[color]
             rec = live[key] = [0, p, p, wing, cell]
             cell[0] += 1
         c = rec[C] = rec[C] + t
         rec[KEY] += t * (self.h + 1)
         cell, wing = rec[CELL], rec[WING]
         cell[1] += hinges
-        self._classes[color][1] += hinges
+        wing[1] += hinges
         if not c:
             del live[key]
             cell[0] -= 1
             if not cell[0]:
                 del self._cells[p, rest]
-        if not rest:
-            self._multi[color][1] += hinges if self.h > 1 else 0
-            return
-        wing[1] += hinges
-        if not c:
-            del wing[0][key]
-            if not wing[0]:
-                del self._wings[color][self._uf[color].find(rest[0])]
-        was_big, big = wing[1] - hinges >= 2, wing[1] >= 2
-        self._multi[color][1] += (wing[1] if big else 0) - (wing[1] - hinges if was_big else 0)
+            if rest:
+                del wing[0][key]
+                if not wing[0]:
+                    del self._wings[color][self._uf[color].find(rest[0])]
 
     def _union(self, color: int, a: int, b: int) -> int:
         """Join the components of `a` and `b` and their wing groups under b's root; return it."""
@@ -289,7 +282,6 @@ class ColoredMultiHypergraph:
             if into is not group:  # the smaller group joins the larger
                 if len(group[0]) > len(into[0]):
                     wings[rb], group, into = group, into, group
-                self._multi[color][1] += (into[1] == 1) + (group[1] == 1)  # lone hinges join it
                 into[0].update(group[0])
                 into[1] += group[1]
                 for r in map(self._live.__getitem__, group[0]):
@@ -302,13 +294,12 @@ class ColoredMultiHypergraph:
 
 
 def wing_decompositions(G: ColoredMultiHypergraph) -> dict[int, tuple]:
-    """Per color of `G`: the groups of its class and of its multi-wing union, and its wings.
+    """Per color of `G`: the group of its loop type, and its wings.
 
     Each group is the one `G` keeps, [types, hinges, index, solo], read in
-    place.  The class and the union list no types: the class holds the
-    color's types, the union the loop type (at h >= 2) and the types of the
-    wings with 2+ hinges, and a record names its class or union by its
-    wing's index.  The wings are a live view of the color's groups by
-    union-find root, each listing its types.
+    place, and its total is the hinges of the records that name it.  The
+    loop group lists no types; the loop record names it in its wing slot.
+    The wings are a live view of the color's groups by union-find root,
+    each listing its types.
     """
-    return {i: (G._classes[i], G._multi[i], wings.values()) for i, wings in G._wings.items()}
+    return {i: (G._loops[i], wings.values()) for i, wings in G._wings.items()}

@@ -10,10 +10,11 @@ family (color class, multi-hinge wing union, wing) and the cell family
 (amalgam multiplicity plus ordinary vertex set) group the types; each
 member gets the floor/ceiling of its weight over m.  A wing or cell of
 one type x is no member: x is solo, one item of size c * p inside x's own
-bounds.  The wing builder lists the groups of the graph's wing view, the
-cell builder the graph's cells; each writes into every group it visits
-its types' innermost member index and solo flag, a type's record points
-at its wing and its cell, and `forest()` checks the members.
+bounds.  The wing builder lists the groups of the graph's wing view and
+sums the class and union sizes from them, the cell builder the graph's
+cells; each writes into every group it visits its types' innermost
+member index and solo flag, a type's record points at its wing and its
+cell, and `forest()` reads the parents and those indices back.
 
 For laminar inputs a selection always exists: the bounds form a
 circulation on the two forests (down A's, across one arc per element,
@@ -45,31 +46,6 @@ class Member(NamedTuple):
 
     elements: Collection
     tag: tuple
-
-
-def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list[int], dict]:
-    """Parent index per member (-1: a root) and innermost member index per ground element (-1: none).
-
-    One pass over members listed parents first: every element of a set
-    must sit in one and the same innermost set, its parent, or this raises,
-    as it does for an element outside the ground.  Equal sets chain.
-    """
-    innermost: dict = dict.fromkeys(ground, -1)
-    parent = []
-    for idx, mb in enumerate(members):
-        try:
-            seen = {innermost[x] for x in mb.elements}
-        except KeyError as exc:
-            x = exc.args[0]
-            raise InternalInvariantError(
-                f"member {idx} contains {x!r} outside the ground set", witness=(mb.tag, x)) from None
-        if len(seen) > 1:
-            bad = sorted(seen)
-            raise InternalInvariantError(
-                f"family is not laminar: member {idx} straddles {bad}", witness=(mb.tag, bad))
-        parent.append(seen.pop() if seen else -1)
-        innermost.update(dict.fromkeys(mb.elements, idx))
-    return parent, innermost
 
 
 class LaminarFamily:
@@ -111,8 +87,9 @@ class LaminarFamily:
         return dict.fromkeys(compress(self.inner, map(itemgetter(3), groups)))
 
     def forest(self) -> tuple[list[int], dict]:
-        """The members' containment forest, recomputed from the entries."""
-        return containment_forest(self.ground, self.members)
+        """The kept forest: each entry's parent (-1: a root) and each element's innermost member (-1: none)."""
+        at = self.at
+        return self.parents, {x: r[at][2] for x, r in self.inner.items()}
 
     def totals(self, pairs: Iterable) -> list[int]:
         """Per member, the sum of the amounts in (element, amount) `pairs` it holds."""
@@ -190,19 +167,25 @@ def selection_respects_bounds(chosen: Iterable, ground, famA: LaminarFamily, fam
 def build_wing_family(G: ColoredMultiHypergraph, ground, decomps: dict) -> LaminarFamily:
     """Wing-side family over `ground = G.hinges_at()`, from `decomps = wing_decompositions(G)`.
 
-    Per color: the class, the union of its wings with 2+ hinges and each
-    wing of 2+ types, groups `G` keeps, as (size, tag, parent) entries; a
-    wing with 2+ hinges lies in the union, any other in the class.  A wing
-    of one type is no member: its type is solo, inside the union or the
-    class.  Every group gets its index and solo flag, which hold until the
-    next move; a type's members are then the chain of parents above its
-    wing's index.  Costs O(groups).
+    Per color, as (size, tag, parent) entries: the class, the union of its
+    wings with 2+ hinges and each wing of 2+ types, a group `G` keeps; a
+    wing with 2+ hinges lies in the union, any other in the class.  The
+    class weighs the loop group's and the wings' hinges.  At h >= 2 the
+    union holds the loop, whose edges have h hinges each, and every wing
+    but those of 1 hinge, each of which is one type; at h = 1 every type
+    is the loop and the union is empty.  A wing of one type is no member:
+    its type is solo, inside the union or the class.  Every group gets its
+    index and solo flag, which hold until the next move; a type's members
+    are then the chain of parents above its group's index.  Costs O(groups).
     """
-    entries = []
-    for i, (whole, big, wings) in decomps.items():
+    entries, multi = [], G.h > 1
+    for i, (loop, wings) in decomps.items():
         top = len(entries)
-        whole[2], big[2] = top, top + 1
-        entries += [(whole[1], ("color", i), -1), (big[1], ("multiwing", i), top if big[1] else -1)]
+        sizes = [*map(itemgetter(1), wings)]
+        whole = loop[1] + sum(sizes)
+        big = whole - sizes.count(1) if multi else 0
+        loop[2] = top + multi
+        entries += [(whole, ("color", i), -1), (big, ("multiwing", i), top if big else -1)]
         for j, w in enumerate(wings):
             if len(w[0]) > 1:
                 w[2], w[3] = len(entries), False

@@ -2,13 +2,13 @@
 
 import gc
 import random
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import pytest
 
-from hypfactor import ColoredMultiHypergraph, LaminarFamily, construct
+from hypfactor import ColoredMultiHypergraph, InternalInvariantError, LaminarFamily, construct
 from hypfactor.detach import Factorization, Params
-from hypfactor.laminar import Member, bounds_for, containment_forest, selection_respects_bounds
+from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
 
 OUTSIDE = [(), 0, -1, False]  # the group of an element in no member
 
@@ -47,6 +47,31 @@ def plain_family(ground, entries, solo=()) -> LaminarFamily:
         group = held.get(x, OUTSIDE)
         inner[x] = (c, p, (c, p), [(x,), c * p, group[2], True] if x in solo else group)
     return LaminarFamily(ground, [entry[1:] for entry in entries], inner, 3)
+
+
+def containment_forest(ground: Mapping, members: Sequence[Member]) -> tuple[list[int], dict]:
+    """Parent index per member (-1: a root) and innermost member index per ground element (-1: none).
+
+    One pass over members listed parents first: every element of a set
+    must sit in one and the same innermost set, its parent, or this raises,
+    as it does for an element outside the ground.  Equal sets chain.
+    """
+    innermost: dict = dict.fromkeys(ground, -1)
+    parent = []
+    for idx, mb in enumerate(members):
+        try:
+            seen = {innermost[x] for x in mb.elements}
+        except KeyError as exc:
+            x = exc.args[0]
+            raise InternalInvariantError(
+                f"member {idx} contains {x!r} outside the ground set", witness=(mb.tag, x)) from None
+        if len(seen) > 1:
+            bad = sorted(seen)
+            raise InternalInvariantError(
+                f"family is not laminar: member {idx} straddles {bad}", witness=(mb.tag, bad))
+        parent.append(seen.pop() if seen else -1)
+        innermost.update(dict.fromkeys(mb.elements, idx))
+    return parent, innermost
 
 
 def reference_family(ground, members) -> LaminarFamily:

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from bench_construct import src_tree_id  # noqa: E402
+from bench_construct import checkout_labels, src_tree_id  # noqa: E402
 from workloads import COVERS, HUGE_N, MULTI, SPLIT_DENSE, SPLIT_H2, _label  # noqa: E402
 
 
@@ -66,3 +66,22 @@ def test_src_tree_id_is_the_git_tree_of_src_without_a_checkout(tmp_path):
                           capture_output=True, text=True, check=True).stdout.strip()
     shutil.copytree(tmp_path / "src", tmp_path / "copy" / "src")
     assert src_tree_id(str(tmp_path / "copy")) == tree
+
+
+def test_checkout_labels_leave_src_modified_unknown_without_a_checkout(tmp_path, monkeypatch):
+    # a `git archive` copy has no `.git`: its rows name no commit and say
+    # nothing of whether `src/` differs from one; in a checkout they do
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no enclosing checkout is found
+    copy, repo = tmp_path / "copy", tmp_path / "repo"
+    for root in (copy, repo):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "mod.py").write_text("x = 1\n")
+    assert checkout_labels(str(copy)) == {"commit": "unknown", "src_modified": None,
+                                          "src_tree": src_tree_id(str(copy))}
+    ident = ["-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    for args in (["init", "-q"], ["add", "src"], [*ident, "commit", "-q", "-m", "src"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True)
+    labels = checkout_labels(str(repo))
+    assert labels["commit"] != "unknown" and labels["src_modified"] is False
+    (repo / "src" / "mod.py").write_text("x = 2\n")
+    assert checkout_labels(str(repo))["src_modified"] is True

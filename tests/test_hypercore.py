@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -62,15 +63,17 @@ def _kept(G):
 
     The cells by shape, their types read off the records, and per color the
     multiset of wing groups, each as (types, hinges); per color the class
-    and multi-wing totals, and their types as the members of a wing family
-    built afresh; per side (wing, cell) each type's innermost member and
-    the solo types, read off families built afresh and named by their
+    and multi-wing sizes and types, as the entries and members of a wing
+    family built afresh; per side (wing, cell) each type's innermost member
+    and the solo types, read off families built afresh and named by their
     members.  Also
     checks that every wing group sits at the union-find root of its types'
     ordinary vertices, so roots that a rebuild picks differently still
-    compare equal, and that each record holds its type's count, p and sort
+    compare equal, that each record holds its type's count, p and sort
     key, its cell `_cells[p, rest]` and its wing: the group at the root of
-    rest, or for a loop its color's union at h >= 2 and its class at h = 1.
+    rest, or for a loop its color's loop group; and that every kept group's
+    total (cell, wing and loop) is Σ c·p over the records that name it, so
+    a loop group holds its loop type's c·h, or 0.
     """
     for i, wings in G._wings.items():
         for root, (types, _, _, _) in wings.items():
@@ -79,8 +82,16 @@ def _kept(G):
         assert r[C] >= 1 and r[P] == p == G.h - len(rest) and len(r) == CELL + 1
         assert r[KEY] == r[C] * (G.h + 1) + p
         assert r[CELL] is G._cells[p, rest]
-        loop = (G._multi if G.h > 1 else G._classes)[i]
-        assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else loop)
+        assert r[WING] is (G._wings[i][G._uf[i].find(rest[0])] if rest else G._loops[i])
+    named = Counter()
+    for r in G._live.values():
+        named[id(r[CELL])] += r[C] * r[P]
+        named[id(r[WING])] += r[C] * r[P]
+    for group in chain(G._cells.values(), *(ws.values() for ws in G._wings.values()), G._loops.values()):
+        assert group[1] == named[id(group)]
+    for i, loop in G._loops.items():
+        x = (i, (), G.h)
+        assert loop[1] == (G._live[x][C] * G.h if x in G._live else 0)
     cells = {shape: (ts, G._cells[shape][1]) for shape, ts in _cell_types(G).items()}
     wings = {i: Counter((frozenset(ts), x) for ts, x, _, _ in ws.values()) for i, ws in G._wings.items()}
     ground, inner, solo = G.hinges_at(), [], []
@@ -91,8 +102,9 @@ def _kept(G):
         inner.append({x: name[r[fam.at][2]] for x, r in G._live.items()})
         solo.append(set(fam.solo))
     types = {tag: frozenset(xs) for xs, tag in wing_side.members}
-    tops = {i: (G._classes[i][1], types[("color", i)], G._multi[i][1], types[("multiwing", i)])
-            for i in G._classes}
+    sizes = {tag: size for size, tag, _ in wing_side.entries}
+    tops = {i: (sizes[("color", i)], types[("color", i)], sizes[("multiwing", i)], types[("multiwing", i)])
+            for i in G._loops}
     return cells, wings, tops, inner, solo
 
 
@@ -112,7 +124,7 @@ def _defined(G):
     """
     live, tops, inner, solo = G.hinges_at(), {}, [{}, {}], [set(), set()]
     cells = _cell_types(G)
-    for i in G._classes:
+    for i in G._loops:
         wings = G._wings[i].values()
         loop = [x for x in live if x[:2] == (i, ()) and G.h > 1]
         big = [w for w in wings if w[1] >= 2]

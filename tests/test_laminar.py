@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     breaks,
+    containment_forest,
     fold_singletons,
     kept_forest,
     plain_family,
@@ -36,7 +37,7 @@ from hypfactor import (
 )
 from hypfactor import detach, laminar
 from hypfactor.detach import Params
-from hypfactor.laminar import Member, bounds_for, containment_forest, selection_respects_bounds
+from hypfactor.laminar import Member, bounds_for, selection_respects_bounds
 from test_acceptance import _fixture_vectors
 
 EMPTY = reference_family(frozenset(), [])

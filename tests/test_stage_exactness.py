@@ -21,7 +21,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import breaks, fold_singletons, kept_forest, rebuilt, reference_family, same_verdict, type_key
+from conftest import (
+    breaks,
+    containment_forest,
+    fold_singletons,
+    kept_forest,
+    rebuilt,
+    reference_family,
+    same_verdict,
+    type_key,
+)
 from hypfactor import (
     Edge,
     HingeRef,
@@ -254,7 +263,7 @@ def generic_wing_family(G, ground, decomps):
     """
     members = []
     for i in range(1, G.k + 1):
-        wings = [frozenset(w[0]) for w in decomps[i][2]]
+        wings = [frozenset(w[0]) for w in decomps[i][1]]
         whole = {type_key(e, G.alpha) for e in G.edges() if e.color == i and G.alpha in e.verts}
         big = {key for key in whole if ground[key][1] == G.h >= 2}
         big.update(*(w for w in wings if sum(c * p for c, p in map(ground.get, w)) >= 2))
@@ -288,8 +297,9 @@ def assert_same_family(fam, ref):
     ref = fold_singletons(ref, lambda tag: tag[0] in ("wing", "cell"))
     assert family_shape(fam) == family_shape(ref)
     assert len(fam.solo) == len(ref.solo) and set(fam.solo) == set(ref.solo)
-    parent, innermost = fam.forest()  # the generic laminarity check passes too
+    parent, innermost = containment_forest(fam.ground, fam.members)  # the generic laminarity check passes too
     assert (parent, {x: i for x, i in innermost.items() if i >= 0}) == kept_forest(fam)
+    assert fam.forest() == (parent, innermost)
 
 
 # at h = 1 every type is a loop, no class has a multi-hinge member, and

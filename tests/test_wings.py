@@ -29,6 +29,11 @@ def _member(fam, tag):
     return next(mb.elements for mb in fam.members if mb.tag == tag)
 
 
+def _size(fam, tag):
+    """The size of the wing-family entry carrying `tag`."""
+    return next(size for size, t, _ in fam.entries if t == tag)
+
+
 def _big_hinges(fam, i, ground):
     """Hinges in the multi-hinge wings of class i: c * p summed over its multiwing member."""
     return sum(ground[x][0] * ground[x][1] for x in _member(fam, ("multiwing", i)))
@@ -120,9 +125,10 @@ def test_mixed_class_wing_decomposition():
 
 def test_wings_partition_amalgam_hinges():
     # per class, the family's class and multi-wing members, read off the
-    # records, are the sets of types their definitions give and carry the
-    # view's hinge totals, and the loop type and the wings partition the
-    # class's amalgam-incident types, one wing per union-find component
+    # records, are the sets of types their definitions give and their
+    # entries weigh those types' hinges; the loop group holds the loop
+    # type's hinges, and the loop type and the wings partition the class's
+    # amalgam-incident types, one wing per union-find component
     p = Params(6, 3, 1, (2, 2, 2, 2, 2))
     G = initial_amalgam(p)
     for ell in (1, 2):
@@ -135,11 +141,12 @@ def test_wings_partition_amalgam_hinges():
         return sum(c * q for c, q in map(ground.get, types))
 
     for i in range(1, p.k + 1):
-        whole, big, wings = decomps[i]
-        assert whole[0] is big[0] is None  # the class and union list no types
+        loop, wings = decomps[i]
+        assert loop[0] is None  # the loop group lists no types
         cls, multi = _member(fam, ("color", i)), _member(fam, ("multiwing", i))
         loops = {key for key in cls if ground[key][1] == G.h}
         assert loops == ({(i, (), G.h)} if (i, (), G.h) in ground else set())
+        assert loop[1] == hinges(loops)
         seen = set(loops)
         for w in wings:
             assert not (seen & set(w[0])) and w[1] == hinges(w[0])
@@ -147,9 +154,9 @@ def test_wings_partition_amalgam_hinges():
             assert len({G._uf[i].find(key[1][0]) for key in w[0]}) == 1
         assert len(cls) == len(seen) == len(set(cls))
         assert seen == set(cls) == {key for key in ground if key[0] == i}
-        assert whole[1] == hinges(cls)
+        assert _size(fam, ("color", i)) == hinges(cls)
         assert set(multi) == loops.union(*(w[0] for w in wings if w[1] >= 2))
-        assert big[1] == hinges(multi)
+        assert _size(fam, ("multiwing", i)) == hinges(multi)
         cls = [e for e in G.edges() if e.color == i]
         assert _big_hinges(fam, i, ground) == wing_decomposition(cls, G.alpha).delta
 
